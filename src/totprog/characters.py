@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 
@@ -19,8 +19,6 @@ __all__ = [
     "CharacterGroup",
     "DirichletCharacter",
     "build_group",
-    "char_value",
-    "conductor_and_primitive",
     "units",
     "totient",
     "factorint",
@@ -259,7 +257,7 @@ class CharacterGroup:
     def by_label(self, l: int) -> DirichletCharacter:
         return self._label_map[l % self.modulus if self.modulus > 1 else 1]
 
-    @property
+    @cached_property
     def _label_map(self):
         return {chi.label: chi for chi in self.characters}
 
@@ -296,13 +294,3 @@ def build_group(q: int) -> CharacterGroup:
     chars.extend(DirichletCharacter._build(q, l) for l in labels)
     return CharacterGroup(q, _group_generators(q), tuple(chars))
 
-
-# spec-facing operation aliases ------------------------------------------
-
-
-def char_value(chi: DirichletCharacter, n: int, prec: int = 53) -> mp.mpc:
-    return chi.value(n, prec)
-
-
-def conductor_and_primitive(chi: DirichletCharacter):
-    return chi._conductor_and_primitive()

@@ -182,8 +182,17 @@ def _branched_log_L1(chi: DirichletCharacter, ctx: PrecisionContext) -> mp.mpc:
         s0 += -cmath.log(1 - cmath.exp(2j * math.pi * float(t)) / p)
     with ctx.workprec():
         principal = mp.log(v)
-        k = round((s0.imag - float(mp.im(principal))) / (2 * math.pi))
+        k = _winding_number((s0.imag - float(mp.im(principal))) / (2 * math.pi))
         return principal + 2j * mp.pi * k
+
+
+def _winding_number(turns: float) -> int:
+    """The integer a double-precision winding estimate stands for; raises
+    ArithmeticError unless the estimate lies within 0.25 of it."""
+    k = round(turns)
+    if abs(turns - k) > 0.25:
+        raise ArithmeticError(f"winding estimate {turns!r} is not within 0.25 of an integer")
+    return k
 
 
 def _pz_cutoff(ctx: PrecisionContext) -> int:

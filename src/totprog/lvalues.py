@@ -1,16 +1,22 @@
 """L-function special values and Laurent data at s = 0.
 
-L(1,chi) and L'(1,chi) are evaluated through finite character sums of
-digamma / generalized-Stieltjes values at rationals r/q -- exact finite
-formulas with uniform error control, no conditionally convergent tails:
+All values are finite character sums of special functions at rationals, with
+no conditionally convergent tails.  L(1,chi) = -(1/q) sum_r chi(r) psi(r/q).
 
-    L(1,chi)  = -(1/q) sum_r chi(r) psi(r/q)
-    L'(1,chi) = -log(q) L(1,chi) - (1/q) sum_r chi(r) gamma_1(r/q)
+L'/L(1,chi) comes from the functional equation.  For primitive psi mod d let
+Z(s) = sum_r psi(r) zeta(s, r/d), so that L(s,psi) = d^-s Z(s).  The constant
+term b(psi) of L'/L(s,psi) at s = 0 is -log d + Z'(0)/Z(0) for odd psi, with
+Z(0) = -(1/d) sum_r psi(r) r and Z'(0) = sum_r psi(r) log Gamma(r/d) (Lerch);
+for even psi, Z(0) = 0 and b = -log d + Z''(0)/(2 Z'(0)), with
+Z''(0) = sum_r psi(r) zeta''(0, r/d) (Deninger).  For chi mod q induced by
+the primitive chi' mod d,
 
-The Laurent data (m0, b) of L'/L at s = 0 comes from the completed-function
-reflection for primitive characters plus explicit Euler-factor corrections
-for imprimitivity; an independent numerical Laurent-fit oracle (Hurwitz-zeta
-expansion around s = 0) is exposed for validation.
+    L'/L(1,chi) = -log(d/pi) + gamma + log 2 - b(conj chi')
+                  + sum_{p | q, p not| d} chi'(p) log p / (p - chi'(p)).
+
+The Laurent data (m0, b) at s = 0 adds the Euler factors of chi mod q to
+b(chi'); a numerical Laurent fit (Hurwitz zeta around s = 0) is the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +35,7 @@ __all__ = [
     "Approx",
     "LaurentAtZero",
     "digamma",
-    "stieltjes_gamma1",
     "L_at_1",
-    "Lprime_at_1",
     "Lprime_over_L_at_1",
     "laurent_at_zero",
     "laurent_fit",
@@ -89,15 +93,6 @@ def digamma(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
         return mp.digamma(_as_mpf(x))
 
 
-def stieltjes_gamma1(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
-    """Generalized Stieltjes constant gamma_1(x),
-    gamma_1(x) = lim_N [ sum_{k<=N} log(k+x)/(k+x) - log^2(N+x)/2 ]."""
-    if x <= 0:
-        raise ValueError("gamma_1 argument must be positive")
-    with ctx.workprec():
-        return mp.stieltjes(1, _as_mpf(x))
-
-
 @lru_cache(maxsize=None)
 def _digamma_row(q: int, prec: int) -> dict:
     with mp.workprec(prec):
@@ -105,9 +100,16 @@ def _digamma_row(q: int, prec: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _gamma1_row(q: int, prec: int) -> dict:
+def _loggamma_row(d: int, prec: int) -> dict:
     with mp.workprec(prec):
-        return {r: mp.stieltjes(1, mp.mpf(r) / q) for r in units(q)}
+        return {r: mp.loggamma(mp.mpf(r) / d) for r in units(d)}
+
+
+@lru_cache(maxsize=None)
+def _zeta2_row(d: int, prec: int) -> dict:
+    """zeta''(0, r/d), the s-second derivative of the Hurwitz zeta."""
+    with mp.workprec(prec):
+        return {r: mp.zeta(0, mp.mpf(r) / d, 2) for r in units(d)}
 
 
 def L_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpc:
@@ -119,32 +121,37 @@ def L_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.m
         return -sum(chi.value(r, ctx.prec) * row[r] for r in units(q)) / q
 
 
-def Lprime_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpc:
-    if chi.is_principal:
-        raise ValueError("L(s, chi0) has a pole at s = 1")
-    q = chi.modulus
-    row = _gamma1_row(q, ctx.prec)
-    with ctx.workprec():
-        tail = -sum(chi.value(r, ctx.prec) * row[r] for r in units(q)) / q
-        return -mp.log(q) * L_at_1(chi, ctx) + tail
+def _b_primitive(psi: DirichletCharacter, prec: int) -> mp.mpc:
+    """Constant term b of L'/L(s, psi) at s = 0, psi primitive nonprincipal
+    (the Lerch / Deninger sums of the module docstring)."""
+    d = psi.modulus
+
+    def Z(row):
+        return sum(psi.value(r, prec) * row[r] for r in units(d))
+
+    with mp.workprec(prec):
+        z1 = Z(_loggamma_row(d, prec))
+        if psi.parity:
+            z0 = -Z({r: r for r in units(d)}) / d
+            return -mp.log(d) + z1 / z0
+        return -mp.log(d) + Z(_zeta2_row(d, prec)) / (2 * z1)
 
 
 @lru_cache(maxsize=None)
 def _ll1_cached(modulus: int, label: int, prec: int) -> mp.mpc:
-    chi = build_group(modulus).by_label(label)
-    ctx = PrecisionContext(prec=prec)
-    with ctx.workprec():
-        return Lprime_at_1(chi, ctx) / L_at_1(chi, ctx)
+    prim = build_group(modulus).by_label(label).primitive()
+    d = prim.modulus
+    with mp.workprec(prec):
+        ll = -mp.log(mp.mpf(d) / mp.pi) + mp.euler + mp.log(2) - _b_primitive(prim.conjugate(), prec)
+        for p in factorint(modulus):
+            if d % p:
+                val = prim.value(p, prec)
+                ll += val * mp.log(p) / (p - val)
+        return ll
 
 
-def Lprime_over_L_at_1(
-    chi: DirichletCharacter,
-    ctx: PrecisionContext = DEFAULT_CTX,
-    primitive: bool = False,
-) -> mp.mpc:
-    """L'/L(1, chi); with primitive=True, for the primitive part chi'."""
-    if primitive:
-        chi = chi.primitive()
+def Lprime_over_L_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpc:
+    """L'/L(1, chi) of the L-series mod chi.modulus (Euler factors included)."""
     if chi.is_principal:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     return _ll1_cached(chi.modulus, chi.label, ctx.prec)
@@ -178,24 +185,15 @@ def laurent_at_zero(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX
     with ctx.workprec():
         if chi.is_principal:
             b = mp.log(2 * mp.pi) - sum(mp.log(p) for p in factorint(q)) / 2
-            return LaurentAtZero(len(factorint(q)), b)
-        prim = chi.primitive()
-        d = prim.modulus
-        alpha = chi.parity
-        llbar = Lprime_over_L_at_1(prim.conjugate(), ctx)
-        b = -mp.log(mp.mpf(d) / mp.pi) + mp.euler + mp.log(2) - llbar
-        m0 = 1 - alpha
-        for p in factorint(q):
-            if d % p == 0:
-                continue
-            t = prim.exponent(p)
-            if t == 0:
-                m0 += 1
-                b -= mp.log(p) / 2
-            else:
-                val = prim.value(p, ctx.prec)
-                b += mp.log(p) * val / (1 - val)
-        return LaurentAtZero(m0, b)
+        else:
+            prim = chi.primitive()
+            b = _b_primitive(prim, ctx.prec)
+            for p in factorint(q):
+                if prim.modulus % p:
+                    # 1 - chi'(p) p^-s has a simple zero at s = 0 when chi'(p) = 1
+                    val = prim.value(p, ctx.prec)
+                    b += -mp.log(p) / 2 if prim.exponent(p) == 0 else mp.log(p) * val / (1 - val)
+        return LaurentAtZero(structural_m0(chi), b)
 
 
 # --- numerical Laurent-fit oracle ----------------------------------------

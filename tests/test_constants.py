@@ -13,6 +13,7 @@ from totprog.constants import (
     F_q,
     F_q_via_divisors,
     G_q,
+    _winding_number,
     gamma_p,
     index_data,
     index_data_bruteforce,
@@ -105,6 +106,17 @@ def test_C_decomposition_reconstructs_mertens_sum(ctx, table):
         s = mp.fsum(mp.mpf(1) / p for p in table.upto(x) if p % q == a)
         drift = s - mp.log(mp.log(x)) / totient(q) - c.M.value
         assert abs(drift) < 1e-3  # ~ 1/log x tail
+
+
+@pytest.mark.parametrize("turns", [0.5, 1.4, -0.3])
+def test_winding_number_rejects_ambiguous_estimate(turns):
+    with pytest.raises(ArithmeticError):
+        _winding_number(turns)
+
+
+@pytest.mark.parametrize("turns,k", [(0.0, 0), (1.02, 1), (-2.2, -2), (3.25, 3)])
+def test_winding_number_clean_estimate(turns, k):
+    assert _winding_number(turns) == k
 
 
 # -- F constants -------------------------------------------------------------

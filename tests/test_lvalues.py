@@ -1,9 +1,9 @@
-"""Digamma/Stieltjes helpers, L(1), L'/L(1), and the Laurent data at s=0."""
+"""Digamma helper, the Stieltjes oracle, L(1), L'/L(1), and the Laurent data at s=0."""
 
 import mpmath as mp
 import pytest
 
-from totprog.characters import build_group
+from totprog.characters import build_group, factorint
 from totprog.lvalues import (
     L_at_1,
     Lprime_over_L_at_1,
@@ -14,9 +14,9 @@ from totprog.lvalues import (
     laurent_at_zero,
     laurent_fit,
     m0_sum,
-    stieltjes_gamma1,
     structural_m0,
 )
+from oracles import Lprime_at_1, stieltjes_gamma1
 
 
 def test_digamma_special_values(ctx):
@@ -115,6 +115,33 @@ def test_LpL1_published_values(q, label, expected, ctx):
     chi = build_group(q).by_label(label)
     val = mp.re(Lprime_over_L_at_1(chi, ctx))
     assert abs(val - mp.mpf(expected)) < 1e-6
+
+
+ORACLE_MODULI = list(range(3, 17)) + [20, 21, 24, 28]
+
+
+@pytest.mark.parametrize("q", ORACLE_MODULI)
+def test_LpL1_matches_stieltjes_oracle(q, ctx):
+    """Functional-equation route vs L'(1)/L(1) from gamma_1(r/q) rows."""
+    tol = mp.mpf(2) ** -(ctx.prec - 16)
+    for chi in build_group(q).nonprincipal():
+        with ctx.workprec():
+            oracle = Lprime_at_1(chi, ctx) / L_at_1(chi, ctx)
+        assert abs(Lprime_over_L_at_1(chi, ctx) - oracle) < tol, (q, chi.label)
+
+
+def test_stieltjes_oracle_moduli_cover_every_kind():
+    """The oracle comparison sees odd and even characters, and imprimitive
+    ones whose extra Euler factor has chi'(p) = 1 and chi'(p) != 1."""
+    kinds = set()
+    for q in ORACLE_MODULI:
+        for chi in build_group(q).nonprincipal():
+            prim = chi.primitive()
+            kinds.add("odd" if chi.parity else "even")
+            for p in factorint(q):
+                if prim.modulus % p:
+                    kinds.add("chi'(p) = 1" if prim.exponent(p) == 0 else "chi'(p) != 1")
+    assert kinds == {"odd", "even", "chi'(p) = 1", "chi'(p) != 1"}
 
 
 # -- Laurent data at s = 0 ---------------------------------------------------

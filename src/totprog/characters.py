@@ -21,6 +21,7 @@ __all__ = [
     "build_group",
     "units",
     "totient",
+    "divisors",
     "factorint",
 ]
 
@@ -47,8 +48,17 @@ def units(q: int) -> tuple[int, ...]:
     return tuple(n for n in range(1, q) if math.gcd(n, q) == 1)
 
 
-def totient(q: int) -> int:
-    return len(units(q))
+def totient(n: int) -> int:
+    """Euler's phi(n), from the factorization of n; phi(1) = 1."""
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorint(n).items())
+
+
+def divisors(q: int) -> list[int]:
+    """The positive divisors of q, ascending."""
+    divs = [1]
+    for p, e in factorint(q).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +194,7 @@ class DirichletCharacter:
 
     @property
     def conductor(self) -> int:
-        return self._conductor_and_primitive()[0]
+        return self._conductor_and_primitive[0]
 
     @property
     def is_primitive(self) -> bool:
@@ -192,45 +202,26 @@ class DirichletCharacter:
 
     def primitive(self) -> "DirichletCharacter":
         """The primitive character chi' inducing chi."""
-        return self._conductor_and_primitive()[1]
+        return self._conductor_and_primitive[1]
 
+    @cached_property
     def _conductor_and_primitive(self):
-        cached = _induction_cache.get((self.modulus, self.label))
-        if cached is not None:
-            return cached
         q = self.modulus
         d = q
-        for cand in sorted(_divisors(q)):
+        for cand in divisors(q):
             # chi factors through mod cand iff chi is trivial on units = 1 mod cand
             if all(self.exponent(u) == 0 for u in units(q) if u % cand == 1 % max(cand, 2) or cand == 1):
                 d = cand
                 break
         if d == q:
-            result = (d, self)
-        else:
-            sub = build_group(d)
-            prim = None
-            for cand_chi in sub.characters:
-                if all(
-                    cand_chi.exponent(u % d) == self.exponent(u)
-                    for u in units(q)
-                ):
-                    prim = cand_chi
-                    break
-            assert prim is not None, "induction matching failed"
-            result = (d, prim)
-        _induction_cache[(self.modulus, self.label)] = result
-        return result
-
-
-_induction_cache: dict = {}
-
-
-def _divisors(q: int) -> list[int]:
-    divs = [1]
-    for p, e in factorint(q).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+            return d, self
+        prim = None
+        for cand_chi in build_group(d).characters:
+            if all(cand_chi.exponent(u % d) == self.exponent(u) for u in units(q)):
+                prim = cand_chi
+                break
+        assert prim is not None, "induction matching failed"
+        return d, prim
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ verdict, 3 table mismatch.  Numeric output is always rendered as decimal
 strings ('.' decimal separator) so runs are byte-for-byte reproducible.
 
 Defaults may be overridden with environment variables TOTPROG_PREC_BITS,
-TOTPROG_SIEVE_LIMIT, TOTPROG_XMAX, TOTPROG_P0, TOTPROG_KMAX, TOTPROG_GRID.
+TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 import mpmath as mp
 
 from . import criterion, reference_data
-from .characters import totient, units
+from .characters import totient
 from .constants import (
     F_chi,
     F_p_primecalc,
@@ -235,15 +235,6 @@ def cmd_table(args) -> int:
 # -- figures -----------------------------------------------------------------
 
 
-def _totient_sieve(n: int):
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
 def cmd_figure(args) -> int:
     fid = args.figure_id.upper()
     meta = reference_data.FIGURES.get(fid)
@@ -254,11 +245,10 @@ def cmd_figure(args) -> int:
     table = _table_for(args)
     if meta["kind"] == "landau":
         lo, hi = meta["n_range"]
-        phi = _totient_sieve(hi)
         rows = []
         with ctx.workprec():
             for n in range(lo, hi + 1):
-                val = mp.mpf(n) / (phi[n] * mp.log(mp.log(n)))
+                val = mp.mpf(n) / (totient(n) * mp.log(mp.log(n)))
                 rows.append((n, fmt(val), "primorial" if n in meta["primorials"] else ""))
         _write(_emit(rows, ("n", "ratio", "marker"), args), args)
         return EXIT_OK
@@ -271,20 +261,8 @@ def cmd_figure(args) -> int:
         with ctx.workprec():
             inv_phi = mp.mpf(1) / totient(q)
             for n in enum.members:
-                m, phi_n = n, 1
-                d = 2
-                while d * d <= m:
-                    if m % d == 0:
-                        phi_n *= d - 1
-                        m //= d
-                        while m % d == 0:
-                            phi_n *= d
-                            m //= d
-                    d += 1
-                if m > 1:
-                    phi_n *= m - 1
                 logn = mp.log(n)
-                ratio = mp.mpf(n) / phi_n / mp.log(totient(q) * logn) ** inv_phi
+                ratio = mp.mpf(n) / totient(n) / mp.log(totient(q) * logn) ** inv_phi
                 rows.append((n, fmt(ratio), "primorial" if n in meta["primorials"] else ""))
         _write(_emit(rows, ("n", "ratio", "marker"), args), args)
         return EXIT_OK
@@ -344,9 +322,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--xmax", type=int, default=_env("XMAX", None))
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--p0", type=int, default=_env("P0", 10_000_000))
-        sp.add_argument("--kmax", type=int, default=_env("KMAX", 2000))
-        sp.add_argument("--grid", type=int, default=_env("GRID", 10_000))
 
     sp = sub.add_parser("constants", help="per-(q,a) constant bundle")
     common(sp, q_required=True)

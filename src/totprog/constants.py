@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .characters import DirichletCharacter, build_group, factorint, totient, units
+from .characters import DirichletCharacter, build_group, divisors, factorint, totient, units
 from .lvalues import (
     Approx,
     DEFAULT_CTX,
@@ -300,12 +300,9 @@ def F_q_via_divisors(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
     (for q <= 2 the constant term would need -2 log 2, not -phi log 2)."""
     if q <= 2:
         raise ValueError("divisor regrouping of F_q requires q > 2")
-    divs = sorted(_all_divisors(q))
     with ctx.workprec():
         total = -totient(q) * (mp.euler + mp.log(2)) + 2 * mp.euler - mp.log(mp.pi) + 2
-        for d in divs:
-            if d == 1:
-                continue
+        for d in divisors(q)[1:]:
             total += _num_primitive(d) * mp.log(mp.mpf(d) / mp.pi)
             total += 2 * mp.re(
                 sum(
@@ -315,13 +312,6 @@ def F_q_via_divisors(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
                 )
             )
         return total
-
-
-def _all_divisors(q: int) -> list:
-    divs = [1]
-    for p, e in factorint(q).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
 
 
 def gamma_p(p: int, ctx: PrecisionContext = DEFAULT_CTX) -> Approx:

@@ -26,7 +26,7 @@ import mpmath as mp
 
 from . import primes as primes_mod
 from . import reference_data
-from .characters import totient
+from .characters import totient, units
 from .constants import F_q, G_q, index_data, mertens_C
 from .lvalues import Approx, DEFAULT_CTX, PrecisionContext, b_sum_signed, m0_sum
 
@@ -100,6 +100,10 @@ def rs_bound(x, s, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
 # log f
 
 
+def _log_f(phi: int, theta, log1m, log_C) -> mp.mpf:
+    return mp.log(mp.log(phi * theta)) / phi + log1m - log_C
+
+
 def log_f(x, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table=None) -> mp.mpf:
     st = primes_mod.stats(q, a, table, ctx.prec)
     mc = mertens_C(q, a, ctx)
@@ -107,9 +111,7 @@ def log_f(x, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table=None) ->
         th = st.theta(x)
         if st.phi * th <= 1:
             raise ValueError("log f undefined until phi(q) theta(x) > 1")
-        return (
-            mp.log(mp.log(st.phi * th)) / st.phi + st.log_one_minus(x) - mc.log_C
-        )
+        return _log_f(st.phi, th, st.log_one_minus(x), mc.log_C)
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,8 @@ class FEvaluation:
 def log_f_series(q: int, a: int, xmax, ctx: PrecisionContext = DEFAULT_CTX, table=None) -> FEvaluation:
     """log f at every progression prime <= xmax (f is constant in between)."""
     st = primes_mod.stats(q, a, table, ctx.prec)
+    if xmax > st.table.limit:
+        raise ValueError(f"xmax={xmax} exceeds sieve limit {st.table.limit}")
     mc = mertens_C(q, a, ctx)
     rows = []
     with ctx.workprec():
@@ -131,12 +135,7 @@ def log_f_series(q: int, a: int, xmax, ctx: PrecisionContext = DEFAULT_CTX, tabl
                 break
             if st.phi * st.theta_cum[i] <= 1:
                 continue  # log f not yet defined (q = 1 at x = 2)
-            val = (
-                mp.log(mp.log(st.phi * st.theta_cum[i])) / st.phi
-                + st.log1m_cum[i]
-                - mc.log_C
-            )
-            rows.append((i + 1, p, val))
+            rows.append((i + 1, p, _log_f(st.phi, st.theta_cum[i], st.log1m_cum[i], mc.log_C)))
     return FEvaluation(q, st.a, mc.log_C, tuple(rows))
 
 
@@ -152,8 +151,6 @@ def k_truncated(x, T, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table
     st = primes_mod.stats(q, a, table, ctx.prec)
     if not (T > x > 1):
         raise ValueError("need T > x > 1")
-    if T > st.table.limit:
-        raise ValueError("sieve does not cover T")
     with ctx.workprec():
 
         def anti_g(t):
@@ -164,28 +161,17 @@ def k_truncated(x, T, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table
             t = mp.mpf(t)
             return mp.log(mp.log(t)) - 1 / mp.log(t)
 
-        import bisect
-
-        i = bisect.bisect_right(st.pbar, int(x))
         total = mp.mpf(0)
-        lo = mp.mpf(x)
-        while lo < T:
-            hi = mp.mpf(st.pbar[i]) if i < len(st.pbar) and st.pbar[i] <= T else mp.mpf(T)
-            theta_val = st.theta_cum[i - 1] if i else mp.mpf(0)
+        for lo, hi, theta_val in st.steps(x, T):
             total += theta_val * (anti_g(hi) - anti_g(lo))
-            lo = hi
-            if i < len(st.pbar) and st.pbar[i] <= T:
-                i += 1
         total -= (anti_tg(T) - anti_tg(mp.mpf(x))) / st.phi
-        # heuristic tail estimate from the observed sup of |S| past T
-        sup_S = mp.mpf(0)
-        j = bisect.bisect_left(st.pbar, int(T))
-        for idx in range(j, len(st.pbar)):
-            p = st.pbar[idx]
-            before = abs((st.theta_cum[idx - 1] if idx else mp.mpf(0)) - mp.mpf(p) / st.phi)
-            after = abs(st.theta_cum[idx] - mp.mpf(p) / st.phi)
-            sup_S = max(sup_S, before, after)
-        sup_S = max(sup_S, abs(st.theta_cum[-1] - mp.mpf(st.table.limit) / st.phi))
+        # heuristic tail estimate from the observed sup of |S| past T: S is
+        # linear between steps, so the sup sits on both sides of each
+        # progression prime >= floor(T), or at the sieve limit
+        sup_S = abs(st.theta_cum[-1] - mp.mpf(st.table.limit) / st.phi)
+        for lo, hi, theta_val in st.steps(int(T) - 1, st.table.limit):
+            ends = (lo, hi) if lo >= int(T) else (hi,)
+            sup_S = max(sup_S, *(abs(theta_val - t / st.phi) for t in ends))
         return KTruncated(total, sup_S / (mp.mpf(T) * mp.log(T)))
 
 
@@ -272,7 +258,10 @@ def p_q_of_x(x, q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
         return _p_q_formula(mp.mpf(x), totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)
 
 
-def _P_q_from(q, F, G, R, B, M, ctx, grid: int = 10_000) -> mp.mpf:
+_P_GRID = 10_000  # intervals of the coarse log-x grid in _P_q_from
+
+
+def _P_q_from(q, F, G, R, B, M, ctx) -> mp.mpf:
     """max of p_q over [e^10, inf): coarse double-precision log grid on
     [e^10, 1e16] locates the argmax, then mpf refinement; beyond 1e16 every
     x-dependent term is dominated by its value at 1e16."""
@@ -290,11 +279,11 @@ def _P_q_from(q, F, G, R, B, M, ctx, grid: int = 10_000) -> mp.mpf:
             - (M / x - phi / (2 * (x - 1))) * sx * lx
         )
 
-    step = (hi - lo) / grid
-    best_i = max(range(grid + 1), key=lambda i: pf(lo + i * step))
+    step = (hi - lo) / _P_GRID
+    best_i = max(range(_P_GRID + 1), key=lambda i: pf(lo + i * step))
     with ctx.workprec():
         a = mp.mpf(lo + max(best_i - 1, 0) * step)
-        b = mp.mpf(lo + min(best_i + 1, grid) * step)
+        b = mp.mpf(lo + min(best_i + 1, _P_GRID) * step)
         for _ in range(60):  # golden-section style trisection in log x
             m1 = a + (b - a) / 3
             m2 = b - (b - a) / 3
@@ -341,32 +330,18 @@ def empirical_xq_check(q: int, X: int, ctx: PrecisionContext = DEFAULT_CTX, tabl
     if X <= xq:
         return XqCheckReport(q, xq, X, True, None)
     ymax = math.isqrt(X)
-    table = table or primes_mod.default_table()
-    if ymax > table.limit:
-        raise ValueError("sieve does not cover sqrt(X)")
     phi = totient(q)
     worst = None
-    from .characters import units as _units
-
     with ctx.workprec():
         ylo = mp.sqrt(mp.mpf(xq))
-        for b in _units(max(q, 2)) if q > 1 else (1,):
+        for b in units(q):
             st = primes_mod.stats(q, b, table, ctx.prec)
-            import bisect
-
-            i = bisect.bisect_right(st.pbar, int(math.floor(float(ylo))))
-            y = ylo
-            while y < ymax:
-                nxt = mp.mpf(st.pbar[i]) if i < len(st.pbar) and st.pbar[i] <= ymax else mp.mpf(ymax)
-                theta_val = st.theta_cum[i - 1] if i else mp.mpf(0)
+            for y, nxt, theta_val in st.steps(ylo, ymax):
                 # theta is flat on [y, nxt); the requirement is tightest at nxt
                 if theta_val * phi < mp.mpf("0.6") * nxt:
                     xbad = int(mp.ceil(y * y)) + 1
                     if xbad <= X and (worst is None or xbad < worst):
                         worst = xbad
-                y = nxt
-                if i < len(st.pbar) and st.pbar[i] <= ymax:
-                    i += 1
     return XqCheckReport(q, xq, X, worst is None, worst)
 
 

@@ -50,14 +50,10 @@ class PrecisionContext:
     """Working precision and truncation policy.
 
     prec: mantissa bits for all floating work (default 192).
-    em_shift: Euler-Maclaurin shift passed to the special-function kernels.
-    p0: prime cutoff used when an Euler-product branch needs locating.
     target: advertised absolute error per published constant.
     """
 
     prec: int = 192
-    em_shift: int = 50
-    p0: int = 10**7
     target: float = 1e-12
 
     def workprec(self):

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
+
+from .characters import totient
 
 __all__ = [
     "PrimeTable",
@@ -52,63 +53,6 @@ class PrimeTable:
         if x > self.limit:
             raise ValueError(f"x={x} exceeds sieve limit {self.limit}")
         return self.primes[: bisect.bisect_right(self.primes, int(x))]
-
-    # --- on-disk cache ---------------------------------------------------
-    # header {magic, version, limit}; then first prime raw, followed by
-    # half-gaps as single bytes (0xFF escapes to a 4-byte gap).
-
-    _MAGIC = b"PTBL"
-    _VERSION = 1
-
-    def save_cache(self, path) -> None:
-        out = bytearray(struct.pack("<4sIQ", self._MAGIC, self._VERSION, self.limit))
-        prev = None
-        for p in self.primes:
-            if prev is None:
-                out += struct.pack("<I", p)
-            else:
-                gap = p - prev
-                half = gap >> 1
-                if gap == 1:  # the 2 -> 3 step
-                    out.append(0)
-                elif half < 0xFF:
-                    out.append(half)
-                else:
-                    out.append(0xFF)
-                    out += struct.pack("<I", gap)
-            prev = p
-        with open(path, "wb") as fh:
-            fh.write(bytes(out))
-
-    @classmethod
-    def load_cache(cls, path) -> "PrimeTable":
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        magic, version, limit = struct.unpack_from("<4sIQ", raw, 0)
-        if magic != cls._MAGIC or version != cls._VERSION:
-            raise ValueError("unrecognized sieve cache header")
-        off = struct.calcsize("<4sIQ")
-        primes = []
-        if len(raw) > off:
-            (p,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            primes.append(p)
-            while off < len(raw):
-                code = raw[off]
-                off += 1
-                if code == 0:
-                    gap = 1
-                elif code == 0xFF:
-                    (gap,) = struct.unpack_from("<I", raw, off)
-                    off += 4
-                else:
-                    gap = code << 1
-                p += gap
-                primes.append(p)
-        table = cls.__new__(cls)
-        table.limit = limit
-        table.primes = primes
-        return table
 
 
 def _segmented_sieve(limit: int) -> list[int]:
@@ -165,7 +109,7 @@ class ProgressionStats:
         self.q, self.a = q, a % q if q > 1 else 1
         self.table = table
         self.prec = prec
-        self.phi = len([n for n in range(1, max(q, 2)) if math.gcd(n, q) == 1]) or 1
+        self.phi = totient(q)
         with mp.workprec(prec):
             self.pbar = [p for p in table.primes if (p - self.a) % q == 0 or q == 1]
             acc = mp.mpf(0)
@@ -198,23 +142,38 @@ class ProgressionStats:
 
     # --- step functions --------------------------------------------------
 
-    def theta(self, x) -> mp.mpf:
+    def _index(self, x) -> int:
+        """Number of progression primes <= x."""
         if x > self.table.limit:
             raise ValueError(f"x={x} exceeds sieve limit {self.table.limit}")
-        i = bisect.bisect_right(self.pbar, int(x))
+        return bisect.bisect_right(self.pbar, int(x))
+
+    def theta(self, x) -> mp.mpf:
+        i = self._index(x)
         return self.theta_cum[i - 1] if i else mp.mpf(0)
 
     def psi(self, x) -> mp.mpf:
-        if x > self.table.limit:
-            raise ValueError(f"x={x} exceeds sieve limit {self.table.limit}")
         j = bisect.bisect_right(self.power_points, int(x))
         extra = self.power_cum[j - 1] if j else mp.mpf(0)
         return self.theta(x) + extra
 
     def log_one_minus(self, x) -> mp.mpf:
         """Sum of log(1 - 1/pbar) over progression primes pbar <= x."""
-        i = bisect.bisect_right(self.pbar, int(x))
+        i = self._index(x)
         return self.log1m_cum[i - 1] if i else mp.mpf(0)
+
+    def steps(self, lo, hi):
+        """Yield (start, end, theta) for the intervals that tile [lo, hi] with
+        theta flat on each: the cuts are the progression primes in (lo, hi),
+        and theta is the value on [start, end).  Ends are mpf at the caller's
+        working precision."""
+        i, j = self._index(lo), self._index(hi)
+        start = mp.mpf(lo)
+        while start < hi:
+            end = mp.mpf(self.pbar[i]) if i < j else mp.mpf(hi)
+            yield start, end, self.theta_cum[i - 1] if i else mp.mpf(0)
+            start = end
+            i += 1
 
     def S(self, x) -> mp.mpf:
         return self.theta(x) - mp.mpf(x) / self.phi

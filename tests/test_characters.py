@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from totprog.characters import (
     DirichletCharacter,
     build_group,
+    divisors,
     totient,
     units,
 )
@@ -29,6 +30,16 @@ def test_units_and_totient_basics():
     assert totient(12) == 4
     assert all(math.gcd(u, 60) == 1 for u in units(60))
     assert len(units(60)) == totient(60) == 16
+
+
+def test_totient_counts_units():
+    for n in range(1, 2001):
+        assert totient(n) == len(units(n))
+
+
+def test_divisors_sorted_and_complete():
+    for n in range(1, 501):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_group_sizes_and_principal_first():

@@ -19,6 +19,13 @@ def test_usage_error_exit_code():
     assert exc.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--p0", "--kmax", "--grid"])
+def test_removed_flags_are_usage_errors(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--q", "7", flag, "5"])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
 def test_unknown_table_id(capsys):
     code, _, err = run(["table", "T42"], capsys)
     assert code == cli.EXIT_USAGE
@@ -89,6 +96,14 @@ def test_sweep_exit_ok(capsys):
     assert code == cli.EXIT_OK
     d = {r["name"]: r["value"] for r in json.loads(out)}
     assert d["verdict"] == "all negative"
+
+
+def test_sweep_past_the_sieve_is_refused(capsys):
+    # the default x_max for q = 7 is 78764, beyond a 50,000 sieve
+    code, out, err = run(["sweep", "--q", "7", "--sieve-limit", "50000"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "exceeds sieve limit 50000" in err
 
 
 def test_scan(capsys):

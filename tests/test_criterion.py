@@ -1,5 +1,6 @@
 """log f evaluation, auxiliary integrals/bounds, thresholds, sweeps."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -8,7 +9,7 @@ import pytest
 from totprog import criterion as cr
 from totprog.constants import mertens_C
 from totprog.lvalues import PrecisionContext
-from totprog.primes import primorials, stats
+from totprog.primes import PrimeTable, primorials, stats
 
 
 # -- g and F_s ---------------------------------------------------------------
@@ -261,6 +262,21 @@ def test_empirical_xq_check(ctx, table):
     assert rep.holds and rep.first_violation is None
     rep5 = cr.empirical_xq_check(5, 10**8, ctx, table)
     assert rep5.holds
+
+
+@pytest.mark.parametrize("q,x_q,first", [(3, 4, 5), (5, 2, 3)])
+def test_empirical_xq_check_reports_first_violation(q, x_q, first, ctx, table, monkeypatch):
+    """Below the true threshold theta(sqrt x)/sqrt x > 0.6/phi fails early;
+    the report names the least failing x."""
+    real = cr.bound_params
+    monkeypatch.setattr(cr, "bound_params", lambda q, c: dataclasses.replace(real(q, c), x_q=x_q))
+    rep = cr.empirical_xq_check(q, 10**4, ctx, table)
+    assert rep == cr.XqCheckReport(q, x_q, 10**4, False, first)
+
+
+def test_log_f_series_refuses_xmax_past_the_sieve(ctx):
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        cr.log_f_series(7, 1, 50_001, ctx, PrimeTable(50_000))
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14])

@@ -1,0 +1,65 @@
+"""CLI stdout, byte for byte, against outputs recorded in tests/golden/.
+
+The three large figure outputs are pinned by their sha256 digests in
+tests/golden/figures.sha256 instead of being stored.  Each command runs with
+every TOTPROG_* variable unset, so only the built-in defaults apply.
+"""
+
+import hashlib
+import os
+from pathlib import Path
+
+import pytest
+
+from totprog import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+STORED = {
+    "constants_q5_a3.json": ["constants", "--q", "5", "--a", "3"],
+    "table_T1.json": ["table", "T1"],
+    "table_T1.csv": ["table", "T1", "--format", "csv"],
+    "table_T2.json": ["table", "T2"],
+    "table_T8.json": ["table", "T8"],
+    "table_T9.json": ["table", "T9"],
+    "sweep_q7.json": ["sweep", "--q", "7"],
+    "scan_q14.json": ["scan", "--q", "14"],
+    "figure_F7_xmax2000.json": ["figure", "F7", "--xmax", "2000"],
+}
+
+DIGESTED = {
+    "figure_F1.json": ["figure", "F1"],
+    "figure_F2.json": ["figure", "F2"],
+    "figure_F3.json": ["figure", "F3"],
+}
+
+
+def _digests() -> dict:
+    lines = (GOLDEN / "figures.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+def _stdout(argv, capsys, monkeypatch) -> bytes:
+    for name in list(os.environ):
+        if name.startswith("TOTPROG_"):
+            monkeypatch.delenv(name)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_OK
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", list(STORED))
+def test_stdout_matches_golden_file(name, capsys, monkeypatch):
+    assert _stdout(STORED[name], capsys, monkeypatch) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", list(DIGESTED))
+def test_stdout_matches_golden_digest(name, capsys, monkeypatch):
+    out = _stdout(DIGESTED[name], capsys, monkeypatch)
+    assert hashlib.sha256(out).hexdigest() == _digests()[name]
+
+
+def test_every_golden_file_is_checked():
+    on_disk = {p.name for p in GOLDEN.iterdir()}
+    assert on_disk == set(STORED) | {"figures.sha256"}
+    assert set(_digests()) == set(DIGESTED)

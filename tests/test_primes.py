@@ -34,22 +34,6 @@ def test_segmented_matches_simple_sieve():
     assert PrimeTable(limit).primes == simple
 
 
-def test_cache_round_trip(tmp_path, table):
-    small = PrimeTable(50_000)
-    path = tmp_path / "primes.bin"
-    small.save_cache(path)
-    loaded = PrimeTable.load_cache(path)
-    assert loaded.limit == small.limit
-    assert loaded.primes == small.primes
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"nope" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        PrimeTable.load_cache(path)
-
-
 # -- theta / psi -------------------------------------------------------------
 
 
@@ -75,6 +59,46 @@ def test_theta_psi_against_bruteforce(q, a, table):
         tol = 1e-12 * (1 + x)  # brute sums accumulate double-rounding
         assert abs(st_.theta(x) - _theta_brute(x, q, a, table)) < tol
         assert abs(st_.psi(x) - _psi_brute(x, q, a, table)) < tol
+
+
+SMALL = PrimeTable(20_000)
+
+
+def _endpoint():
+    return st.one_of(
+        st.integers(0, SMALL.limit),
+        st.sampled_from(SMALL.primes),
+        st.floats(0, SMALL.limit).filter(lambda v: v != int(v)),
+    )
+
+
+@given(
+    qa=st.sampled_from([(1, 1), (3, 1), (3, 2), (7, 1), (7, 3), (7, 6)]),
+    ends=st.lists(_endpoint(), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_steps_tile_the_interval(qa, ends):
+    """steps() covers [lo, hi] without gaps, cuts exactly at the progression
+    primes strictly inside, and carries theta's value on each piece."""
+    lo, hi = ends
+    st_ = stats(*qa, SMALL)
+    pieces = list(st_.steps(lo, hi))
+    assert pieces[0][0] == lo and pieces[-1][1] == hi
+    for (_, end, _), (start, _, _) in zip(pieces, pieces[1:]):
+        assert end == start
+    for start, end, theta in pieces:
+        assert start < end
+        assert theta == st_.theta(start)
+    assert [end for _, end, _ in pieces[:-1]] == [p for p in st_.pbar if lo < p < hi]
+
+
+def test_step_lookups_refuse_x_past_the_sieve():
+    st_ = stats(3, 1, SMALL)
+    for lookup in (st_.theta, st_.psi, st_.log_one_minus):
+        with pytest.raises(ValueError):
+            lookup(SMALL.limit + 1)
+    with pytest.raises(ValueError):
+        list(st_.steps(10, SMALL.limit + 1))
 
 
 def test_theta_step_values(table):

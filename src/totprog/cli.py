@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, AssertionError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -130,9 +130,8 @@ def log_f_series(q: int, a: int, xmax, ctx: PrecisionContext = DEFAULT_CTX, tabl
     mc = mertens_C(q, a, ctx)
     rows = []
     with ctx.workprec():
-        for i, p in enumerate(st.pbar):
-            if p > xmax:
-                break
+        for i in range(st._index(xmax)):
+            p = st.pbar[i]
             if st.phi * st.theta_cum[i] <= 1:
                 continue  # log f not yet defined (q = 1 at x = 2)
             rows.append((i + 1, p, _log_f(st.phi, st.theta_cum[i], st.log1m_cum[i], mc.log_C)))
@@ -168,7 +167,7 @@ def k_truncated(x, T, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table
         # heuristic tail estimate from the observed sup of |S| past T: S is
         # linear between steps, so the sup sits on both sides of each
         # progression prime >= floor(T), or at the sieve limit
-        sup_S = abs(st.theta_cum[-1] - mp.mpf(st.table.limit) / st.phi)
+        sup_S = abs(st.theta(st.table.limit) - mp.mpf(st.table.limit) / st.phi)
         for lo, hi, theta_val in st.steps(int(T) - 1, st.table.limit):
             ends = (lo, hi) if lo >= int(T) else (hi,)
             sup_S = max(sup_S, *(abs(theta_val - t / st.phi) for t in ends))
@@ -329,19 +328,18 @@ def empirical_xq_check(q: int, X: int, ctx: PrecisionContext = DEFAULT_CTX, tabl
     xq = bp.x_q if bp.x_q is not None else 0
     if X <= xq:
         return XqCheckReport(q, xq, X, True, None)
-    ymax = math.isqrt(X)
     phi = totient(q)
     worst = None
-    with ctx.workprec():
-        ylo = mp.sqrt(mp.mpf(xq))
-        for b in units(q):
-            st = primes_mod.stats(q, b, table, ctx.prec)
-            for y, nxt, theta_val in st.steps(ylo, ymax):
-                # theta is flat on [y, nxt); the requirement is tightest at nxt
-                if theta_val * phi < mp.mpf("0.6") * nxt:
-                    xbad = int(mp.ceil(y * y)) + 1
-                    if xbad <= X and (worst is None or xbad < worst):
-                        worst = xbad
+    for b in units(q):
+        st = primes_mod.stats(q, b, table, ctx.prec)
+        # theta(sqrt x) = theta_val for y^2 <= x < nxt^2 (the ends are
+        # integers), and there it fails from x >= (theta_val phi / 0.6)^2 on
+        for y, nxt, theta_val in st.steps(math.isqrt(xq), math.isqrt(X) + 1):
+            man, exp = theta_val.man_exp  # theta_val = man * 2^exp exactly
+            bound = (Fraction(5 * man * phi, 3) * Fraction(2) ** exp) ** 2
+            xbad = max(xq + 1, int(y) ** 2, math.ceil(bound))
+            if xbad < int(nxt) ** 2 and xbad <= X and (worst is None or xbad < worst):
+                worst = xbad
     return XqCheckReport(q, xq, X, worst is None, worst)
 
 

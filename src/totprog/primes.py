@@ -99,8 +99,11 @@ class SmoothSetEnumeration:
 class ProgressionStats:
     """theta/psi step data for primes (and prime powers) = a mod q.
 
-    Cumulative sums are mpf at `prec` bits.  S(x) = theta(x) - x/phi(q) and
-    R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
+    Cumulative sums are mpf at `prec` bits.  The prime-power sums are built
+    with the object; theta_cum and log1m_cum grow on demand to the progression
+    primes a reader has asked for, by the same additions in the same order, so
+    every stored entry is bit-identical to an eager build.  S(x) = theta(x) -
+    x/phi(q) and R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
     """
 
     def __init__(self, q: int, a: int, table: PrimeTable, prec: int = 192):
@@ -110,18 +113,10 @@ class ProgressionStats:
         self.table = table
         self.prec = prec
         self.phi = totient(q)
+        self.pbar = [p for p in table.primes if (p - self.a) % q == 0 or q == 1]
+        self.theta_cum = []  # running sum of log(pbar), see _extend
+        self.log1m_cum = []  # running sum of log(1 - 1/pbar)
         with mp.workprec(prec):
-            self.pbar = [p for p in table.primes if (p - self.a) % q == 0 or q == 1]
-            acc = mp.mpf(0)
-            self.theta_cum = []
-            for p in self.pbar:
-                acc += mp.log(p)
-                self.theta_cum.append(acc)
-            acc = mp.mpf(0)
-            self.log1m_cum = []  # running sum of log(1 - 1/pbar)
-            for p in self.pbar:
-                acc += mp.log1p(mp.mpf(-1) / p)
-                self.log1m_cum.append(acc)
             # prime powers p^k <= limit with p^k = a mod q (k >= 2)
             powers = []
             for p in table.primes:
@@ -140,13 +135,33 @@ class ProgressionStats:
                 acc += mp.log(p)
                 self.power_cum.append(acc)
 
+    def _extend(self, n: int) -> None:
+        """Log the first n progression primes into theta_cum and log1m_cum.
+        Appends in place: the lists may be replaced by wrappers that track
+        reads, and those must see the new entries."""
+        done = len(self.theta_cum)
+        if n <= done:
+            return
+        new = self.pbar[done:n]
+        with mp.workprec(self.prec):
+            acc = self.theta_cum[-1] if done else mp.mpf(0)
+            for p in new:
+                acc += mp.log(p)
+                self.theta_cum.append(acc)
+            acc = self.log1m_cum[-1] if done else mp.mpf(0)
+            for p in new:
+                acc += mp.log1p(mp.mpf(-1) / p)
+                self.log1m_cum.append(acc)
+
     # --- step functions --------------------------------------------------
 
     def _index(self, x) -> int:
-        """Number of progression primes <= x."""
+        """Number of progression primes <= x; their sums are logged."""
         if x > self.table.limit:
             raise ValueError(f"x={x} exceeds sieve limit {self.table.limit}")
-        return bisect.bisect_right(self.pbar, int(x))
+        i = bisect.bisect_right(self.pbar, int(x))
+        self._extend(i)
+        return i
 
     def theta(self, x) -> mp.mpf:
         i = self._index(x)
@@ -186,6 +201,7 @@ class ProgressionStats:
     def primorials(self, k_max: int) -> PrimorialSeq:
         if k_max > len(self.pbar):
             raise ValueError("sieve exhausted before k_max progression primes")
+        self._extend(k_max)
         entries = tuple(
             (k + 1, self.pbar[k], self.theta_cum[k], self.theta_cum[k] + self.log1m_cum[k])
             for k in range(k_max)

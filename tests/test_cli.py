@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from totprog import cli
+from totprog import cli, constants, primes
 
 
 def run(argv, capsys):
@@ -104,6 +104,30 @@ def test_sweep_past_the_sieve_is_refused(capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert "exceeds sieve limit 50000" in err
+
+
+def test_sieve_self_check_failure_is_an_error(capsys, monkeypatch):
+    # a limit other than the default builds a new table, so the check runs
+    monkeypatch.setattr(primes, "_PI_1E6", 0)
+    code, out, err = run(["sweep", "--q", "7", "--sieve-limit", "1000001"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: sieve self-check failed: pi(1e6) = 78498\n"
+
+
+def test_winding_guard_failure_is_an_error(capsys, monkeypatch):
+    real = constants._winding_number
+    monkeypatch.setattr(constants, "_winding_number", lambda turns: real(turns + 0.5))
+    # compute C(3,1) afresh, past any cached value, so that the guard runs
+    monkeypatch.setattr(constants, "_mertens_cached", constants._mertens_cached.__wrapped__)
+    code, out, err = run(["sweep", "--q", "3", "--xmax", "100"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: winding estimate ") and err.endswith(" is not within 0.25 of an integer\n")
+
+
+def test_index_search_failure_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(constants, "_power_image", lambda q, n: frozenset())
+    code, out, err = run(["constants", "--q", "3"], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: index search failed\n")
 
 
 def test_scan(capsys):

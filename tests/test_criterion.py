@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from totprog import criterion as cr
+from totprog.characters import totient, units
 from totprog.constants import mertens_C
 from totprog.lvalues import PrecisionContext
 from totprog.primes import PrimeTable, primorials, stats
@@ -170,6 +171,17 @@ def test_k_truncated_mertens_identity(ctx, table):
         assert abs(recip - rhs) < 10 * kt.tail_estimate + 1e-6
 
 
+def test_k_truncated_tail_on_a_fresh_build(ctx):
+    """The tail estimate reads theta at the sieve limit, not the last prime
+    logged so far, so a fresh lazily built table gives the full-build value."""
+    small = PrimeTable(20_000)
+    fresh = cr.k_truncated(100, 1000, 3, 1, ctx, small)
+    stats(3, 1, small).theta(small.limit)  # log every progression prime
+    full = cr.k_truncated(100, 1000, 3, 1, ctx, small)
+    assert fresh.value._mpf_ == full.value._mpf_
+    assert fresh.tail_estimate._mpf_ == full.tail_estimate._mpf_
+
+
 def test_k_truncated_validations(ctx, table):
     with pytest.raises(ValueError):
         cr.k_truncated(100, 50, 3, 1, ctx, table)
@@ -264,12 +276,37 @@ def test_empirical_xq_check(ctx, table):
     assert rep5.holds
 
 
-@pytest.mark.parametrize("q,x_q,first", [(3, 4, 5), (5, 2, 3)])
+def _first_failure_by_scan(q, x_q, X, table):
+    """Least integer x in (x_q, X] with theta(sqrt x; q, b) phi <= 0.6 sqrt x
+    for some unit b, by trying every x (theta(sqrt x) = theta(isqrt x))."""
+    phi = totient(q)
+    per_unit = [stats(q, b, table) for b in units(q)]
+    with mp.workprec(192):
+        for x in range(x_q + 1, X + 1):
+            if any(s.theta(math.isqrt(x)) * phi <= mp.mpf("0.6") * mp.sqrt(x) for s in per_unit):
+                return x
+    return None
+
+
+@pytest.mark.parametrize(
+    "q,x_q,first",
+    [
+        (3, 4, 5),
+        (5, 2, 3),
+        (3, 500, 618),
+        (3, 1000, 1318),
+        (4, 1000, 1196),
+        (5, 1000, 1331),
+        (3, 30, 31),  # sqrt(30) is irrational: a rounded y^2 must not push this to 32
+        (3, 150, 151),
+    ],
+)
 def test_empirical_xq_check_reports_first_violation(q, x_q, first, ctx, table, monkeypatch):
     """Below the true threshold theta(sqrt x)/sqrt x > 0.6/phi fails early;
-    the report names the least failing x."""
+    the report names the least failing x, as a scan over every x finds."""
     real = cr.bound_params
     monkeypatch.setattr(cr, "bound_params", lambda q, c: dataclasses.replace(real(q, c), x_q=x_q))
+    assert _first_failure_by_scan(q, x_q, 10**4, table) == first
     rep = cr.empirical_xq_check(q, 10**4, ctx, table)
     assert rep == cr.XqCheckReport(q, x_q, 10**4, False, first)
 

@@ -1,6 +1,8 @@
 """Sieve, progression step functions, primorials, smooth sets."""
 
+import bisect
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from totprog.primes import (
     PrimeTable,
+    ProgressionStats,
     default_table,
     enumerate_smooth,
     primorials,
@@ -99,6 +102,68 @@ def test_step_lookups_refuse_x_past_the_sieve():
             lookup(SMALL.limit + 1)
     with pytest.raises(ValueError):
         list(st_.steps(10, SMALL.limit + 1))
+
+
+@lru_cache(maxsize=None)
+def _eager_sums(q, a):
+    """Running sums of log pbar and log(1 - 1/pbar) over every progression
+    prime of SMALL, by the additions an eager build makes, in its order."""
+    pbar = ProgressionStats(q, a, SMALL).pbar
+    with mp.workprec(192):
+        theta, log1m, acc_t, acc_l = [], [], mp.mpf(0), mp.mpf(0)
+        for p in pbar:
+            acc_t += mp.log(p)
+            theta.append(acc_t)
+        for p in pbar:
+            acc_l += mp.log1p(mp.mpf(-1) / p)
+            log1m.append(acc_l)
+    return pbar, theta, log1m
+
+
+_x = st.integers(0, SMALL.limit)
+_read = st.one_of(
+    st.tuples(st.sampled_from(["theta", "log_one_minus", "psi"]), _x),
+    st.tuples(st.just("steps"), st.lists(_x, min_size=2, max_size=2, unique=True).map(sorted)),
+    st.tuples(st.just("primorials"), st.integers(0, 400)),
+)
+
+
+@given(qa=st.sampled_from([(1, 1), (3, 1), (3, 2), (7, 1), (7, 3)]), reads=st.lists(_read, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_lazy_build_matches_an_eager_build(qa, reads):
+    """Reads in any order see the values of an eager build, bit for bit, and
+    log only the progression primes up to the furthest one read."""
+    pbar, theta, log1m = _eager_sums(*qa)
+    st_ = ProgressionStats(*qa, SMALL)
+    assert st_.theta_cum == [] and st_.log1m_cum == []
+
+    def at(cum, x):
+        i = bisect.bisect_right(pbar, x)
+        return cum[i - 1] if i else mp.mpf(0)
+
+    needed = 0  # progression primes a lookup so far has asked for
+    for kind, arg in reads:
+        if kind == "theta":
+            got, want = [st_.theta(arg)], [at(theta, arg)]
+        elif kind == "log_one_minus":
+            got, want = [st_.log_one_minus(arg)], [at(log1m, arg)]
+        elif kind == "psi":
+            j = bisect.bisect_right(st_.power_points, arg)
+            got, want = [st_.psi(arg)], [at(theta, arg) + (st_.power_cum[j - 1] if j else 0)]
+        elif kind == "steps":
+            pieces = list(st_.steps(*arg))
+            got, want = [v for _, _, v in pieces], [at(theta, int(start)) for start, _, _ in pieces]
+        else:
+            entries = st_.primorials(arg).entries
+            assert [e[:2] for e in entries] == [(k + 1, pbar[k]) for k in range(arg)]
+            got = [v for e in entries for v in e[2:]]
+            want = [v for k in range(arg) for v in (theta[k], theta[k] + log1m[k])]
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+        reach = arg if kind == "primorials" else bisect.bisect_right(pbar, arg[1] if kind == "steps" else arg)
+        needed = max(needed, reach)
+        assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
+    assert [v._mpf_ for v in st_.theta_cum] == [v._mpf_ for v in theta[:needed]]
+    assert [v._mpf_ for v in st_.log1m_cum] == [v._mpf_ for v in log1m[:needed]]
 
 
 def test_theta_step_values(table):

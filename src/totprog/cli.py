@@ -13,7 +13,8 @@ verdict, 3 table mismatch.  Numeric output is always rendered as decimal
 strings ('.' decimal separator) so runs are byte-for-byte reproducible.
 
 Defaults may be overridden with environment variables TOTPROG_PREC_BITS,
-TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX.
+TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX; each must be an integer, and the
+precision at least 53 bits.
 """
 
 from __future__ import annotations
@@ -55,14 +56,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env(name: str, default, cast=int):
+def _env(name: str, default):
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None:
         return default
     try:
-        return cast(raw)
+        return int(raw)
     except ValueError:
-        return default
+        raise ValueError(f"{_ENV_PREFIX}{name}={raw!r} is not an integer") from None
+
+
+def _check(args) -> None:
+    if args.q is not None and args.q < 1:
+        raise ValueError("modulus must be a positive integer")
+    if args.prec_bits < criterion.MIN_PREC:
+        raise ValueError(f"--prec-bits must be at least {criterion.MIN_PREC}, the precision of the sweep's float tier")
 
 
 def fmt(x, digits: int = 12) -> str:
@@ -348,8 +356,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check(args)
         return args.func(args)
     except (ValueError, KeyError, AssertionError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,11 +11,13 @@ holds on [pbar_k, pbar_{k+1}).  This module evaluates log f on progression
 primes (it is constant in between, so step points are exhaustive), the
 auxiliary integrals and explicit bounds (g, F_s, truncated K, J-hat, p_q),
 the threshold x_q, and the sweep that checks log f < 0 up to
-max(floor(x_q), ceil(e^10) = 22027).
+max(floor(x_q), ceil(e^10) = 22027): in doubles with a stated rounding bound
+at every step point, and in mpmath at the few that may hold the maximum.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,11 +359,90 @@ class SweepReport:
     argmax_prime: int
     error_budget: mp.mpf
     verdict: str  # "all negative" | "violation" | "inconclusive"
+    escalated: int  # points evaluated at ctx.prec; not printed
+
+
+MIN_PREC = 53  # bits of a double: the sweep's float tier needs no less from its mp tier
+_U = 2.0**-MIN_PREC  # unit roundoff of a double
+# Allowance per double log, relative: math.log(x), and math.log1p(-1.0 / p)
+# with its rounded argument, stay within two ulps (tests/test_criterion.py
+# checks every prime of the default sieve below 2e5 and a sample above).
+_LIBM = 4 * _U
+
+
+def _rounding_bound(k, phi, lam, g, log1m, log_C, u, a):
+    """Bound on |log f as computed - log f| at the k-th progression prime,
+    when theta and log1m are running sums of k logs, each log (and both logs
+    of log log) within relative error a of the exact one, and every other
+    operation rounds with unit roundoff u; lam is the computed log(phi theta),
+    g = log(lam)/phi.  Sum of the first-order terms (recursive summation,
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 4; then
+    through log log and the two final additions), doubled to cover the
+    higher-order ones and the rounding of the bound itself.  None when lam is
+    too near 0, i.e. phi theta too near 1, to bound log log."""
+    c = 2 * (k * u + a)  # relative error of either running sum
+    lam_err = 2 * (c + 2 * u) + 2 * a * lam  # |lam - log(phi theta)|
+    if lam <= 3 * lam_err:
+        return None
+    sigma = lam_err / (lam - lam_err)  # relative error of lam, < 1/2
+    g_err = 2 * sigma / phi + 2 * (a + u) * abs(g)
+    return 2 * (g_err + c * abs(log1m) + 2 * u * (abs(g) + abs(log1m) + 2 * abs(log_C)))
+
+
+def _float_screen(st, x_max, log_C, prec):
+    """log f in doubles at each progression prime pbar_k <= x_max, streamed:
+    yields (k, pbar_k, f, E) with E >= |f - log f at prec bits|, the value
+    log_f_series gives.  E is inf where phi theta is too near 1 to bound, and
+    log f may be undefined there (f is then nan)."""
+    phi, log_C = st.phi, float(log_C)
+    u, a = _U + 2.0**-prec, _LIBM + 4 * 2.0**-prec  # the double and the mp rounding
+    theta = log1m = 0.0
+    for k, p in enumerate(st.pbar, 1):
+        if p > x_max:
+            return
+        theta += math.log(p)
+        log1m += math.log1p(-1.0 / p)
+        lam = math.log(phi * theta)
+        g = math.log(lam) / phi if lam > 0 else math.nan
+        err = _rounding_bound(k, phi, lam, g, log1m, log_C, u, a)
+        yield k, p, g + log1m - log_C, math.inf if err is None else err
+
+
+def _sweep_report(q, a, x_max, st, mc, ctx, checked, best, escalated) -> SweepReport:
+    """The report on `checked` points whose largest log f is best = (log f,
+    k, pbar_k), or None; the budget adds the ctx.prec rounding of theta and
+    log1m at pbar_k to the error of C."""
+    with ctx.workprec():
+        budget = mc.C.err / mc.C.value + 2 * ctx.eps(1)
+        if best is None:
+            return SweepReport(q, a, x_max, 0, mp.mpf("nan"), 0, budget, "inconclusive", escalated)
+        worst, k, p = best
+        lam = mp.log(st.phi * st.theta(p))
+        u = mp.mpf(2) ** -ctx.prec  # and each mp log within 4u, as in _float_screen
+        err = _rounding_bound(k, st.phi, lam, mp.log(lam) / st.phi, st.log_one_minus(p), mc.log_C, u, 4 * u)
+        budget += mp.inf if err is None else err
+        if worst > budget:
+            verdict = "violation"
+        elif -worst > budget:
+            verdict = "all negative"
+        else:
+            verdict = "inconclusive"
+        return SweepReport(q, a, x_max, checked, worst, p, budget, verdict, escalated)
 
 
 def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x_max=None) -> SweepReport:
-    """Evaluate log f at every progression prime pbar_k <= x_max (default
-    max(floor(x_q), printed floor, 22027)) and report the worst margin."""
+    """Check log f < 0 at every progression prime pbar_k <= x_max (default
+    max(floor(x_q), printed floor, 22027)) and report the worst margin.
+
+    Two tiers.  _float_screen bounds log f at every point in doubles; only
+    the points whose upper bound reaches the largest lower bound, which
+    include every point that can hold the maximum, and those where phi theta
+    is too near 1 to bound, are evaluated at ctx.prec from the
+    ProgressionStats sums, as log_f_series would.  The maximum (the first
+    point on ties), its prime and the count of points where log f is defined
+    are those of log_f_series' rows."""
+    if ctx.prec < MIN_PREC:
+        raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
     if x_max is None:
         bp = bound_params(q, ctx) if reference_data.c1_of(q) is not None else None
         candidates = [E10_CEIL]
@@ -371,20 +452,35 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
         if printed is not None:
             candidates.append(printed)
         x_max = max(candidates)
-    ev = log_f_series(q, a, x_max, ctx, table)
+    st = primes_mod.stats(q, a, table, ctx.prec)
+    if x_max > st.table.limit:
+        raise ValueError(f"xmax={x_max} exceeds sieve limit {st.table.limit}")
     mc = mertens_C(q, a, ctx)
+    floor = -math.inf  # the largest f - E so far: log f's maximum is at least this
+    heap = []  # (f + E, k, pbar_k) of the points that may reach the maximum
+    checked = 0
+    for k, p, f, err in _float_screen(st, x_max, mc.log_C, ctx.prec):
+        if err == math.inf:
+            heapq.heappush(heap, (err, k, p))
+            continue
+        checked += 1
+        if f + err >= floor:
+            heapq.heappush(heap, (f + err, k, p))
+            if f - err > floor:
+                floor = f - err
+                while heap[0][0] < floor:
+                    heapq.heappop(heap)
+    best = None
     with ctx.workprec():
-        budget = mc.C.err / mc.C.value + 2 * ctx.eps(1)
-        if not ev.rows:
-            return SweepReport(q, a, int(x_max), 0, mp.mpf("nan"), 0, budget, "inconclusive")
-        k, p, worst = max(ev.rows, key=lambda row: row[2])
-        if worst >= 0:
-            verdict = "violation"
-        elif -worst > budget:
-            verdict = "all negative"
-        else:
-            verdict = "inconclusive"
-        return SweepReport(q, a, int(x_max), len(ev.rows), worst, p, budget, verdict)
+        for upper, k, p in sorted(heap, key=lambda c: c[1]):
+            theta = st.theta(p)
+            if st.phi * theta <= 1:
+                continue  # log f not yet defined (q = 1 at x = 2)
+            checked += upper == math.inf  # the screen counted the bounded ones
+            val = _log_f(st.phi, theta, st.log_one_minus(p), mc.log_C)
+            if best is None or val > best[0]:
+                best = (val, k, p)
+    return _sweep_report(q, a, int(x_max), st, mc, ctx, checked, best, len(heap))
 
 
 def grh_bound_check(q: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:

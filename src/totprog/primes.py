@@ -3,8 +3,10 @@
 Provides theta(x;q,a), psi(x;q,a) and the derived error terms S and R, the
 progression primorials N-bar_k, and enumeration of the multiplicative sets
 S_{q,a} = {n : p | n => p = a mod q}.  Log-domain accumulations are done in
-mpmath arbitrary precision (sweep margins get down to 1e-3 while constants
-enter at 1e-10, so doubles are not enough headroom).
+mpmath arbitrary precision: they are what the sweep reports.  The sweep
+screens every step point first in doubles, with a stated rounding bound (about
+1e-13 where the smallest margin is 2.2e-4), and reads these sums only at the
+few points that bound cannot rule out as the maximum (criterion.sweep).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import fnone, fone, from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_pos, round_nearest as _RND
 
 from .characters import totient
 
@@ -142,16 +145,26 @@ class ProgressionStats:
         done = len(self.theta_cum)
         if n <= done:
             return
-        new = self.pbar[done:n]
-        with mp.workprec(self.prec):
-            acc = self.theta_cum[-1] if done else mp.mpf(0)
-            for p in new:
-                acc += mp.log(p)
-                self.theta_cum.append(acc)
-            acc = self.log1m_cum[-1] if done else mp.mpf(0)
-            for p in new:
-                acc += mp.log1p(mp.mpf(-1) / p)
-                self.log1m_cum.append(acc)
+        # mp.log and mp.log1p's own recipes, called in libmp without their
+        # wrappers: the sums are bit-identical to `acc += mp.log(p)` and
+        # `acc += mp.log1p(mp.mpf(-1) / p)` under mp.workprec(prec)
+        prec, wp = self.prec, self.prec + 10
+        th = self.theta_cum[-1]._mpf_ if done else fzero
+        lm = self.log1m_cum[-1]._mpf_ if done else fzero
+        for p in self.pbar[done:n]:
+            pf = from_int(p)
+            th = mpf_add(th, mpf_log(pf, prec, _RND), prec, _RND)
+            x = mpf_div(fnone, pf, prec, _RND)
+            if x[2] + x[3] < -wp:  # mp.log1p's tiny-x branch, once 2^wp < p
+                with mp.workprec(prec):
+                    t = mp.log1p(mp.make_mpf(x))._mpf_
+            else:
+                t = mpf_pos(mpf_log(mpf_add(fone, x, 2 * wp, _RND), wp, _RND), prec, _RND)
+            lm = mpf_add(lm, t, prec, _RND)
+            # make_mpf stores the tuple as is; mp.mpf(tuple) would round it
+            # to the ambient precision
+            self.theta_cum.append(mp.make_mpf(th))
+            self.log1m_cum.append(mp.make_mpf(lm))
 
     # --- step functions --------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Exit codes, determinism and output formats of the console entry point."""
 
+import dataclasses
 import json
 
 import pytest
 
-from totprog import cli, constants, primes
+from totprog import cli, constants, criterion, primes
+from totprog.lvalues import Approx
 
 
 def run(argv, capsys):
@@ -160,7 +162,51 @@ def test_env_override(monkeypatch, capsys):
     assert args.prec_bits == 96
 
 
-def test_bad_env_value_falls_back(monkeypatch):
-    monkeypatch.setenv("TOTPROG_PREC_BITS", "not-a-number")
-    args = cli.build_parser().parse_args(["constants", "--q", "3"])
-    assert args.prec_bits == 192
+@pytest.mark.parametrize("name", ["PREC_BITS", "SIEVE_LIMIT", "XMAX"])
+def test_bad_env_value_is_an_error(name, monkeypatch, capsys):
+    # a value that is not an integer used to fall back to the default silently
+    monkeypatch.setenv(f"TOTPROG_{name}", "abc")
+    code, out, err = run(["sweep", "--q", "7"], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: TOTPROG_{name}='abc' is not an integer\n")
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_precision_below_a_double_is_an_error(source, monkeypatch, capsys):
+    argv = ["sweep", "--q", "7"]
+    if source == "flag":
+        argv += ["--prec-bits", "52"]
+    else:
+        monkeypatch.setenv("TOTPROG_PREC_BITS", "8")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --prec-bits must be at least 53, the precision of the sweep's float tier\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--q", "0"],
+        ["scan", "--q", "0"],
+        ["constants", "--q", "-3"],
+        ["table", "T1", "--q", "0"],
+        ["figure", "F1", "--q", "0"],
+    ],
+)
+def test_nonpositive_modulus_is_an_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: modulus must be a positive integer\n")
+
+
+def test_sweep_within_the_budget_is_inconclusive(capsys, monkeypatch):
+    # (7, 3) has log f > 0; with an error of C as large as C it is not a violation
+    real = criterion.mertens_C
+
+    def loose(q, a, ctx):
+        mc = real(q, a, ctx)
+        return dataclasses.replace(mc, C=Approx(mc.C.value, mc.C.value))
+
+    monkeypatch.setattr(criterion, "mertens_C", loose)
+    code, out, _ = run(["sweep", "--q", "7", "--a", "3"], capsys)
+    d = {r["name"]: r["value"] for r in json.loads(out)}
+    assert (code, d["verdict"]) == (cli.EXIT_INCONCLUSIVE, "inconclusive")
+    assert 0 < float(d["max_log_f"]) <= float(d["error_budget"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from totprog import criterion as cr
 from totprog.characters import totient, units
 from totprog.constants import mertens_C
-from totprog.lvalues import PrecisionContext
+from totprog.lvalues import Approx, PrecisionContext
 from totprog.primes import PrimeTable, primorials, stats
 
 
@@ -329,6 +330,111 @@ def test_sweep_all_negative(q, ctx, table):
 def test_sweep_detects_violation(ctx, table):
     rep = cr.sweep(7, 3, ctx, table)  # nonsquare residue: f exceeds 1
     assert rep.verdict == "violation"
+
+
+@pytest.mark.parametrize("a", [1, 3])
+def test_sweep_verdict_weighs_the_budget(a, ctx, table, monkeypatch):
+    """A maximum within the budget of 0 is inconclusive, whichever its sign:
+    for (7, 1) it is -2.2e-4, for (7, 3) positive."""
+    real = cr.mertens_C
+
+    def loose(q, a, c):
+        mc = real(q, a, c)
+        return dataclasses.replace(mc, C=Approx(mc.C.value, mc.C.value))
+
+    monkeypatch.setattr(cr, "mertens_C", loose)
+    rep = cr.sweep(7, a, ctx, table)
+    assert (rep.max_log_f > 0) == (a == 3)
+    assert abs(rep.max_log_f) <= rep.error_budget
+    assert rep.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("q", [3, 7, 14])
+def test_sweep_budget_covers_the_mp_rounding(q, ctx, table):
+    """The budget adds the ctx.prec rounding of theta and log(1 - 1/p) at the
+    maximum to the error of C, and covers the change at 64 more bits."""
+    rep = cr.sweep(q, 1, ctx, table)
+    finer = cr.sweep(q, 1, PrecisionContext(prec=ctx.prec + 64), table, rep.x_max)
+    assert finer.argmax_prime == rep.argmax_prime
+    assert abs(rep.max_log_f - finer.max_log_f) <= rep.error_budget
+    mc = mertens_C(q, 1, ctx)
+    with ctx.workprec():
+        assert rep.error_budget > mc.C.err / mc.C.value + 2 * ctx.eps(1)
+
+
+# the 12 moduli of the paper's sweep at their default x_max, a residue with
+# log f > 0, and two longer runs
+SWEEP_CASES = [(q, 1, None) for q in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14)] + [
+    (7, 3, None),
+    (1, 1, 200_000),
+    (7, 1, 200_000),
+]
+
+
+@pytest.mark.parametrize("q,a,x_max", SWEEP_CASES)
+def test_two_tier_sweep_matches_the_series(q, a, x_max, ctx, table):
+    """The sweep reports what the rows of log_f_series give: their number,
+    their maximum (the first on ties) and its prime, bit for bit, after
+    evaluating at most 5 points at ctx.prec."""
+    rep = cr.sweep(q, a, ctx, table, x_max)
+    assert 1 <= rep.escalated <= 5
+    ev = cr.log_f_series(q, a, rep.x_max, ctx, table)
+    k, p, worst = max(ev.rows, key=lambda row: row[2])
+    want = cr._sweep_report(
+        q, a, rep.x_max, stats(q, a, table), mertens_C(q, a, ctx), ctx, len(ev.rows), (worst, k, p), rep.escalated
+    )
+    assert rep == want
+    assert rep.max_log_f._mpf_ == want.max_log_f._mpf_
+    assert rep.error_budget._mpf_ == want.error_budget._mpf_
+
+
+@pytest.mark.parametrize("q,a,x_max", SWEEP_CASES)
+def test_float_screen_bounds_the_series(q, a, x_max, ctx, table):
+    """At every point of log_f_series, the float tier's value is within its
+    bound E of the mp value; where log f is undefined, E is inf."""
+    x_max = x_max or cr.sweep(q, a, ctx, table).x_max
+    rows = {k: val for k, _, val in cr.log_f_series(q, a, x_max, ctx, table).rows}
+    screened = 0
+    with ctx.workprec():
+        for k, _, f, err in cr._float_screen(stats(q, a, table), x_max, mertens_C(q, a, ctx).log_C, ctx.prec):
+            if k in rows:
+                assert abs(f - rows[k]) <= err, k
+                screened += 1
+            else:
+                assert err == math.inf
+    assert screened == len(rows)
+
+
+def test_unbounded_points_go_to_the_mp_tier(ctx, table, monkeypatch):
+    """Points the float tier cannot bound are evaluated at ctx.prec and
+    counted where log f is defined, so the report does not change."""
+    want = cr.sweep(1, 1, ctx, table, 5000)
+    real = cr._rounding_bound
+    monkeypatch.setattr(cr, "_rounding_bound", lambda k, *rest: None if k <= 4 else real(k, *rest))
+    rep = cr.sweep(1, 1, ctx, table, 5000)
+    assert rep.escalated == want.escalated + 3  # k = 2, 3, 4; k = 1 has phi theta < 1
+    assert rep == dataclasses.replace(want, escalated=rep.escalated)
+
+
+def test_libm_logs_within_the_allowance(table):
+    """The float tier's bound takes every double log within cr._LIBM of the
+    exact one, relative: log p and log(1 - 1/p) (with -1/p rounded) for every
+    prime below 2e5 and every 10th one above, and log at sampled arguments
+    of the ranges log log meets (phi theta up to 1e8, log(phi theta) > 0)."""
+    below = table.upto(200_000)
+    rng = random.Random(5)
+    args = [math.exp(rng.uniform(0, 18.5)) for _ in range(2000)] + [1 + rng.random() for _ in range(2000)]
+    with mp.workprec(113):
+        for p in below + table.primes[len(below) :: 10]:
+            for got, want in ((math.log(p), mp.log(p)), (math.log1p(-1.0 / p), mp.log1p(mp.mpf(-1) / p))):
+                assert abs(got - want) <= cr._LIBM * abs(want), p
+        for y in args:
+            assert abs(math.log(y) - mp.log(y)) <= cr._LIBM * abs(mp.log(y)), y
+
+
+def test_sweep_refuses_less_than_a_double(table):
+    with pytest.raises(ValueError, match="at least 53 bits"):
+        cr.sweep(7, 1, PrecisionContext(prec=52), table)
 
 
 def test_precision_doubling_stability(table):

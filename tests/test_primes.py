@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from totprog.primes import (
     PrimeTable,
@@ -105,11 +105,11 @@ def test_step_lookups_refuse_x_past_the_sieve():
 
 
 @lru_cache(maxsize=None)
-def _eager_sums(q, a):
+def _eager_sums(q, a, prec=192):
     """Running sums of log pbar and log(1 - 1/pbar) over every progression
     prime of SMALL, by the additions an eager build makes, in its order."""
     pbar = ProgressionStats(q, a, SMALL).pbar
-    with mp.workprec(192):
+    with mp.workprec(prec):
         theta, log1m, acc_t, acc_l = [], [], mp.mpf(0), mp.mpf(0)
         for p in pbar:
             acc_t += mp.log(p)
@@ -129,10 +129,12 @@ _read = st.one_of(
 
 
 @given(qa=st.sampled_from([(1, 1), (3, 1), (3, 2), (7, 1), (7, 3)]), reads=st.lists(_read, min_size=1, max_size=8))
+@example(qa=(7, 1), reads=[("primorials", 378)])  # (7, 1) has 377 progression primes in SMALL
 @settings(max_examples=100, deadline=None)
 def test_lazy_build_matches_an_eager_build(qa, reads):
     """Reads in any order see the values of an eager build, bit for bit, and
-    log only the progression primes up to the furthest one read."""
+    log only the progression primes up to the furthest one read; asking for
+    more primorials than the sieve holds raises and logs nothing."""
     pbar, theta, log1m = _eager_sums(*qa)
     st_ = ProgressionStats(*qa, SMALL)
     assert st_.theta_cum == [] and st_.log1m_cum == []
@@ -153,6 +155,12 @@ def test_lazy_build_matches_an_eager_build(qa, reads):
         elif kind == "steps":
             pieces = list(st_.steps(*arg))
             got, want = [v for _, _, v in pieces], [at(theta, int(start)) for start, _, _ in pieces]
+        elif arg > len(pbar):
+            logged = len(st_.theta_cum)
+            with pytest.raises(ValueError, match="sieve exhausted"):
+                st_.primorials(arg)
+            assert len(st_.theta_cum) == len(st_.log1m_cum) == logged
+            continue
         else:
             entries = st_.primorials(arg).entries
             assert [e[:2] for e in entries] == [(k + 1, pbar[k]) for k in range(arg)]
@@ -164,6 +172,18 @@ def test_lazy_build_matches_an_eager_build(qa, reads):
         assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
     assert [v._mpf_ for v in st_.theta_cum] == [v._mpf_ for v in theta[:needed]]
     assert [v._mpf_ for v in st_.log1m_cum] == [v._mpf_ for v in log1m[:needed]]
+
+
+@pytest.mark.parametrize("prec", [3, 53, 300])
+def test_logged_sums_match_mpmath_at_any_precision(prec):
+    """The libmp calls that log the progression primes give mp.log's and
+    mp.log1p's sums bit for bit; at 3 bits the 125 primes p > 2^14 take
+    mp.log1p's tiny-argument branch."""
+    pbar, theta, log1m = _eager_sums(3, 2, prec)
+    st_ = ProgressionStats(3, 2, SMALL, prec)
+    st_.theta(SMALL.limit)
+    assert [v._mpf_ for v in st_.theta_cum] == [v._mpf_ for v in theta]
+    assert [v._mpf_ for v in st_.log1m_cum] == [v._mpf_ for v in log1m]
 
 
 def test_theta_step_values(table):

@@ -13,8 +13,8 @@ verdict, 3 table mismatch.  Numeric output is always rendered as decimal
 strings ('.' decimal separator) so runs are byte-for-byte reproducible.
 
 Defaults may be overridden with environment variables TOTPROG_PREC_BITS,
-TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX; each must be an integer, and the
-precision at least 53 bits.
+TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX; each must be an integer, the
+precision at least 53 bits and x_max at least 1.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ def _env(name: str, default):
 def _check(args) -> None:
     if args.q is not None and args.q < 1:
         raise ValueError("modulus must be a positive integer")
+    if args.xmax is not None and args.xmax < 1:
+        raise ValueError("--xmax (or TOTPROG_XMAX) must be a positive integer")
     if args.prec_bits < criterion.MIN_PREC:
         raise ValueError(f"--prec-bits must be at least {criterion.MIN_PREC}, the precision of the sweep's float tier")
 
@@ -276,7 +278,7 @@ def cmd_figure(args) -> int:
         return EXIT_OK
     # log f series figures
     q = meta["q"]
-    xmax = args.xmax or meta["xmax"]
+    xmax = meta["xmax"] if args.xmax is None else args.xmax
     rows = []
     for a in meta["residues"]:
         ev = criterion.log_f_series(q, a, xmax, ctx, table)
@@ -360,7 +362,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _check(args)
         return args.func(args)
-    except (ValueError, KeyError, AssertionError, ArithmeticError) as exc:
+    except (ValueError, KeyError, AssertionError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -13,6 +13,9 @@ auxiliary integrals and explicit bounds (g, F_s, truncated K, J-hat, p_q),
 the threshold x_q, and the sweep that checks log f < 0 up to
 max(floor(x_q), ceil(e^10) = 22027): in doubles with a stated rounding bound
 at every step point, and in mpmath at the few that may hold the maximum.
+Single points (log_f, the sweep's mp tier) read theta and the log(1 - 1/p)
+sum from ProgressionStats.point_sums, one log per block of 64 primes, with
+its stated bound; log_f_series reads the per-prime running sums.
 """
 
 from __future__ import annotations
@@ -109,11 +112,11 @@ def _log_f(phi: int, theta, log1m, log_C) -> mp.mpf:
 def log_f(x, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table=None) -> mp.mpf:
     st = primes_mod.stats(q, a, table, ctx.prec)
     mc = mertens_C(q, a, ctx)
+    th, log1m = st.point_sums(st._count(x))
     with ctx.workprec():
-        th = st.theta(x)
         if st.phi * th <= 1:
             raise ValueError("log f undefined until phi(q) theta(x) > 1")
-        return _log_f(st.phi, th, st.log_one_minus(x), mc.log_C)
+        return _log_f(st.phi, th, log1m, mc.log_C)
 
 
 @dataclass(frozen=True)
@@ -263,9 +266,13 @@ _P_GRID = 10_000  # intervals of the coarse log-x grid in _P_q_from
 
 
 def _P_q_from(q, F, G, R, B, M, ctx) -> mp.mpf:
-    """max of p_q over [e^10, inf): coarse double-precision log grid on
-    [e^10, 1e16] locates the argmax, then mpf refinement; beyond 1e16 every
-    x-dependent term is dominated by its value at 1e16."""
+    """Estimate of max p_q over [e^10, inf), not a bound: a coarse
+    double-precision log grid on [e^10, 1e16] locates the argmax, then an
+    mpf trisection refines it, and the value at 1e16 stands for the tail.
+    That last step is not certified: a term with a negative coefficient,
+    such as (0.01 phi - B - M)/sqrt(x) (that coefficient is -3.2 to -5.0
+    for the T8 moduli), rises toward 0 beyond 1e16 instead of staying below
+    its value there."""
     phi = totient(q)
     lo, hi = 10.0, math.log(1e16)
     Ff, Gf, Bf = float(F), float(G), float(B)
@@ -370,32 +377,41 @@ _U = 2.0**-MIN_PREC  # unit roundoff of a double
 _LIBM = 4 * _U
 
 
-def _rounding_bound(k, phi, lam, g, log1m, log_C, u, a):
-    """Bound on |log f as computed - log f| at the k-th progression prime,
-    when theta and log1m are running sums of k logs, each log (and both logs
-    of log log) within relative error a of the exact one, and every other
-    operation rounds with unit roundoff u; lam is the computed log(phi theta),
-    g = log(lam)/phi.  Sum of the first-order terms (recursive summation,
-    Higham, Accuracy and Stability of Numerical Algorithms, ch. 4; then
-    through log log and the two final additions), doubled to cover the
-    higher-order ones and the rounding of the bound itself.  None when lam is
-    too near 0, i.e. phi theta too near 1, to bound log log."""
-    c = 2 * (k * u + a)  # relative error of either running sum
-    lam_err = 2 * (c + 2 * u) + 2 * a * lam  # |lam - log(phi theta)|
+def _rounding_bound(th_rel, lm_abs, phi, lam, g, log1m, log_C, u, a):
+    """Bound on |log f as computed - log f| at a step point, when the computed
+    theta is within relative error th_rel of the exact sum and log1m within
+    absolute error lm_abs, both logs of log log are within relative error a
+    of the exact ones, and every other operation rounds with unit roundoff u;
+    lam is the computed log(phi theta), g = log(lam)/phi.  Sum of the
+    first-order terms (through log log and the two final additions), doubled
+    to cover the higher-order ones and the rounding of the bound itself.
+    None when lam is too near 0, i.e. phi theta too near 1, to bound log
+    log."""
+    lam_err = 2 * (th_rel + 2 * u) + 2 * a * lam  # |lam - log(phi theta)|
     if lam <= 3 * lam_err:
         return None
     sigma = lam_err / (lam - lam_err)  # relative error of lam, < 1/2
     g_err = 2 * sigma / phi + 2 * (a + u) * abs(g)
-    return 2 * (g_err + c * abs(log1m) + 2 * u * (abs(g) + abs(log1m) + 2 * abs(log_C)))
+    return 2 * (g_err + lm_abs + 2 * u * (abs(g) + abs(log1m) + 2 * abs(log_C)))
 
 
 def _float_screen(st, x_max, log_C, prec):
     """log f in doubles at each progression prime pbar_k <= x_max, streamed:
-    yields (k, pbar_k, f, E) with E >= |f - log f at prec bits|, the value
-    log_f_series gives.  E is inf where phi theta is too near 1 to bound, and
-    log f may be undefined there (f is then nan)."""
+    yields (k, pbar_k, f, E) with E >= |f - log f at prec bits|, whether that
+    is the sweep's mp tier (point_sums) or log_f_series (running sums).  E is
+    inf where phi theta is too near 1 to bound, and log f may be undefined
+    there (f is then nan).
+
+    E's sums are running sums of k double logs, each within _LIBM, so their
+    relative error is k u + a to first order (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 4), doubled: c = 2 (k u + a).  u and a add the mp tier's
+    own rounding to the double's, u_p = 2^-prec and 4 u_p, so that term also
+    covers the mp running sums, 2 (k + 4) u_p relative, and the relative part
+    of point_sums' bound, (n + 3) 2^-32 u_p + u_p with n = ceil(k/64) <= k.
+    The extra u_p on log1m covers point_sums' absolute part, (n + 3) 2^-32 u_p."""
     phi, log_C = st.phi, float(log_C)
-    u, a = _U + 2.0**-prec, _LIBM + 4 * 2.0**-prec  # the double and the mp rounding
+    u_p = 2.0**-prec
+    u, a = _U + u_p, _LIBM + 4 * u_p  # the double and the mp rounding
     theta = log1m = 0.0
     for k, p in enumerate(st.pbar, 1):
         if p > x_max:
@@ -404,22 +420,26 @@ def _float_screen(st, x_max, log_C, prec):
         log1m += math.log1p(-1.0 / p)
         lam = math.log(phi * theta)
         g = math.log(lam) / phi if lam > 0 else math.nan
-        err = _rounding_bound(k, phi, lam, g, log1m, log_C, u, a)
+        c = 2 * (k * u + a)
+        err = _rounding_bound(c, c * abs(log1m) + u_p, phi, lam, g, log1m, log_C, u, a)
         yield k, p, g + log1m - log_C, math.inf if err is None else err
 
 
 def _sweep_report(q, a, x_max, st, mc, ctx, checked, best, escalated) -> SweepReport:
     """The report on `checked` points whose largest log f is best = (log f,
-    k, pbar_k), or None; the budget adds the ctx.prec rounding of theta and
-    log1m at pbar_k to the error of C."""
+    k, pbar_k), or None; the budget adds the ctx.prec rounding of log f at
+    pbar_k, from point_sums' stated bound on theta and log1m, to the error
+    of C."""
     with ctx.workprec():
         budget = mc.C.err / mc.C.value + 2 * ctx.eps(1)
         if best is None:
             return SweepReport(q, a, x_max, 0, mp.mpf("nan"), 0, budget, "inconclusive", escalated)
         worst, k, p = best
-        lam = mp.log(st.phi * st.theta(p))
+        theta, log1m = st.point_sums(k)
+        th_err, lm_err = st.point_bound(k)
+        lam = mp.log(st.phi * theta)
         u = mp.mpf(2) ** -ctx.prec  # and each mp log within 4u, as in _float_screen
-        err = _rounding_bound(k, st.phi, lam, mp.log(lam) / st.phi, st.log_one_minus(p), mc.log_C, u, 4 * u)
+        err = _rounding_bound(th_err / theta, lm_err, st.phi, lam, mp.log(lam) / st.phi, log1m, mc.log_C, u, 4 * u)
         budget += mp.inf if err is None else err
         if worst > budget:
             verdict = "violation"
@@ -437,10 +457,11 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
     Two tiers.  _float_screen bounds log f at every point in doubles; only
     the points whose upper bound reaches the largest lower bound, which
     include every point that can hold the maximum, and those where phi theta
-    is too near 1 to bound, are evaluated at ctx.prec from the
-    ProgressionStats sums, as log_f_series would.  The maximum (the first
-    point on ties), its prime and the count of points where log f is defined
-    are those of log_f_series' rows."""
+    is too near 1 to bound, are evaluated at ctx.prec from
+    ProgressionStats.point_sums, so the running sums are never logged.  The
+    maximum (the first point on ties), its prime and the count of points
+    where log f is defined are those of log_f_series' rows, up to rounding
+    within the two routes' stated bounds."""
     if ctx.prec < MIN_PREC:
         raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
     if x_max is None:
@@ -473,11 +494,11 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
     best = None
     with ctx.workprec():
         for upper, k, p in sorted(heap, key=lambda c: c[1]):
-            theta = st.theta(p)
+            theta, log1m = st.point_sums(k)
             if st.phi * theta <= 1:
                 continue  # log f not yet defined (q = 1 at x = 2)
             checked += upper == math.inf  # the screen counted the bounded ones
-            val = _log_f(st.phi, theta, st.log_one_minus(p), mc.log_C)
+            val = _log_f(st.phi, theta, log1m, mc.log_C)
             if best is None or val > best[0]:
                 best = (val, k, p)
     return _sweep_report(q, a, int(x_max), st, mc, ctx, checked, best, len(heap))

@@ -3,10 +3,14 @@
 Provides theta(x;q,a), psi(x;q,a) and the derived error terms S and R, the
 progression primorials N-bar_k, and enumeration of the multiplicative sets
 S_{q,a} = {n : p | n => p = a mod q}.  Log-domain accumulations are done in
-mpmath arbitrary precision: they are what the sweep reports.  The sweep
-screens every step point first in doubles, with a stated rounding bound (about
-1e-13 where the smallest margin is 2.2e-4), and reads these sums only at the
-few points that bound cannot rule out as the maximum (criterion.sweep).
+mpmath arbitrary precision, by two routes.  Readers that walk every step
+point (log f series, steps, primorials) read running sums of one log per
+progression prime.  Readers of a single point (log f at x, the sweep's few
+candidates for the maximum) read point_sums: one log per exact integer
+product of BLOCK progression primes, with a stated rounding bound, and no
+per-prime log.  The sweep screens every step point first in doubles (about
+1e-13 where the smallest margin is 2.2e-4) and reads point_sums only where
+that bound cannot rule out the maximum (criterion.sweep).
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ __all__ = [
 
 _SEGMENT = 1 << 16
 _PI_1E6 = 78498  # pi(10^6), build-time sanity pin
+BLOCK = 64  # progression primes per exact product in point_sums
+GUARD = 32  # bits point_sums works with beyond prec
 
 
 class PrimeTable:
@@ -105,8 +111,10 @@ class ProgressionStats:
     Cumulative sums are mpf at `prec` bits.  The prime-power sums are built
     with the object; theta_cum and log1m_cum grow on demand to the progression
     primes a reader has asked for, by the same additions in the same order, so
-    every stored entry is bit-identical to an eager build.  S(x) = theta(x) -
-    x/phi(q) and R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
+    every stored entry is bit-identical to an eager build.  point_sums reads
+    one point from block products instead and never grows them.  S(x) =
+    theta(x) - x/phi(q) and R(x) = psi(x) - x/phi(q) are derived on demand,
+    never stored.
     """
 
     def __init__(self, q: int, a: int, table: PrimeTable, prec: int = 192):
@@ -119,6 +127,7 @@ class ProgressionStats:
         self.pbar = [p for p in table.primes if (p - self.a) % q == 0 or q == 1]
         self.theta_cum = []  # running sum of log(pbar), see _extend
         self.log1m_cum = []  # running sum of log(1 - 1/pbar)
+        self._blocks = [(fzero, fzero)]  # point_sums' sums over each whole BLOCK prefix
         with mp.workprec(prec):
             # prime powers p^k <= limit with p^k = a mod q (k >= 2)
             powers = []
@@ -141,7 +150,10 @@ class ProgressionStats:
     def _extend(self, n: int) -> None:
         """Log the first n progression primes into theta_cum and log1m_cum.
         Appends in place: the lists may be replaced by wrappers that track
-        reads, and those must see the new entries."""
+        reads, and those must see the new entries.  The k-th entry of either
+        is within 2 (k + 4) 2^-prec of the exact sum, relative: k logs, each
+        within 4 2^-prec relative, and k - 1 additions, to first order,
+        doubled."""
         done = len(self.theta_cum)
         if n <= done:
             return
@@ -166,13 +178,74 @@ class ProgressionStats:
             self.theta_cum.append(mp.make_mpf(th))
             self.log1m_cum.append(mp.make_mpf(lm))
 
+    def _block_logs(self, lo: int, hi: int, wp: int) -> tuple:
+        """log prod pbar and log prod (1 - 1/pbar) over pbar[lo:hi], at wp bits:
+        one mpf_log of the exact product, and one of the correctly rounded
+        quotient prod (pbar - 1) / prod pbar, which log(prod (pbar - 1)) -
+        log(prod pbar) would lose to cancellation."""
+        ps = self.pbar[lo:hi]
+        P = from_int(math.prod(ps))
+        ratio = mpf_div(from_int(math.prod([p - 1 for p in ps])), P, wp, _RND)
+        return mpf_log(P, wp, _RND), mpf_log(ratio, wp, _RND)
+
+    def point_sums(self, k: int) -> tuple:
+        """(theta, log1m): the sums of log pbar and of log(1 - 1/pbar) over the
+        first k progression primes, rounded to prec bits, from
+        n = ceil(k/BLOCK) block logs (_block_logs) added in order at
+        w = prec + GUARD bits.  The sums over whole-block prefixes are kept, so
+        a repeated query costs one partial block; theta_cum and log1m_cum are
+        not touched.
+
+        Rounding bound, with u = 2^-prec and u_w = 2^-w, each mpf_log within
+        2 u_w of the exact log (relative) and mpf_div and mpf_add correctly
+        rounded.  Recursive summation of n terms of one sign adds at most
+        (n - 1) u_w times their sum (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 4), to first order.  For theta the logs add
+        2 u_w theta.  For log1m each quotient's rounding adds at most u_w,
+        absolute, and its log 2 u_w |log1m|.  One more u_w term covers the
+        higher orders, the bound's own rounding and its use of the computed
+        sums for the exact ones, then the rounding to prec adds u:
+
+            |theta - exact| <= (n + 3) u_w theta + u theta
+            |log1m - exact| <= (n + 3) u_w (1 + |log1m|) + u |log1m|
+
+        point_bound returns these.  They hold while (n + 3) u <= 1/2 and
+        n < 2^31: at any prec of 53 bits or more (the sweep's least) and
+        any sieve held in memory."""
+        if not 0 <= k <= len(self.pbar):
+            raise ValueError(f"k={k} outside 0..{len(self.pbar)}, the progression primes of the sieve")
+        wp = self.prec + GUARD
+        m, r = divmod(k, BLOCK)
+        while len(self._blocks) <= m:
+            j = len(self._blocks) - 1
+            (th, lm), (bt, bl) = self._blocks[j], self._block_logs(j * BLOCK, (j + 1) * BLOCK, wp)
+            self._blocks.append((mpf_add(th, bt, wp, _RND), mpf_add(lm, bl, wp, _RND)))
+        th, lm = self._blocks[m]
+        if r:
+            bt, bl = self._block_logs(m * BLOCK, k, wp)
+            th, lm = mpf_add(th, bt, wp, _RND), mpf_add(lm, bl, wp, _RND)
+        return mp.make_mpf(mpf_pos(th, self.prec, _RND)), mp.make_mpf(mpf_pos(lm, self.prec, _RND))
+
+    def point_bound(self, k: int) -> tuple:
+        """Bounds on |theta - exact| and |log1m - exact| for point_sums(k),
+        as its docstring states them."""
+        theta, log1m = self.point_sums(k)
+        n = -(-k // BLOCK)
+        with mp.workprec(self.prec):
+            u, u_w = mp.ldexp(1, -self.prec), mp.ldexp(1, -self.prec - GUARD)
+            return (n + 3) * u_w * theta + u * theta, (n + 3) * u_w * (1 - log1m) - u * log1m
+
     # --- step functions --------------------------------------------------
 
-    def _index(self, x) -> int:
-        """Number of progression primes <= x; their sums are logged."""
+    def _count(self, x) -> int:
+        """Number of progression primes <= x."""
         if x > self.table.limit:
             raise ValueError(f"x={x} exceeds sieve limit {self.table.limit}")
-        i = bisect.bisect_right(self.pbar, int(x))
+        return bisect.bisect_right(self.pbar, int(x))
+
+    def _index(self, x) -> int:
+        """Number of progression primes <= x; their running sums are logged."""
+        i = self._count(x)
         self._extend(i)
         return i
 

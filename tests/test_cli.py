@@ -210,3 +210,35 @@ def test_sweep_within_the_budget_is_inconclusive(capsys, monkeypatch):
     d = {r["name"]: r["value"] for r in json.loads(out)}
     assert (code, d["verdict"]) == (cli.EXIT_INCONCLUSIVE, "inconclusive")
     assert 0 < float(d["max_log_f"]) <= float(d["error_budget"])
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(["table", "T9", "--out", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["sweep", "--q", "7", "--xmax", "-5"], None),
+        (["sweep", "--q", "7", "--xmax", "0"], None),
+        (["figure", "F7", "--xmax", "0"], None),  # used to fall back to the figure's own x_max
+        (["sweep", "--q", "7"], "0"),
+        (["figure", "F7"], "-5"),
+    ],
+)
+def test_xmax_below_one_is_an_error(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("TOTPROG_XMAX", env)
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --xmax (or TOTPROG_XMAX) must be a positive integer\n")
+
+
+def test_xmax_of_one_is_checked(capsys):
+    # the least x_max allowed: no progression prime, so nothing is checked
+    code, out, _ = run(["sweep", "--q", "7", "--xmax", "1"], capsys)
+    d = {r["name"]: r["value"] for r in json.loads(out)}
+    assert (code, d["checked"], d["verdict"]) == (cli.EXIT_INCONCLUSIVE, 0, "inconclusive")

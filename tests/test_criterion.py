@@ -7,11 +7,12 @@ import random
 import mpmath as mp
 import pytest
 
+from oracles import running_sums_bound
 from totprog import criterion as cr
 from totprog.characters import totient, units
 from totprog.constants import mertens_C
 from totprog.lvalues import Approx, PrecisionContext
-from totprog.primes import PrimeTable, primorials, stats
+from totprog.primes import PrimeTable, ProgressionStats, primorials, stats
 
 
 # -- g and F_s ---------------------------------------------------------------
@@ -371,21 +372,108 @@ SWEEP_CASES = [(q, 1, None) for q in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14)] + 
 ]
 
 
+def _log_f_bound(st_, sums, errs, log_C, ctx):
+    """Bound on the ctx.prec rounding of log f at one point, when its theta
+    and log(1 - 1/p) sums are within errs: _rounding_bound as _sweep_report
+    takes it."""
+    theta, log1m = sums
+    with ctx.workprec():
+        u = mp.ldexp(1, -ctx.prec)
+        lam = mp.log(st_.phi * theta)
+        return cr._rounding_bound(errs[0] / theta, errs[1], st_.phi, lam, mp.log(lam) / st_.phi, log1m, log_C, u, 4 * u)
+
+
+def _point_bound(st_, k, log_C, ctx):
+    return _log_f_bound(st_, st_.point_sums(k), st_.point_bound(k), log_C, ctx)
+
+
 @pytest.mark.parametrize("q,a,x_max", SWEEP_CASES)
 def test_two_tier_sweep_matches_the_series(q, a, x_max, ctx, table):
     """The sweep reports what the rows of log_f_series give: their number,
-    their maximum (the first on ties) and its prime, bit for bit, after
-    evaluating at most 5 points at ctx.prec."""
+    the prime of their maximum (the first on ties), the verdict and the
+    budget, after evaluating at most 5 points at ctx.prec.  Its maximum comes
+    from point_sums, so it matches the series' within the two routes' stated
+    bounds, and a sweep at 64 more bits within the point route's bounds."""
     rep = cr.sweep(q, a, ctx, table, x_max)
     assert 1 <= rep.escalated <= 5
     ev = cr.log_f_series(q, a, rep.x_max, ctx, table)
     k, p, worst = max(ev.rows, key=lambda row: row[2])
-    want = cr._sweep_report(
-        q, a, rep.x_max, stats(q, a, table), mertens_C(q, a, ctx), ctx, len(ev.rows), (worst, k, p), rep.escalated
-    )
-    assert rep == want
-    assert rep.max_log_f._mpf_ == want.max_log_f._mpf_
+    st_, mc = stats(q, a, table), mertens_C(q, a, ctx)
+    want = cr._sweep_report(q, a, rep.x_max, st_, mc, ctx, len(ev.rows), (worst, k, p), rep.escalated)
+    assert rep == dataclasses.replace(want, max_log_f=rep.max_log_f)
     assert rep.error_budget._mpf_ == want.error_budget._mpf_
+    running = st_.theta_cum[k - 1], st_.log1m_cum[k - 1]
+    bound = _point_bound(st_, k, mc.log_C, ctx) + _log_f_bound(
+        st_, running, running_sums_bound(k, *running, ctx.prec), mc.log_C, ctx
+    )
+    assert abs(rep.max_log_f - worst) <= bound
+
+    fine = PrecisionContext(prec=ctx.prec + 64)
+    finer = cr.sweep(q, a, fine, table, rep.x_max)
+    assert (finer.checked, finer.argmax_prime, finer.verdict) == (rep.checked, rep.argmax_prime, rep.verdict)
+    fine_C = mertens_C(q, a, fine).log_C
+    with fine.workprec():  # log f less log C at each precision
+        gap = abs(rep.max_log_f + mc.log_C - finer.max_log_f - fine_C)
+    assert gap <= _point_bound(st_, k, mc.log_C, ctx) + _point_bound(stats(q, a, table, fine.prec), k, fine_C, fine)
+
+
+# the escalated points of the sweeps above, and of the two fullrange ones
+ORACLE_CASES = SWEEP_CASES[:-2] + [(1, 1, 2_000_000), (7, 1, 2_000_000)]
+
+
+@pytest.mark.parametrize("q,a,x_max", ORACLE_CASES)
+def test_point_sums_match_the_running_sums_where_the_sweep_reads_them(q, a, x_max, ctx, table, monkeypatch):
+    """At every point the sweep evaluates in mp, point_sums is within the sum
+    of the two routes' stated bounds of the running sums."""
+    read = set()
+    real = ProgressionStats.point_sums
+    monkeypatch.setattr(ProgressionStats, "point_sums", lambda self, k: read.add(k) or real(self, k))
+    rep = cr.sweep(q, a, ctx, table, x_max)
+    assert len(read) == rep.escalated
+    st_ = stats(q, a, table)
+    oracle = ProgressionStats(q, a, table, ctx.prec)  # uncached, so its running sums go with it
+    oracle.theta(oracle.pbar[max(read) - 1])
+    with mp.workprec(ctx.prec + 64):
+        for k in read:
+            got = real(st_, k)
+            want = oracle.theta_cum[k - 1], oracle.log1m_cum[k - 1]
+            bounds = [b + r for b, r in zip(st_.point_bound(k), running_sums_bound(k, *want, ctx.prec))]
+            for g, w, b in zip(got, want, bounds):
+                assert abs(g - w) <= b, (k, g, w, b)
+
+
+def test_sweep_leaves_the_running_sums_empty(ctx):
+    small = PrimeTable(200_000)
+    rep = cr.sweep(1, 1, ctx, small, 200_000)
+    cr.log_f(150_000, 1, 1, ctx, small)
+    st_ = stats(1, 1, small)
+    assert rep.argmax_prime == st_.pbar[-1] and rep.verdict == "all negative"
+    assert st_.theta_cum == st_.log1m_cum == []
+
+
+def test_near_tie_goes_to_the_mp_tier(ctx, table, monkeypatch):
+    """A point whose float value falls below the largest lower bound so far
+    still holds the maximum when its bound E reaches it: the screen keeps
+    it for the mp tier.  Here the float value at the true argmax is moved
+    just below that floor, and E widened to cover the move."""
+    want = cr.sweep(7, 1, ctx, table)
+    k_max = stats(7, 1, table).pbar.index(want.argmax_prime) + 1
+    assert k_max > 1
+    real = cr._float_screen
+
+    def tied(st_, x_max, log_C, prec):
+        floor = -math.inf
+        for k, p, f, err in real(st_, x_max, log_C, prec):
+            if k == k_max:
+                low = min(f, floor) - err
+                f, err = low, err + abs(f - low)
+            floor = max(floor, f - err)
+            yield k, p, f, err
+
+    monkeypatch.setattr(cr, "_float_screen", tied)
+    rep = cr.sweep(7, 1, ctx, table)
+    assert rep.escalated == want.escalated + 1  # the point that set the floor is kept too
+    assert rep == dataclasses.replace(want, escalated=rep.escalated)
 
 
 @pytest.mark.parametrize("q,a,x_max", SWEEP_CASES)
@@ -409,8 +497,10 @@ def test_unbounded_points_go_to_the_mp_tier(ctx, table, monkeypatch):
     """Points the float tier cannot bound are evaluated at ctx.prec and
     counted where log f is defined, so the report does not change."""
     want = cr.sweep(1, 1, ctx, table, 5000)
-    real = cr._rounding_bound
-    monkeypatch.setattr(cr, "_rounding_bound", lambda k, *rest: None if k <= 4 else real(k, *rest))
+    real = cr._float_screen
+    monkeypatch.setattr(
+        cr, "_float_screen", lambda *args: ((k, p, f, math.inf if k <= 4 else e) for k, p, f, e in real(*args))
+    )
     rep = cr.sweep(1, 1, ctx, table, 5000)
     assert rep.escalated == want.escalated + 3  # k = 2, 3, 4; k = 1 has phi theta < 1
     assert rep == dataclasses.replace(want, escalated=rep.escalated)

@@ -23,6 +23,8 @@ STORED = {
     "table_T8.json": ["table", "T8"],
     "table_T9.json": ["table", "T9"],
     "sweep_q7.json": ["sweep", "--q", "7"],
+    "sweep_q1_xmax2000000.json": ["sweep", "--q", "1", "--xmax", "2000000"],
+    "sweep_q7_xmax2000000.json": ["sweep", "--q", "7", "--xmax", "2000000"],
     "scan_q14.json": ["scan", "--q", "14"],
     "figure_F7_xmax2000.json": ["figure", "F7", "--xmax", "2000"],
 }

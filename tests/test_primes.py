@@ -8,7 +8,9 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import exact_product_sums, running_sums_bound
 from totprog.primes import (
+    BLOCK,
     PrimeTable,
     ProgressionStats,
     default_table,
@@ -184,6 +186,72 @@ def test_logged_sums_match_mpmath_at_any_precision(prec):
     st_.theta(SMALL.limit)
     assert [v._mpf_ for v in st_.theta_cum] == [v._mpf_ for v in theta]
     assert [v._mpf_ for v in st_.log1m_cum] == [v._mpf_ for v in log1m]
+
+
+def _k(n):
+    """Point counts up to n: below a block, at a block boundary mB and at
+    mB - 1, mB + 1, or anywhere."""
+    boundary = st.integers(0, n // BLOCK).flatmap(lambda m: st.sampled_from([m * BLOCK - 1, m * BLOCK, m * BLOCK + 1]))
+    return st.one_of(st.integers(0, BLOCK - 1), boundary.filter(lambda k: 0 <= k <= n), st.integers(0, n))
+
+
+def _within(got, want, bounds) -> None:
+    with mp.workprec(512):
+        for g, w, b in zip(got, want, bounds):
+            assert abs(g - w) <= b, (g, w, b)
+
+
+_QA = [(1, 1), (3, 1), (3, 2), (7, 1), (7, 3)]
+
+
+@given(qa=st.sampled_from(_QA), prec=st.sampled_from([53, 192]), data=st.data())
+@example(qa=(1, 1), prec=192, data=None)
+@settings(max_examples=100, deadline=None)
+def test_point_sums_match_the_running_sums(qa, prec, data):
+    """point_sums agrees with the running sums within the sum of the two
+    routes' stated bounds, at any k and in any order of queries, and logs
+    nothing into the running sums."""
+    pbar, theta, log1m = _eager_sums(*qa, prec)
+    st_ = ProgressionStats(*qa, SMALL, prec)
+    ks = [len(pbar), len(pbar) - 1, 0] if data is None else data.draw(st.lists(_k(len(pbar)), min_size=1, max_size=6))
+    for k in ks:
+        got = st_.point_sums(k)
+        if k == 0:
+            assert got == (0, 0)
+            continue
+        want = theta[k - 1], log1m[k - 1]
+        bounds = [b + r for b, r in zip(st_.point_bound(k), running_sums_bound(k, *want, prec))]
+        _within(got, want, bounds)
+    assert st_.theta_cum == [] and st_.log1m_cum == []
+
+
+def _covers_finer(st_, ks):
+    """point_sums(k) is within point_bound(k) of the exact sums, taken at 64
+    more bits from one log of each exact product (plus that value's error)."""
+    for k, finer in exact_product_sums(st_.pbar, ks, st_.prec + 64).items():
+        slack = [mp.ldexp(3 + 2 * abs(v), -st_.prec - 64) for v in finer]
+        _within(st_.point_sums(k), finer, [b + s for b, s in zip(st_.point_bound(k), slack)])
+
+
+@given(qa=st.sampled_from(_QA), prec=st.sampled_from([53, 192]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_point_bound_covers_a_finer_value(qa, prec, data):
+    st_ = ProgressionStats(*qa, SMALL, prec)
+    _covers_finer(st_, data.draw(st.lists(_k(len(st_.pbar)), min_size=1, max_size=4)))
+
+
+@pytest.mark.parametrize("qa", [(1, 1), (7, 1)])
+def test_point_bound_covers_a_finer_value_at_the_sieve_limit(qa, table):
+    st_ = ProgressionStats(*qa, table)
+    n = len(st_.pbar)
+    _covers_finer(st_, [n, n - 1, n // BLOCK * BLOCK, n // BLOCK * BLOCK - 1, n // 2 // BLOCK * BLOCK + 1])
+
+
+def test_point_sums_refuse_k_past_the_sieve():
+    st_ = ProgressionStats(7, 1, SMALL)
+    for k in (-1, len(st_.pbar) + 1):
+        with pytest.raises(ValueError, match="outside"):
+            st_.point_sums(k)
 
 
 def test_theta_step_values(table):

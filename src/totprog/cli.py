@@ -14,7 +14,7 @@ strings ('.' decimal separator) so runs are byte-for-byte reproducible.
 
 Defaults may be overridden with environment variables TOTPROG_PREC_BITS,
 TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX; each must be an integer, the
-precision at least 53 bits and x_max at least 1.
+precision at least 53 bits, the sieve limit at least 2 and x_max at least 1.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .constants import (
     nicolas_condition_scan,
 )
 from .lvalues import Lprime_over_L_at_1, PrecisionContext
-from .primes import PrimeTable, default_table, stats
+from .primes import DEFAULT_LIMIT, PrimeTable, default_table, stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,6 +71,8 @@ def _check(args) -> None:
         raise ValueError("modulus must be a positive integer")
     if args.xmax is not None and args.xmax < 1:
         raise ValueError("--xmax (or TOTPROG_XMAX) must be a positive integer")
+    if args.sieve_limit < 2:
+        raise ValueError("--sieve-limit (or TOTPROG_SIEVE_LIMIT) must be at least 2")
     if args.prec_bits < criterion.MIN_PREC:
         raise ValueError(f"--prec-bits must be at least {criterion.MIN_PREC}, the precision of the sweep's float tier")
 
@@ -106,7 +108,7 @@ def _ctx(args) -> PrecisionContext:
 
 
 def _table_for(args) -> PrimeTable:
-    if args.sieve_limit != default_table().limit:
+    if args.sieve_limit != DEFAULT_LIMIT:
         return PrimeTable(args.sieve_limit)
     return default_table()
 
@@ -328,7 +330,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--q", type=int, required=q_required, default=None)
         sp.add_argument("--a", type=int, default=1)
         sp.add_argument("--prec-bits", type=int, default=_env("PREC_BITS", 192))
-        sp.add_argument("--sieve-limit", type=int, default=_env("SIEVE_LIMIT", 2_000_000))
+        sp.add_argument("--sieve-limit", type=int, default=_env("SIEVE_LIMIT", DEFAULT_LIMIT))
         sp.add_argument("--xmax", type=int, default=_env("XMAX", None))
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")

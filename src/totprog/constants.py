@@ -6,8 +6,8 @@ Highlights:
   prod_{p<=x, p=a mod q}(1-1/p) * (log x)^{1/phi(q)}) through a character
   decomposition in terms of L(1,chi) plus rapidly convergent prime-zeta
   corrections, so the naive 1/log-x-converging product is only a consistency
-  oracle.  The companion constant M(q,a) = sum_{p=a} {log(1-1/p)+1/p} - log C
-  uses the same machinery.
+  oracle (tests/oracles.py).  The companion constant
+  M(q,a) = sum_{p=a} {log(1-1/p)+1/p} - log C uses the same machinery.
 
 * ``F_q`` sums 1/(rho(1-rho)) over nontrivial zeros of the primitive
   L-functions via the closed form log(d/pi) + 2 Re L'/L(1, conj chi') - gamma
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .characters import DirichletCharacter, build_group, divisors, factorint, totient, units
+from .characters import DirichletCharacter, build_group, factorint, totient, units
 from .lvalues import (
     Approx,
     DEFAULT_CTX,
@@ -44,13 +44,10 @@ __all__ = [
     "IndexData",
     "MertensConstant",
     "index_data",
-    "index_data_bruteforce",
     "mertens_C",
-    "mertens_C_naive",
     "F1",
     "F_chi",
     "F_q",
-    "F_q_via_divisors",
     "F_p_primecalc",
     "gamma_p",
     "G_q",
@@ -101,17 +98,6 @@ def index_data(q: int, a: int) -> IndexData:
     return IndexData(q, a, m, R)
 
 
-def index_data_bruteforce(q: int, a: int) -> IndexData:
-    """Oracle: same m search, R by counting solutions of b^m = a directly."""
-    if math.gcd(q, a) != 1:
-        raise ValueError("q and a must be coprime")
-    if q == 1:
-        return IndexData(1, 1, 2, 1)
-    m = index_data(q, a).m
-    R = sum(1 for b in units(q) if pow(b, m, q) == a % q)
-    return IndexData(q, a % q, m, R)
-
-
 # --------------------------------------------------------------------------
 # Mertens constants on progressions
 
@@ -142,11 +128,18 @@ def _log_L_int(chi: DirichletCharacter, m: int, prec: int) -> mp.mpc:
         return mp.log(L)
 
 
-def _prime_zeta(chi: DirichletCharacter, k: int, prec: int, bits: int) -> mp.mpc:
+# The prime-zeta sums sum_k P(k, chi)/k are cut after k = _PZ_BITS (and each
+# P(k, chi) after its Moebius terms j k - 1 > _PZ_BITS).  Their terms decay
+# like 2^-k, so the cut leaves less than 4 * 2^-_PZ_BITS per character:
+# _mertens_cached adds 2^(2 - _PZ_BITS) (phi + 1) to the error of log C.
+_PZ_BITS = 48
+
+
+def _prime_zeta(chi: DirichletCharacter, k: int, prec: int) -> mp.mpc:
     """P(k, chi) = sum_p chi(p)/p^k via Moebius inversion of log L."""
     total = mp.mpc(0)
     j = 1
-    while (j * k - 1) <= bits:
+    while (j * k - 1) <= _PZ_BITS:
         mu = _mobius(j)
         if mu:
             total += mp.mpf(mu) / j * _log_L_int(chi.power(j), j * k, prec)
@@ -195,17 +188,11 @@ def _winding_number(turns: float) -> int:
     return k
 
 
-def _pz_cutoff(ctx: PrecisionContext) -> int:
-    # terms of sum_k P(k,.)/k decay like 2^-k; truncate well below target
-    return max(48, int(-mp.log(ctx.target, 2)) + 8)
-
-
 @lru_cache(maxsize=None)
-def _mertens_cached(q: int, a: int, prec: int, target: float) -> MertensConstant:
-    ctx = PrecisionContext(prec=prec, target=target)
+def _mertens_cached(q: int, a: int, prec: int) -> MertensConstant:
+    ctx = PrecisionContext(prec=prec)
     group = build_group(q)
     phi = totient(q)
-    bits = _pz_cutoff(ctx)
     with ctx.workprec():
         # phi * log C = -gamma - sum_{p|q} log(1-1/p)
         #               + sum_{chi != chi0} conj(chi(a)) [ -log L(1,chi) + log K(chi) ]
@@ -217,17 +204,16 @@ def _mertens_cached(q: int, a: int, prec: int, target: float) -> MertensConstant
         mean_h = mp.mpc(0)  # (1/phi) sum_chi conj(chi(a)) sum_{k>=2} P(k,chi)/k
         for chi in group:
             coef = mp.conj(chi.value(a, prec))
-            pz = sum(_prime_zeta(chi, k, prec, bits) / k for k in range(2, bits + 1))
+            pz = sum(_prime_zeta(chi, k, prec) / k for k in range(2, _PZ_BITS + 1))
             mean_h += coef * pz
             if not chi.is_principal:
                 logK = sum(
-                    (_prime_zeta(chi.power(k), k, prec, bits) - _prime_zeta(chi, k, prec, bits)) / k
-                    for k in range(2, bits + 1)
+                    (_prime_zeta(chi.power(k), k, prec) - _prime_zeta(chi, k, prec)) / k
+                    for k in range(2, _PZ_BITS + 1)
                 )
                 acc += coef * (-_branched_log_L1(chi, ctx) + logK)
         log_C = mp.re(acc) / phi
-        # truncation tail of the prime-zeta sums is < 4 * 2^-bits per character
-        tail = mp.mpf(2) ** (2 - bits) * (phi + 1)
+        tail = mp.mpf(2) ** (2 - _PZ_BITS) * (phi + 1)  # see _PZ_BITS
         C = mp.e**log_C
         M_val = mp.re(-mean_h) / phi - log_C
         return MertensConstant(
@@ -242,15 +228,7 @@ def _mertens_cached(q: int, a: int, prec: int, target: float) -> MertensConstant
 def mertens_C(q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX) -> MertensConstant:
     if math.gcd(q, a) != 1:
         raise ValueError("q and a must be coprime")
-    return _mertens_cached(q, a % max(q, 2) if q > 1 else 1, ctx.prec, ctx.target)
-
-
-def mertens_C_naive(q: int, a: int, x, table=None, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
-    """Truncated product prod_{p<=x, p=a mod q}(1-1/p) * (log x)^(1/phi);
-    converges to C(q,a) like 1/log x -- consistency oracle only."""
-    st = primes_mod.stats(q, a, table, ctx.prec)
-    with ctx.workprec():
-        return mp.e ** (st.log_one_minus(x) + mp.log(mp.log(x)) / st.phi)
+    return _mertens_cached(q, a % max(q, 2) if q > 1 else 1, ctx.prec)
 
 
 # --------------------------------------------------------------------------
@@ -287,31 +265,6 @@ def F_q(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> Approx:
     with ctx.workprec():
         total = F1(ctx) + sum(F_chi(chi, ctx) for chi in group.nonprincipal())
         return Approx(total, ctx.eps(abs(total)) * max(1, totient(q)))
-
-
-def _num_primitive(d: int) -> int:
-    return sum(1 for chi in build_group(d) if chi.is_primitive)
-
-
-def F_q_via_divisors(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
-    """Independent route: F_q = sum_{d|q, d>1} phi*(d) log(d/pi)
-    + 2 sum_{d|q, d>1} sum_{chi* mod d} L'/L(1,chi)
-    - phi(q)(gamma + log 2) + 2 gamma - log pi + 2.  Valid for q > 2 only
-    (for q <= 2 the constant term would need -2 log 2, not -phi log 2)."""
-    if q <= 2:
-        raise ValueError("divisor regrouping of F_q requires q > 2")
-    with ctx.workprec():
-        total = -totient(q) * (mp.euler + mp.log(2)) + 2 * mp.euler - mp.log(mp.pi) + 2
-        for d in divisors(q)[1:]:
-            total += _num_primitive(d) * mp.log(mp.mpf(d) / mp.pi)
-            total += 2 * mp.re(
-                sum(
-                    Lprime_over_L_at_1(chi, ctx)
-                    for chi in build_group(d)
-                    if chi.is_primitive
-                )
-            )
-        return total
 
 
 def gamma_p(p: int, ctx: PrecisionContext = DEFAULT_CTX) -> Approx:

@@ -13,9 +13,10 @@ auxiliary integrals and explicit bounds (g, F_s, truncated K, J-hat, p_q),
 the threshold x_q, and the sweep that checks log f < 0 up to
 max(floor(x_q), ceil(e^10) = 22027): in doubles with a stated rounding bound
 at every step point, and in mpmath at the few that may hold the maximum.
-Single points (log_f, the sweep's mp tier) read theta and the log(1 - 1/p)
-sum from ProgressionStats.point_sums, one log per block of 64 primes, with
-its stated bound; log_f_series reads the per-prime running sums.
+Every mp value of theta and of the log(1 - 1/p) sum comes from
+ProgressionStats.point_sums, one log per block of 64 primes, with its stated
+bound: log_f and the sweep's mp tier call it at single points, and
+log_f_series reads its values at every step point.
 """
 
 from __future__ import annotations
@@ -246,13 +247,19 @@ def bound_params(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> BoundParams:
 
 
 def _p_q_formula(x, phi, F, G, R, B, M):
-    lx = mp.log(x)
-    sx = mp.sqrt(x)
+    """p_q(x): in doubles when x is a float (F, G and B floats too), else in
+    mpf at the working precision."""
+    if isinstance(x, float):
+        m, c12, c001 = math, 1.2, 0.01
+    else:
+        m, c12, c001 = mp, mp.mpf("1.2"), mp.mpf("0.01")
+    lx = m.log(x)
+    sx = m.sqrt(x)
     return (
-        (3 * F + mp.mpf("1.2") * R) / lx
+        (3 * F + c12 * R) / lx
         + (1 + 2 / lx) * G / sx
-        + (mp.mpf("0.01") * phi - B - M) / sx
-        - (mp.mpf(M) / x - mp.mpf(phi) / (2 * (x - 1))) * sx * lx
+        + (c001 * phi - B - M) / sx
+        - (M / x - phi / (2 * (x - 1))) * sx * lx
     )
 
 
@@ -275,20 +282,9 @@ def _P_q_from(q, F, G, R, B, M, ctx) -> mp.mpf:
     its value there."""
     phi = totient(q)
     lo, hi = 10.0, math.log(1e16)
-    Ff, Gf, Bf = float(F), float(G), float(B)
-
-    def pf(lx):
-        x = math.exp(lx)
-        sx = math.sqrt(x)
-        return (
-            (3 * Ff + 1.2 * R) / lx
-            + (1 + 2 / lx) * Gf / sx
-            + (0.01 * phi - Bf - M) / sx
-            - (M / x - phi / (2 * (x - 1))) * sx * lx
-        )
-
+    floats = float(F), float(G), R, float(B), M
     step = (hi - lo) / _P_GRID
-    best_i = max(range(_P_GRID + 1), key=lambda i: pf(lo + i * step))
+    best_i = max(range(_P_GRID + 1), key=lambda i: _p_q_formula(math.exp(lo + i * step), phi, *floats))
     with ctx.workprec():
         a = mp.mpf(lo + max(best_i - 1, 0) * step)
         b = mp.mpf(lo + min(best_i + 1, _P_GRID) * step)
@@ -397,18 +393,18 @@ def _rounding_bound(th_rel, lm_abs, phi, lam, g, log1m, log_C, u, a):
 
 def _float_screen(st, x_max, log_C, prec):
     """log f in doubles at each progression prime pbar_k <= x_max, streamed:
-    yields (k, pbar_k, f, E) with E >= |f - log f at prec bits|, whether that
-    is the sweep's mp tier (point_sums) or log_f_series (running sums).  E is
-    inf where phi theta is too near 1 to bound, and log f may be undefined
-    there (f is then nan).
+    yields (k, pbar_k, f, E) with E >= |f - log f at prec bits|, as the
+    sweep's mp tier and log_f_series both take it from point_sums.  E is inf
+    where phi theta is too near 1 to bound, and log f may be undefined there
+    (f is then nan).
 
     E's sums are running sums of k double logs, each within _LIBM, so their
     relative error is k u + a to first order (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 4), doubled: c = 2 (k u + a).  u and a add the mp tier's
     own rounding to the double's, u_p = 2^-prec and 4 u_p, so that term also
-    covers the mp running sums, 2 (k + 4) u_p relative, and the relative part
-    of point_sums' bound, (n + 3) 2^-32 u_p + u_p with n = ceil(k/64) <= k.
-    The extra u_p on log1m covers point_sums' absolute part, (n + 3) 2^-32 u_p."""
+    covers the relative part of point_sums' bound, (n + 3) 2^-32 u_p + u_p
+    with n = ceil(k/64) <= k.  The extra u_p on log1m covers its absolute
+    part, (n + 3) 2^-32 u_p."""
     phi, log_C = st.phi, float(log_C)
     u_p = 2.0**-prec
     u, a = _U + u_p, _LIBM + 4 * u_p  # the double and the mp rounding
@@ -458,10 +454,10 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
     the points whose upper bound reaches the largest lower bound, which
     include every point that can hold the maximum, and those where phi theta
     is too near 1 to bound, are evaluated at ctx.prec from
-    ProgressionStats.point_sums, so the running sums are never logged.  The
-    maximum (the first point on ties), its prime and the count of points
-    where log f is defined are those of log_f_series' rows, up to rounding
-    within the two routes' stated bounds."""
+    ProgressionStats.point_sums, so theta_cum and log1m_cum are never
+    extended.  The maximum (the first point on ties), its prime and the count
+    of points where log f is defined are those of log_f_series' rows, bit for
+    bit, since those read the same point_sums values."""
     if ctx.prec < MIN_PREC:
         raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
     if x_max is None:

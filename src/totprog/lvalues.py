@@ -15,14 +15,13 @@ the primitive chi' mod d,
                   + sum_{p | q, p not| d} chi'(p) log p / (p - chi'(p)).
 
 The Laurent data (m0, b) at s = 0 adds the Euler factors of chi mod q to
-b(chi'); a numerical Laurent fit (Hurwitz zeta around s = 0) is the
-independent oracle.
+b(chi'); a numerical Laurent fit (Hurwitz zeta around s = 0, in
+tests/oracles.py) is the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,11 +33,9 @@ __all__ = [
     "PrecisionContext",
     "Approx",
     "LaurentAtZero",
-    "digamma",
     "L_at_1",
     "Lprime_over_L_at_1",
     "laurent_at_zero",
-    "laurent_fit",
     "b_sum_signed",
     "b_sum_abs",
     "m0_sum",
@@ -47,14 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision and truncation policy.
+    """Working precision.
 
     prec: mantissa bits for all floating work (default 192).
-    target: advertised absolute error per published constant.
     """
 
     prec: int = 192
-    target: float = 1e-12
 
     def workprec(self):
         return mp.workprec(self.prec)
@@ -72,21 +67,6 @@ class Approx(NamedTuple):
 
     value: object
     err: object
-
-
-def _as_mpf(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
-def digamma(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
-    """psi(x) for rational x in (0, 1] (delegated to mpmath's
-    Euler-Maclaurin kernel at ctx.prec bits)."""
-    if x <= 0:
-        raise ValueError("digamma argument must be positive")
-    with ctx.workprec():
-        return mp.digamma(_as_mpf(x))
 
 
 @lru_cache(maxsize=None)
@@ -190,42 +170,6 @@ def laurent_at_zero(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX
                     val = prim.value(p, ctx.prec)
                     b += -mp.log(p) / 2 if prim.exponent(p) == 0 else mp.log(p) * val / (1 - val)
         return LaurentAtZero(structural_m0(chi), b)
-
-
-# --- numerical Laurent-fit oracle ----------------------------------------
-
-
-def _L_and_deriv(chi: DirichletCharacter, s, prec: int):
-    """L(s,chi) and L'(s,chi) of the (possibly imprimitive) L-series mod q,
-    via L(s) = q^{-s} sum_r chi(r) zeta(s, r/q)."""
-    q = chi.modulus
-    with mp.workprec(prec):
-        s = mp.mpf(s)
-        zs = {r: mp.zeta(s, mp.mpf(r) / q) for r in units(q)}
-        zps = {r: mp.zeta(s, mp.mpf(r) / q, 1) for r in units(q)}
-        qs = mp.power(q, -s)
-        L = qs * sum(chi.value(r, prec) * zs[r] for r in units(q))
-        Lp = qs * sum(chi.value(r, prec) * zps[r] for r in units(q)) - mp.log(q) * L
-        return L, Lp
-
-
-def laurent_fit(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX, h: float = 1e-4):
-    """Fit L'/L(s,chi) = m0/s + b + O(s^2-extrapolated) from samples at
-    s = +-h, +-h/2.  Returns (m0_estimate: mpf, b_estimate: mpc)."""
-
-    def ratio(s):
-        L, Lp = _L_and_deriv(chi, s, ctx.prec)
-        return Lp / L
-
-    with ctx.workprec():
-        h = mp.mpf(h)
-        out = []
-        for step in (h, h / 2):
-            fp, fm = ratio(step), ratio(-step)
-            out.append(((fp - fm) / 2 * step, (fp + fm) / 2))
-        m_h, b_h = out[0]
-        m_h2, b_h2 = out[1]
-        return (4 * m_h2 - m_h) / 3, (4 * b_h2 - b_h) / 3
 
 
 # --- aggregates over the full group ---------------------------------------

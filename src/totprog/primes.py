@@ -2,15 +2,16 @@
 
 Provides theta(x;q,a), psi(x;q,a) and the derived error terms S and R, the
 progression primorials N-bar_k, and enumeration of the multiplicative sets
-S_{q,a} = {n : p | n => p = a mod q}.  Log-domain accumulations are done in
-mpmath arbitrary precision, by two routes.  Readers that walk every step
-point (log f series, steps, primorials) read running sums of one log per
-progression prime.  Readers of a single point (log f at x, the sweep's few
-candidates for the maximum) read point_sums: one log per exact integer
-product of BLOCK progression primes, with a stated rounding bound, and no
-per-prime log.  The sweep screens every step point first in doubles (about
-1e-13 where the smallest margin is 2.2e-4) and reads point_sums only where
-that bound cannot rule out the maximum (criterion.sweep).
+S_{q,a} = {n : p | n => p = a mod q}.  The sums of log pbar and of
+log(1 - 1/pbar) are taken in mpmath arbitrary precision by one route,
+ProgressionStats.point_sums, with one stated rounding bound: logs of exact
+integer products of up to BLOCK progression primes, added block by block.
+Readers of a single point (theta, log f at x, the sweep's few candidates
+for the maximum) call it; readers that walk every step point (log f series,
+steps, primorials) read its values for each k, stored as the primes are
+walked.  The sweep screens every step point first in doubles (about 1e-13
+where the smallest margin is 2.2e-4) and reads point_sums only where that
+bound cannot rule out the maximum (criterion.sweep).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import fnone, fone, from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_pos, round_nearest as _RND
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_pos, round_nearest as _RND
 
 from .characters import totient
 
@@ -40,6 +41,7 @@ _SEGMENT = 1 << 16
 _PI_1E6 = 78498  # pi(10^6), build-time sanity pin
 BLOCK = 64  # progression primes per exact product in point_sums
 GUARD = 32  # bits point_sums works with beyond prec
+DEFAULT_LIMIT = 2_000_000  # sieve limit of default_table
 
 
 class PrimeTable:
@@ -86,7 +88,7 @@ def _segmented_sieve(limit: int) -> list[int]:
 
 
 @lru_cache(maxsize=4)
-def default_table(limit: int = 2_000_000) -> PrimeTable:
+def default_table(limit: int = DEFAULT_LIMIT) -> PrimeTable:
     return PrimeTable(limit)
 
 
@@ -109,12 +111,12 @@ class ProgressionStats:
     """theta/psi step data for primes (and prime powers) = a mod q.
 
     Cumulative sums are mpf at `prec` bits.  The prime-power sums are built
-    with the object; theta_cum and log1m_cum grow on demand to the progression
-    primes a reader has asked for, by the same additions in the same order, so
-    every stored entry is bit-identical to an eager build.  point_sums reads
-    one point from block products instead and never grows them.  S(x) =
-    theta(x) - x/phi(q) and R(x) = psi(x) - x/phi(q) are derived on demand,
-    never stored.
+    with the object.  theta and log(1 - 1/pbar) sums come from point_sums
+    alone: single-point readers (theta, log_one_minus, psi, S, R) call it,
+    and the walkers of every step point (steps, primorials) read theta_cum
+    and log1m_cum, whose k-th entries are point_sums(k), grown on demand to
+    the furthest point walked.  S(x) = theta(x) - x/phi(q) and
+    R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
     """
 
     def __init__(self, q: int, a: int, table: PrimeTable, prec: int = 192):
@@ -125,8 +127,8 @@ class ProgressionStats:
         self.prec = prec
         self.phi = totient(q)
         self.pbar = [p for p in table.primes if (p - self.a) % q == 0 or q == 1]
-        self.theta_cum = []  # running sum of log(pbar), see _extend
-        self.log1m_cum = []  # running sum of log(1 - 1/pbar)
+        self.theta_cum = []  # point_sums(k)[0] at index k - 1, see _extend
+        self.log1m_cum = []  # point_sums(k)[1] at index k - 1
         self._blocks = [(fzero, fzero)]  # point_sums' sums over each whole BLOCK prefix
         with mp.workprec(prec):
             # prime powers p^k <= limit with p^k = a mod q (k >= 2)
@@ -148,53 +150,68 @@ class ProgressionStats:
                 self.power_cum.append(acc)
 
     def _extend(self, n: int) -> None:
-        """Log the first n progression primes into theta_cum and log1m_cum.
-        Appends in place: the lists may be replaced by wrappers that track
-        reads, and those must see the new entries.  The k-th entry of either
-        is within 2 (k + 4) 2^-prec of the exact sum, relative: k logs, each
-        within 4 2^-prec relative, and k - 1 additions, to first order,
-        doubled."""
+        """Append point_sums(k) to theta_cum and log1m_cum for every k up to n,
+        bit for bit.  The exact products over the current block are carried
+        from one prime to the next, so each k costs point_sums' two logs of
+        one partial block, and point_bound(k) bounds its entries.  Appends in
+        place: the lists may be replaced by wrappers that track reads, and
+        those must see the new entries."""
         done = len(self.theta_cum)
         if n <= done:
             return
-        # mp.log and mp.log1p's own recipes, called in libmp without their
-        # wrappers: the sums are bit-identical to `acc += mp.log(p)` and
-        # `acc += mp.log1p(mp.mpf(-1) / p)` under mp.workprec(prec)
-        prec, wp = self.prec, self.prec + 10
-        th = self.theta_cum[-1]._mpf_ if done else fzero
-        lm = self.log1m_cum[-1]._mpf_ if done else fzero
-        for p in self.pbar[done:n]:
-            pf = from_int(p)
-            th = mpf_add(th, mpf_log(pf, prec, _RND), prec, _RND)
-            x = mpf_div(fnone, pf, prec, _RND)
-            if x[2] + x[3] < -wp:  # mp.log1p's tiny-x branch, once 2^wp < p
-                with mp.workprec(prec):
-                    t = mp.log1p(mp.make_mpf(x))._mpf_
-            else:
-                t = mpf_pos(mpf_log(mpf_add(fone, x, 2 * wp, _RND), wp, _RND), prec, _RND)
-            lm = mpf_add(lm, t, prec, _RND)
-            # make_mpf stores the tuple as is; mp.mpf(tuple) would round it
-            # to the ambient precision
-            self.theta_cum.append(mp.make_mpf(th))
-            self.log1m_cum.append(mp.make_mpf(lm))
+        j = done // BLOCK
+        self._prefix(j)
+        P, Q = self._products(j * BLOCK, done)
+        for i in range(done, n):
+            j, r = divmod(i, BLOCK)
+            if not r:
+                P = Q = 1
+            p = self.pbar[i]
+            P, Q = P * p, Q * (p - 1)
+            sums = self._block_sums(j, P, Q)
+            if r == BLOCK - 1 and len(self._blocks) == j + 1:
+                self._blocks.append(sums)
+            th, lm = self._rounded(sums)
+            self.theta_cum.append(th)
+            self.log1m_cum.append(lm)
 
-    def _block_logs(self, lo: int, hi: int, wp: int) -> tuple:
-        """log prod pbar and log prod (1 - 1/pbar) over pbar[lo:hi], at wp bits:
-        one mpf_log of the exact product, and one of the correctly rounded
-        quotient prod (pbar - 1) / prod pbar, which log(prod (pbar - 1)) -
-        log(prod pbar) would lose to cancellation."""
+    def _block_sums(self, j: int, P: int, Q: int) -> tuple:
+        """The sums over the first j whole blocks and then a run of progression
+        primes whose exact products are P = prod pbar and Q = prod (pbar - 1),
+        at w = prec + GUARD bits: one mpf_log of P, and one of the correctly
+        rounded quotient Q/P, which log Q - log P would lose to cancellation,
+        each added to _blocks[j]."""
+        wp = self.prec + GUARD
+        th, lm = self._blocks[j]
+        Pf = from_int(P)
+        bt, bl = mpf_log(Pf, wp, _RND), mpf_log(mpf_div(from_int(Q), Pf, wp, _RND), wp, _RND)
+        return mpf_add(th, bt, wp, _RND), mpf_add(lm, bl, wp, _RND)
+
+    def _prefix(self, m: int) -> tuple:
+        """_blocks[m], the sums over the first m whole blocks, adding the
+        blocks up to it."""
+        while len(self._blocks) <= m:
+            j = len(self._blocks) - 1
+            self._blocks.append(self._block_sums(j, *self._products(j * BLOCK, (j + 1) * BLOCK)))
+        return self._blocks[m]
+
+    def _products(self, lo: int, hi: int) -> tuple:
+        """The exact products prod pbar and prod (pbar - 1) over pbar[lo:hi]."""
         ps = self.pbar[lo:hi]
-        P = from_int(math.prod(ps))
-        ratio = mpf_div(from_int(math.prod([p - 1 for p in ps])), P, wp, _RND)
-        return mpf_log(P, wp, _RND), mpf_log(ratio, wp, _RND)
+        return math.prod(ps), math.prod([p - 1 for p in ps])
+
+    def _rounded(self, sums: tuple) -> tuple:
+        # make_mpf stores the tuple as is; mp.mpf(tuple) would round it to
+        # the ambient precision
+        return tuple(mp.make_mpf(mpf_pos(v, self.prec, _RND)) for v in sums)
 
     def point_sums(self, k: int) -> tuple:
         """(theta, log1m): the sums of log pbar and of log(1 - 1/pbar) over the
         first k progression primes, rounded to prec bits, from
-        n = ceil(k/BLOCK) block logs (_block_logs) added in order at
+        n = ceil(k/BLOCK) block logs (_block_sums) added in order at
         w = prec + GUARD bits.  The sums over whole-block prefixes are kept, so
         a repeated query costs one partial block; theta_cum and log1m_cum are
-        not touched.
+        not touched.  Their entries are these values (_extend).
 
         Rounding bound, with u = 2^-prec and u_w = 2^-w, each mpf_log within
         2 u_w of the exact log (relative) and mpf_div and mpf_add correctly
@@ -214,17 +231,11 @@ class ProgressionStats:
         any sieve held in memory."""
         if not 0 <= k <= len(self.pbar):
             raise ValueError(f"k={k} outside 0..{len(self.pbar)}, the progression primes of the sieve")
-        wp = self.prec + GUARD
         m, r = divmod(k, BLOCK)
-        while len(self._blocks) <= m:
-            j = len(self._blocks) - 1
-            (th, lm), (bt, bl) = self._blocks[j], self._block_logs(j * BLOCK, (j + 1) * BLOCK, wp)
-            self._blocks.append((mpf_add(th, bt, wp, _RND), mpf_add(lm, bl, wp, _RND)))
-        th, lm = self._blocks[m]
+        sums = self._prefix(m)
         if r:
-            bt, bl = self._block_logs(m * BLOCK, k, wp)
-            th, lm = mpf_add(th, bt, wp, _RND), mpf_add(lm, bl, wp, _RND)
-        return mp.make_mpf(mpf_pos(th, self.prec, _RND)), mp.make_mpf(mpf_pos(lm, self.prec, _RND))
+            sums = self._block_sums(m, *self._products(m * BLOCK, k))
+        return self._rounded(sums)
 
     def point_bound(self, k: int) -> tuple:
         """Bounds on |theta - exact| and |log1m - exact| for point_sums(k),
@@ -244,14 +255,14 @@ class ProgressionStats:
         return bisect.bisect_right(self.pbar, int(x))
 
     def _index(self, x) -> int:
-        """Number of progression primes <= x; their running sums are logged."""
+        """Number of progression primes <= x; theta_cum and log1m_cum are
+        extended to them."""
         i = self._count(x)
         self._extend(i)
         return i
 
     def theta(self, x) -> mp.mpf:
-        i = self._index(x)
-        return self.theta_cum[i - 1] if i else mp.mpf(0)
+        return self.point_sums(self._count(x))[0]
 
     def psi(self, x) -> mp.mpf:
         j = bisect.bisect_right(self.power_points, int(x))
@@ -260,8 +271,7 @@ class ProgressionStats:
 
     def log_one_minus(self, x) -> mp.mpf:
         """Sum of log(1 - 1/pbar) over progression primes pbar <= x."""
-        i = self._index(x)
-        return self.log1m_cum[i - 1] if i else mp.mpf(0)
+        return self.point_sums(self._count(x))[1]
 
     def steps(self, lo, hi):
         """Yield (start, end, theta) for the intervals that tile [lo, hi] with

@@ -6,18 +6,41 @@ equation that totprog.lvalues reflects L'/L(1, chi) from:
 
     L'(1,chi) = -log(q) L(1,chi) - (1/q) sum_r chi(r) gamma_1(r/q)
 
-The sums of log p and log(1 - 1/p) over the first k progression primes from
-one log of each exact product, built by a product tree -- independent of the
-per-prime running sums and of the block sums of ProgressionStats.point_sums.
+The Laurent data of L'/L at s = 0 fitted from Hurwitz zeta values near
+s = 0; F_q regrouped over the divisors of q; R_{q,a} by counting m-th roots;
+and C(q,a) as the truncated Mertens product.
+
+The sums of log p and log(1 - 1/p) over the first k progression primes by two
+routes independent of the block sums of ProgressionStats.point_sums: one log
+of each exact product, built by a product tree, and running sums of one
+mp.log and one mp.log1p per prime.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 
-from totprog.characters import DirichletCharacter, units
-from totprog.lvalues import DEFAULT_CTX, L_at_1, PrecisionContext, _as_mpf
+from totprog import primes as primes_mod
+from totprog.characters import DirichletCharacter, build_group, divisors, totient, units
+from totprog.constants import IndexData, index_data
+from totprog.lvalues import DEFAULT_CTX, L_at_1, Lprime_over_L_at_1, PrecisionContext
+
+
+def _as_mpf(x) -> mp.mpf:
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
+def digamma(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+    """psi(x) for rational x in (0, 1] (delegated to mpmath's
+    Euler-Maclaurin kernel at ctx.prec bits)."""
+    if x <= 0:
+        raise ValueError("digamma argument must be positive")
+    with ctx.workprec():
+        return mp.digamma(_as_mpf(x))
 
 
 def stieltjes_gamma1(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
@@ -43,6 +66,83 @@ def Lprime_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) ->
     with ctx.workprec():
         tail = -sum(chi.value(r, ctx.prec) * row[r] for r in units(q)) / q
         return -mp.log(q) * L_at_1(chi, ctx) + tail
+
+
+def _L_and_deriv(chi: DirichletCharacter, s, prec: int):
+    """L(s,chi) and L'(s,chi) of the (possibly imprimitive) L-series mod q,
+    via L(s) = q^{-s} sum_r chi(r) zeta(s, r/q)."""
+    q = chi.modulus
+    with mp.workprec(prec):
+        s = mp.mpf(s)
+        zs = {r: mp.zeta(s, mp.mpf(r) / q) for r in units(q)}
+        zps = {r: mp.zeta(s, mp.mpf(r) / q, 1) for r in units(q)}
+        qs = mp.power(q, -s)
+        L = qs * sum(chi.value(r, prec) * zs[r] for r in units(q))
+        Lp = qs * sum(chi.value(r, prec) * zps[r] for r in units(q)) - mp.log(q) * L
+        return L, Lp
+
+
+def laurent_fit(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX, h: float = 1e-4):
+    """Fit L'/L(s,chi) = m0/s + b + O(s^2-extrapolated) from samples at
+    s = +-h, +-h/2.  Returns (m0_estimate: mpf, b_estimate: mpc)."""
+
+    def ratio(s):
+        L, Lp = _L_and_deriv(chi, s, ctx.prec)
+        return Lp / L
+
+    with ctx.workprec():
+        h = mp.mpf(h)
+        out = []
+        for step in (h, h / 2):
+            fp, fm = ratio(step), ratio(-step)
+            out.append(((fp - fm) / 2 * step, (fp + fm) / 2))
+        m_h, b_h = out[0]
+        m_h2, b_h2 = out[1]
+        return (4 * m_h2 - m_h) / 3, (4 * b_h2 - b_h) / 3
+
+
+def _num_primitive(d: int) -> int:
+    return sum(1 for chi in build_group(d) if chi.is_primitive)
+
+
+def F_q_via_divisors(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+    """Independent route: F_q = sum_{d|q, d>1} phi*(d) log(d/pi)
+    + 2 sum_{d|q, d>1} sum_{chi* mod d} L'/L(1,chi)
+    - phi(q)(gamma + log 2) + 2 gamma - log pi + 2.  Valid for q > 2 only
+    (for q <= 2 the constant term would need -2 log 2, not -phi log 2)."""
+    if q <= 2:
+        raise ValueError("divisor regrouping of F_q requires q > 2")
+    with ctx.workprec():
+        total = -totient(q) * (mp.euler + mp.log(2)) + 2 * mp.euler - mp.log(mp.pi) + 2
+        for d in divisors(q)[1:]:
+            total += _num_primitive(d) * mp.log(mp.mpf(d) / mp.pi)
+            total += 2 * mp.re(
+                sum(
+                    Lprime_over_L_at_1(chi, ctx)
+                    for chi in build_group(d)
+                    if chi.is_primitive
+                )
+            )
+        return total
+
+
+def index_data_bruteforce(q: int, a: int) -> IndexData:
+    """Oracle: same m search, R by counting solutions of b^m = a directly."""
+    if math.gcd(q, a) != 1:
+        raise ValueError("q and a must be coprime")
+    if q == 1:
+        return IndexData(1, 1, 2, 1)
+    m = index_data(q, a).m
+    R = sum(1 for b in units(q) if pow(b, m, q) == a % q)
+    return IndexData(q, a % q, m, R)
+
+
+def mertens_C_naive(q: int, a: int, x, table=None, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+    """Truncated product prod_{p<=x, p=a mod q}(1-1/p) * (log x)^(1/phi);
+    converges to C(q,a) like 1/log x -- consistency oracle only."""
+    st = primes_mod.stats(q, a, table, ctx.prec)
+    with ctx.workprec():
+        return mp.e ** (st.log_one_minus(x) + mp.log(mp.log(x)) / st.phi)
 
 
 def _product(xs) -> int:
@@ -72,9 +172,23 @@ def _mpf(n: int) -> mp.mpf:
     return mp.ldexp(mp.mpf(n >> zeros), zeros)
 
 
+def running_sums(pbar, prec: int) -> tuple:
+    """The running sums of log p and of log(1 - 1/p) over pbar at prec bits:
+    one mp.log and one mp.log1p per prime, added in order."""
+    with mp.workprec(prec):
+        theta, log1m, acc_t, acc_l = [], [], mp.mpf(0), mp.mpf(0)
+        for p in pbar:
+            acc_t += mp.log(p)
+            acc_l += mp.log1p(mp.mpf(-1) / p)
+            theta.append(acc_t)
+            log1m.append(acc_l)
+    return theta, log1m
+
+
 def running_sums_bound(k: int, theta, log1m, prec: int) -> tuple:
-    """Bounds on |theta - exact| and |log1m - exact| for the k-th running
-    sums theta_cum and log1m_cum, as ProgressionStats._extend states them:
-    2 (k + 4) 2^-prec of either sum."""
+    """Bounds on |theta - exact| and |log1m - exact| for the k-th entries of
+    running_sums: k logs, each within 4 2^-prec of the exact log (relative),
+    and k - 1 additions, to first order, doubled: 2 (k + 4) 2^-prec of
+    either sum."""
     c = 2 * (k + 4) * mp.ldexp(1, -prec)
     return c * theta, c * abs(log1m)

@@ -15,25 +15,18 @@ import pytest
 
 import totprog.criterion as cr
 import totprog.reference_data as rd
+from oracles import F_q_via_divisors, index_data_bruteforce, laurent_fit, mertens_C_naive
 from totprog.characters import build_group, totient, units
 from totprog.constants import (
     F_chi,
     F_p_primecalc,
     F_q,
-    F_q_via_divisors,
     G_q,
     gamma_p,
     index_data,
-    index_data_bruteforce,
     mertens_C,
-    mertens_C_naive,
 )
-from totprog.lvalues import (
-    Lprime_over_L_at_1,
-    PrecisionContext,
-    laurent_fit,
-    structural_m0,
-)
+from totprog.lvalues import Lprime_over_L_at_1, PrecisionContext, structural_m0
 from totprog.primes import enumerate_smooth, primorials, stats
 
 

@@ -1,6 +1,7 @@
 """Exit codes, determinism and output formats of the console entry point."""
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -114,6 +115,26 @@ def test_sieve_self_check_failure_is_an_error(capsys, monkeypatch):
     code, out, err = run(["sweep", "--q", "7", "--sieve-limit", "1000001"], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == "error: sieve self-check failed: pi(1e6) = 78498\n"
+
+
+def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, monkeypatch):
+    limits = []
+    real = primes.PrimeTable.__init__
+    monkeypatch.setattr(primes.PrimeTable, "__init__", lambda self, limit: limits.append(limit) or real(self, limit))
+    # an empty cache, so that a call of default_table would sieve
+    monkeypatch.setattr(cli, "default_table", functools.lru_cache(maxsize=4)(primes.default_table.__wrapped__))
+    code, out, _ = run(["sweep", "--q", "3", "--xmax", "100", "--sieve-limit", "1000"], capsys)
+    assert code == cli.EXIT_OK and json.loads(out)
+    assert limits[0] == 1000 and primes.DEFAULT_LIMIT not in limits
+
+
+@pytest.mark.parametrize("argv,env", [(["--sieve-limit", "-5"], None), (["--sieve-limit", "1"], None), ([], "0")])
+def test_sieve_limit_below_two_is_an_error(argv, env, monkeypatch, capsys):
+    # PrimeTable used to raise such a limit to 2 without a word
+    if env is not None:
+        monkeypatch.setenv("TOTPROG_SIEVE_LIMIT", env)
+    code, out, err = run(["sweep", "--q", "7", "--xmax", "10"] + argv, capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --sieve-limit (or TOTPROG_SIEVE_LIMIT) must be at least 2\n")
 
 
 def test_winding_guard_failure_is_an_error(capsys, monkeypatch):

@@ -5,20 +5,18 @@ import math
 import mpmath as mp
 import pytest
 
+from oracles import F_q_via_divisors, index_data_bruteforce, mertens_C_naive
 from totprog.characters import build_group, totient, units
 from totprog.constants import (
     F1,
     F_chi,
     F_p_primecalc,
     F_q,
-    F_q_via_divisors,
     G_q,
     _winding_number,
     gamma_p,
     index_data,
-    index_data_bruteforce,
     mertens_C,
-    mertens_C_naive,
     nicolas_condition_scan,
 )
 from totprog.lvalues import PrecisionContext

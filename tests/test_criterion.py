@@ -7,7 +7,7 @@ import random
 import mpmath as mp
 import pytest
 
-from oracles import running_sums_bound
+from oracles import running_sums, running_sums_bound
 from totprog import criterion as cr
 from totprog.characters import totient, units
 from totprog.constants import mertens_C
@@ -178,7 +178,8 @@ def test_k_truncated_tail_on_a_fresh_build(ctx):
     logged so far, so a fresh lazily built table gives the full-build value."""
     small = PrimeTable(20_000)
     fresh = cr.k_truncated(100, 1000, 3, 1, ctx, small)
-    stats(3, 1, small).theta(small.limit)  # log every progression prime
+    st_ = stats(3, 1, small)
+    st_.primorials(len(st_.pbar))  # log every progression prime
     full = cr.k_truncated(100, 1000, 3, 1, ctx, small)
     assert fresh.value._mpf_ == full.value._mpf_
     assert fresh.tail_estimate._mpf_ == full.tail_estimate._mpf_
@@ -231,6 +232,24 @@ def test_P_q_attained_at_left_endpoint(ctx):
         p_left = cr.p_q_of_x(mp.e**10, q, ctx)
         assert abs(cr.P_q(q, ctx) - p_left) < 1e-12
         assert cr.p_q_of_x(10**12, q, ctx) < p_left
+
+
+@pytest.mark.parametrize("q", [3, 7, 14])
+def test_P_q_grid_evaluates_the_p_q_formula(q, ctx, monkeypatch):
+    """The grid that locates max p_q calls _p_q_formula itself, in doubles,
+    at each of its points; those values are the mp formula's to 1e-12, and
+    the refined P is at least their maximum."""
+    bp = cr.bound_params(q, ctx)
+    real, calls = cr._p_q_formula, []
+    monkeypatch.setattr(cr, "_p_q_formula", lambda x, *args: calls.append((x, real(x, *args))) or calls[-1][1])
+    P = cr._P_q_from(q, bp.F, bp.G, bp.R, bp.B_signed, bp.M, ctx)
+    grid = [(x, v) for x, v in calls if isinstance(x, float)]
+    assert len(grid) == cr._P_GRID + 1
+    assert P._mpf_ == bp.P._mpf_
+    with ctx.workprec():
+        for x, v in grid[::250]:
+            assert abs(v - real(mp.mpf(x), totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)) < 1e-12
+        assert P >= max(v for _, v in grid) - 1e-12
 
 
 def test_final_column_negative(ctx):
@@ -372,41 +391,31 @@ SWEEP_CASES = [(q, 1, None) for q in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14)] + 
 ]
 
 
-def _log_f_bound(st_, sums, errs, log_C, ctx):
-    """Bound on the ctx.prec rounding of log f at one point, when its theta
-    and log(1 - 1/p) sums are within errs: _rounding_bound as _sweep_report
-    takes it."""
-    theta, log1m = sums
+def _point_bound(st_, k, log_C, ctx):
+    """Bound on the ctx.prec rounding of log f at the k-th point, from
+    point_sums' stated bound: _rounding_bound as _sweep_report takes it."""
+    (theta, log1m), errs = st_.point_sums(k), st_.point_bound(k)
     with ctx.workprec():
         u = mp.ldexp(1, -ctx.prec)
         lam = mp.log(st_.phi * theta)
         return cr._rounding_bound(errs[0] / theta, errs[1], st_.phi, lam, mp.log(lam) / st_.phi, log1m, log_C, u, 4 * u)
 
 
-def _point_bound(st_, k, log_C, ctx):
-    return _log_f_bound(st_, st_.point_sums(k), st_.point_bound(k), log_C, ctx)
-
-
 @pytest.mark.parametrize("q,a,x_max", SWEEP_CASES)
 def test_two_tier_sweep_matches_the_series(q, a, x_max, ctx, table):
-    """The sweep reports what the rows of log_f_series give: their number,
-    the prime of their maximum (the first on ties), the verdict and the
-    budget, after evaluating at most 5 points at ctx.prec.  Its maximum comes
-    from point_sums, so it matches the series' within the two routes' stated
-    bounds, and a sweep at 64 more bits within the point route's bounds."""
+    """The sweep reports what the rows of log_f_series give, bit for bit:
+    their number, their maximum and its prime (the first on ties), the
+    verdict and the budget, after evaluating at most 5 points at ctx.prec.
+    A sweep at 64 more bits agrees within point_sums' stated bounds."""
     rep = cr.sweep(q, a, ctx, table, x_max)
     assert 1 <= rep.escalated <= 5
     ev = cr.log_f_series(q, a, rep.x_max, ctx, table)
     k, p, worst = max(ev.rows, key=lambda row: row[2])
     st_, mc = stats(q, a, table), mertens_C(q, a, ctx)
     want = cr._sweep_report(q, a, rep.x_max, st_, mc, ctx, len(ev.rows), (worst, k, p), rep.escalated)
-    assert rep == dataclasses.replace(want, max_log_f=rep.max_log_f)
+    assert rep == want
+    assert rep.max_log_f._mpf_ == want.max_log_f._mpf_
     assert rep.error_budget._mpf_ == want.error_budget._mpf_
-    running = st_.theta_cum[k - 1], st_.log1m_cum[k - 1]
-    bound = _point_bound(st_, k, mc.log_C, ctx) + _log_f_bound(
-        st_, running, running_sums_bound(k, *running, ctx.prec), mc.log_C, ctx
-    )
-    assert abs(rep.max_log_f - worst) <= bound
 
     fine = PrecisionContext(prec=ctx.prec + 64)
     finer = cr.sweep(q, a, fine, table, rep.x_max)
@@ -423,20 +432,19 @@ ORACLE_CASES = SWEEP_CASES[:-2] + [(1, 1, 2_000_000), (7, 1, 2_000_000)]
 
 @pytest.mark.parametrize("q,a,x_max", ORACLE_CASES)
 def test_point_sums_match_the_running_sums_where_the_sweep_reads_them(q, a, x_max, ctx, table, monkeypatch):
-    """At every point the sweep evaluates in mp, point_sums is within the sum
-    of the two routes' stated bounds of the running sums."""
+    """At every point the sweep evaluates in mp, point_sums is within
+    point_bound plus running_sums_bound of the oracle's running sums."""
     read = set()
     real = ProgressionStats.point_sums
     monkeypatch.setattr(ProgressionStats, "point_sums", lambda self, k: read.add(k) or real(self, k))
     rep = cr.sweep(q, a, ctx, table, x_max)
     assert len(read) == rep.escalated
     st_ = stats(q, a, table)
-    oracle = ProgressionStats(q, a, table, ctx.prec)  # uncached, so its running sums go with it
-    oracle.theta(oracle.pbar[max(read) - 1])
+    theta, log1m = running_sums(st_.pbar[: max(read)], ctx.prec)
     with mp.workprec(ctx.prec + 64):
         for k in read:
             got = real(st_, k)
-            want = oracle.theta_cum[k - 1], oracle.log1m_cum[k - 1]
+            want = theta[k - 1], log1m[k - 1]
             bounds = [b + r for b, r in zip(st_.point_bound(k), running_sums_bound(k, *want, ctx.prec))]
             for g, w, b in zip(got, want, bounds):
                 assert abs(g - w) <= b, (k, g, w, b)

@@ -10,13 +10,11 @@ from totprog.lvalues import (
     PrecisionContext,
     b_sum_abs,
     b_sum_signed,
-    digamma,
     laurent_at_zero,
-    laurent_fit,
     m0_sum,
     structural_m0,
 )
-from oracles import Lprime_at_1, stieltjes_gamma1
+from oracles import Lprime_at_1, digamma, laurent_fit, stieltjes_gamma1
 
 
 def test_digamma_special_values(ctx):

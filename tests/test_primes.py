@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import exact_product_sums, running_sums_bound
+from oracles import exact_product_sums, running_sums, running_sums_bound
 from totprog.primes import (
     BLOCK,
     PrimeTable,
@@ -107,85 +107,16 @@ def test_step_lookups_refuse_x_past_the_sieve():
 
 
 @lru_cache(maxsize=None)
-def _eager_sums(q, a, prec=192):
-    """Running sums of log pbar and log(1 - 1/pbar) over every progression
-    prime of SMALL, by the additions an eager build makes, in its order."""
-    pbar = ProgressionStats(q, a, SMALL).pbar
-    with mp.workprec(prec):
-        theta, log1m, acc_t, acc_l = [], [], mp.mpf(0), mp.mpf(0)
-        for p in pbar:
-            acc_t += mp.log(p)
-            theta.append(acc_t)
-        for p in pbar:
-            acc_l += mp.log1p(mp.mpf(-1) / p)
-            log1m.append(acc_l)
-    return pbar, theta, log1m
+def _point_sums(q, a, prec=192):
+    """The progression primes of SMALL, and point_sums(k) for every k from 0
+    to their number, on a fresh object: what every read must give."""
+    st_ = ProgressionStats(q, a, SMALL, prec)
+    return st_.pbar, [st_.point_sums(k) for k in range(len(st_.pbar) + 1)]
 
 
-_x = st.integers(0, SMALL.limit)
-_read = st.one_of(
-    st.tuples(st.sampled_from(["theta", "log_one_minus", "psi"]), _x),
-    st.tuples(st.just("steps"), st.lists(_x, min_size=2, max_size=2, unique=True).map(sorted)),
-    st.tuples(st.just("primorials"), st.integers(0, 400)),
-)
-
-
-@given(qa=st.sampled_from([(1, 1), (3, 1), (3, 2), (7, 1), (7, 3)]), reads=st.lists(_read, min_size=1, max_size=8))
-@example(qa=(7, 1), reads=[("primorials", 378)])  # (7, 1) has 377 progression primes in SMALL
-@settings(max_examples=100, deadline=None)
-def test_lazy_build_matches_an_eager_build(qa, reads):
-    """Reads in any order see the values of an eager build, bit for bit, and
-    log only the progression primes up to the furthest one read; asking for
-    more primorials than the sieve holds raises and logs nothing."""
-    pbar, theta, log1m = _eager_sums(*qa)
-    st_ = ProgressionStats(*qa, SMALL)
-    assert st_.theta_cum == [] and st_.log1m_cum == []
-
-    def at(cum, x):
-        i = bisect.bisect_right(pbar, x)
-        return cum[i - 1] if i else mp.mpf(0)
-
-    needed = 0  # progression primes a lookup so far has asked for
-    for kind, arg in reads:
-        if kind == "theta":
-            got, want = [st_.theta(arg)], [at(theta, arg)]
-        elif kind == "log_one_minus":
-            got, want = [st_.log_one_minus(arg)], [at(log1m, arg)]
-        elif kind == "psi":
-            j = bisect.bisect_right(st_.power_points, arg)
-            got, want = [st_.psi(arg)], [at(theta, arg) + (st_.power_cum[j - 1] if j else 0)]
-        elif kind == "steps":
-            pieces = list(st_.steps(*arg))
-            got, want = [v for _, _, v in pieces], [at(theta, int(start)) for start, _, _ in pieces]
-        elif arg > len(pbar):
-            logged = len(st_.theta_cum)
-            with pytest.raises(ValueError, match="sieve exhausted"):
-                st_.primorials(arg)
-            assert len(st_.theta_cum) == len(st_.log1m_cum) == logged
-            continue
-        else:
-            entries = st_.primorials(arg).entries
-            assert [e[:2] for e in entries] == [(k + 1, pbar[k]) for k in range(arg)]
-            got = [v for e in entries for v in e[2:]]
-            want = [v for k in range(arg) for v in (theta[k], theta[k] + log1m[k])]
-        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
-        reach = arg if kind == "primorials" else bisect.bisect_right(pbar, arg[1] if kind == "steps" else arg)
-        needed = max(needed, reach)
-        assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
-    assert [v._mpf_ for v in st_.theta_cum] == [v._mpf_ for v in theta[:needed]]
-    assert [v._mpf_ for v in st_.log1m_cum] == [v._mpf_ for v in log1m[:needed]]
-
-
-@pytest.mark.parametrize("prec", [3, 53, 300])
-def test_logged_sums_match_mpmath_at_any_precision(prec):
-    """The libmp calls that log the progression primes give mp.log's and
-    mp.log1p's sums bit for bit; at 3 bits the 125 primes p > 2^14 take
-    mp.log1p's tiny-argument branch."""
-    pbar, theta, log1m = _eager_sums(3, 2, prec)
-    st_ = ProgressionStats(3, 2, SMALL, prec)
-    st_.theta(SMALL.limit)
-    assert [v._mpf_ for v in st_.theta_cum] == [v._mpf_ for v in theta]
-    assert [v._mpf_ for v in st_.log1m_cum] == [v._mpf_ for v in log1m]
+@lru_cache(maxsize=None)
+def _running_sums(q, a, prec):
+    return running_sums(ProgressionStats(q, a, SMALL).pbar, prec)
 
 
 def _k(n):
@@ -195,24 +126,107 @@ def _k(n):
     return st.one_of(st.integers(0, BLOCK - 1), boundary.filter(lambda k: 0 <= k <= n), st.integers(0, n))
 
 
+_x = st.integers(0, SMALL.limit)
+_read = st.one_of(
+    st.tuples(st.sampled_from(["theta", "log_one_minus", "psi"]), _x),
+    st.tuples(st.just("steps"), st.lists(_x, min_size=2, max_size=2, unique=True).map(sorted)),
+    st.tuples(st.sampled_from(["primorials", "point_sums"]), _k(400)),
+)
+
+
+_QA = [(1, 1), (3, 1), (3, 2), (7, 1), (7, 3)]
+
+
+@given(qa=st.sampled_from(_QA), prec=st.sampled_from([53, 192]), reads=st.lists(_read, min_size=1, max_size=8))
+@example(qa=(7, 1), prec=192, reads=[("primorials", 378)])  # (7, 1) has 377 progression primes in SMALL
+@settings(max_examples=100, deadline=None)
+def test_lazy_build_matches_an_eager_build(qa, prec, reads):
+    """Reads in any order see point_sums' values on a fresh object, bit for
+    bit.  Single-point reads (theta, log_one_minus, psi, point_sums) log
+    nothing; the walkers (steps, primorials) log the progression primes up
+    to the furthest one walked, and theta_cum[k - 1] and log1m_cum[k - 1]
+    are point_sums(k).  Asking for more points than the sieve holds raises
+    and logs nothing."""
+    pbar, sums = _point_sums(*qa, prec)
+    st_ = ProgressionStats(*qa, SMALL, prec)
+    assert st_.theta_cum == [] and st_.log1m_cum == []
+
+    def at(x, part=0):
+        return sums[bisect.bisect_right(pbar, x)][part]
+
+    needed = 0  # progression primes a walker so far has asked for
+    for kind, arg in reads:
+        if kind == "theta":
+            got, want = [st_.theta(arg)], [at(arg)]
+        elif kind == "log_one_minus":
+            got, want = [st_.log_one_minus(arg)], [at(arg, 1)]
+        elif kind == "psi":
+            j = bisect.bisect_right(st_.power_points, arg)
+            got, want = [st_.psi(arg)], [at(arg) + (st_.power_cum[j - 1] if j else 0)]
+        elif kind == "steps":
+            pieces = list(st_.steps(*arg))
+            got, want = [v for _, _, v in pieces], [at(int(start)) for start, _, _ in pieces]
+            needed = max(needed, bisect.bisect_right(pbar, arg[1]))
+        elif arg > len(pbar):
+            with pytest.raises(ValueError, match="sieve exhausted" if kind == "primorials" else "outside"):
+                getattr(st_, kind)(arg)
+            assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
+            continue
+        elif kind == "point_sums":
+            got, want = st_.point_sums(arg), sums[arg]
+        else:
+            entries = st_.primorials(arg).entries
+            assert [e[:2] for e in entries] == [(k + 1, pbar[k]) for k in range(arg)]
+            got = [v for e in entries for v in e[2:]]
+            want = [v for k in range(1, arg + 1) for v in (sums[k][0], sums[k][0] + sums[k][1])]
+            needed = max(needed, arg)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+        assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
+    assert [v._mpf_ for v in st_.theta_cum] == [sums[k][0]._mpf_ for k in range(1, needed + 1)]
+    assert [v._mpf_ for v in st_.log1m_cum] == [sums[k][1]._mpf_ for k in range(1, needed + 1)]
+
+
+@pytest.mark.parametrize("prec", [3, 53, 300])
+def test_logged_sums_match_mpmath_at_any_precision(prec):
+    """Walking the progression primes after single-point reads, in pieces
+    that start and end inside blocks, stores point_sums(k) of a fresh object
+    at any precision, bit for bit.  From 53 bits on, where point_bound
+    holds, the values are within it (plus running_sums_bound) of the running
+    sums of mp.log and mp.log1p."""
+    pbar, sums = _point_sums(3, 2, prec)
+    st_ = ProgressionStats(3, 2, SMALL, prec)
+    st_.point_sums(2 * BLOCK + 5)
+    st_.primorials(BLOCK + 3)
+    st_.point_sums(9 * BLOCK)
+    st_.primorials(len(pbar))
+    assert [(th._mpf_, lm._mpf_) for th, lm in zip(st_.theta_cum, st_.log1m_cum)] == [
+        (th._mpf_, lm._mpf_) for th, lm in sums[1:]
+    ]
+    if prec < 53:
+        return
+    theta, log1m = _running_sums(3, 2, prec)
+    for k in range(1, len(pbar) + 1):
+        want = theta[k - 1], log1m[k - 1]
+        bounds = [b + r for b, r in zip(st_.point_bound(k), running_sums_bound(k, *want, prec))]
+        _within(sums[k], want, bounds)
+
+
 def _within(got, want, bounds) -> None:
     with mp.workprec(512):
         for g, w, b in zip(got, want, bounds):
             assert abs(g - w) <= b, (g, w, b)
 
 
-_QA = [(1, 1), (3, 1), (3, 2), (7, 1), (7, 3)]
-
-
 @given(qa=st.sampled_from(_QA), prec=st.sampled_from([53, 192]), data=st.data())
 @example(qa=(1, 1), prec=192, data=None)
 @settings(max_examples=100, deadline=None)
 def test_point_sums_match_the_running_sums(qa, prec, data):
-    """point_sums agrees with the running sums within the sum of the two
-    routes' stated bounds, at any k and in any order of queries, and logs
-    nothing into the running sums."""
-    pbar, theta, log1m = _eager_sums(*qa, prec)
+    """point_sums agrees with the oracle's running sums (one mp.log and one
+    mp.log1p per prime) within point_bound plus running_sums_bound, at any k
+    and in any order of queries, and logs nothing into theta_cum and
+    log1m_cum."""
     st_ = ProgressionStats(*qa, SMALL, prec)
+    pbar, (theta, log1m) = st_.pbar, _running_sums(*qa, prec)
     ks = [len(pbar), len(pbar) - 1, 0] if data is None else data.draw(st.lists(_k(len(pbar)), min_size=1, max_size=6))
     for k in ks:
         got = st_.point_sums(k)

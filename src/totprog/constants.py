@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -117,10 +116,12 @@ def _hurwitz_row(q: int, m: int, prec: int) -> dict:
         return {r: mp.zeta(m, mp.mpf(r) / q) for r in units(q)}
 
 
+@lru_cache(maxsize=None)
 def _log_L_int(chi: DirichletCharacter, m: int, prec: int) -> mp.mpc:
     """log L(m, chi) for integer m >= 2 (imprimitive L-series mod q).
     The principal branch agrees with the Euler-sum branch since
-    sum_p |arg local factor| < sum_p p^-m / (1 - p^-m) < pi."""
+    sum_p |arg local factor| < sum_p p^-m / (1 - p^-m) < pi.  Cached on
+    (chi, m, prec): a character hashes on (modulus, label)."""
     q = chi.modulus
     row = _hurwitz_row(q, m, prec)
     with mp.workprec(prec):
@@ -132,19 +133,24 @@ def _log_L_int(chi: DirichletCharacter, m: int, prec: int) -> mp.mpc:
 # P(k, chi) after its Moebius terms j k - 1 > _PZ_BITS).  Their terms decay
 # like 2^-k, so the cut leaves less than 4 * 2^-_PZ_BITS per character:
 # _mertens_cached adds 2^(2 - _PZ_BITS) (phi + 1) to the error of log C.
+# Its cache and _prime_zeta's leave _PZ_BITS out of the key: clear both after
+# changing it.
 _PZ_BITS = 48
 
 
+@lru_cache(maxsize=None)
 def _prime_zeta(chi: DirichletCharacter, k: int, prec: int) -> mp.mpc:
-    """P(k, chi) = sum_p chi(p)/p^k via Moebius inversion of log L."""
-    total = mp.mpc(0)
-    j = 1
-    while (j * k - 1) <= _PZ_BITS:
-        mu = _mobius(j)
-        if mu:
-            total += mp.mpf(mu) / j * _log_L_int(chi.power(j), j * k, prec)
-        j += 1
-    return total
+    """P(k, chi) = sum_p chi(p)/p^k via Moebius inversion of log L, cached on
+    (chi, k, prec)."""
+    with mp.workprec(prec):
+        total = mp.mpc(0)
+        j = 1
+        while (j * k - 1) <= _PZ_BITS:
+            mu = _mobius(j)
+            if mu:
+                total += mp.mpf(mu) / j * _log_L_int(chi.power(j), j * k, prec)
+            j += 1
+        return total
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +174,13 @@ def _branched_log_L1(chi: DirichletCharacter, ctx: PrecisionContext) -> mp.mpc:
     v = L_at_1(chi, ctx)
     s0 = 0.0 + 0.0j
     q = chi.modulus
+    # chi(p) in doubles, once per residue class r = p mod q
+    rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
     for p in _branch_primes():
-        t = chi.exponent(p)
-        if t is None:
+        z = rot.get(p % q)
+        if z is None:
             continue
-        s0 += -cmath.log(1 - cmath.exp(2j * math.pi * float(t)) / p)
+        s0 += -cmath.log(1 - z / p)
     with ctx.workprec():
         principal = mp.log(v)
         k = _winding_number((s0.imag - float(mp.im(principal))) / (2 * math.pi))
@@ -292,34 +300,29 @@ def F_p_primecalc(p: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
 # G_q: purely imaginary Euler-factor zeros of imprimitive L-series
 
 
-def _abs_zero_sum_half(L: mp.mpf, theta_frac, kmax: int) -> mp.mpf:
-    """sum over k >= 0 of f(t_k), t_k = (theta + 2 pi k)/L with
-    f(t) = 1/(t sqrt(1+t^2)), for 0 < theta <= 2 pi; Hurwitz-zeta tail."""
-    total = mp.mpf(0)
-    two_pi = 2 * mp.pi
-    tf = mp.mpf(theta_frac.numerator) / theta_frac.denominator if isinstance(
-        theta_frac, Fraction
-    ) else mp.mpf(theta_frac)
-    theta = two_pi * tf
-    for k in range(kmax + 1):
-        t = (theta + two_pi * k) / L
-        total += 1 / (t * mp.sqrt(1 + t * t))
-    # f(t) = t^-2 - t^-4/2 + 3 t^-6/8 - ...; sum tails as Hurwitz zetas
-    u = L / two_pi
-    shift = kmax + 1 + tf
-    total += u**2 * mp.zeta(2, shift)
-    total -= u**4 / 2 * mp.zeta(4, shift)
-    total += 3 * u**6 / 8 * mp.zeta(6, shift)
-    return total
-
-
-def _abs_zero_sum(L: mp.mpf, theta_frac, kmax: int) -> mp.mpf:
-    """Full line sum_k f(|t_k|), k in Z, excluding t = 0 when theta = 0."""
-    if theta_frac == 0:
-        return 2 * _abs_zero_sum_half(L, 1, kmax)  # k >= 1 branch, doubled
-    return _abs_zero_sum_half(L, theta_frac, kmax) + _abs_zero_sum_half(
-        L, 1 - Fraction(theta_frac), kmax
-    )
+@lru_cache(maxsize=None)
+def _abs_zero_sum_half(p: int, theta_frac, kmax: int, prec: int) -> mp.mpf:
+    """sum over k >= 0 of f(t_k), t_k = (theta + 2 pi k)/L with L = log p,
+    theta = 2 pi theta_frac (a Fraction, or 1) and f(t) = 1/(t sqrt(1+t^2)),
+    for 0 < theta <= 2 pi; Hurwitz-zeta tail.
+    Cached on (p, theta/2pi, kmax, prec), which all characters and moduli
+    with the same chi'(p) share, as do the halves theta and 2 pi - theta."""
+    with mp.workprec(prec):
+        L = mp.log(p)
+        total = mp.mpf(0)
+        two_pi = 2 * mp.pi
+        tf = mp.mpf(theta_frac.numerator) / theta_frac.denominator
+        theta = two_pi * tf
+        for k in range(kmax + 1):
+            t = (theta + two_pi * k) / L
+            total += 1 / (t * mp.sqrt(1 + t * t))
+        # f(t) = t^-2 - t^-4/2 + 3 t^-6/8 - ...; sum tails as Hurwitz zetas
+        u = L / two_pi
+        shift = kmax + 1 + tf
+        total += u**2 * mp.zeta(2, shift)
+        total -= u**4 / 2 * mp.zeta(4, shift)
+        total += 3 * u**6 / 8 * mp.zeta(6, shift)
+        return total
 
 
 def _signed_zero_sum_theta0(L: mp.mpf) -> mp.mpf:
@@ -366,7 +369,10 @@ def G_q(
             if theta_frac == 0 and convention == "published":
                 total += _signed_zero_sum_theta0(L)
             else:
-                total += _abs_zero_sum(L, theta_frac, kmax)
+                # the full line sum_k f(|t_k|), k in Z: the halves k >= 0 at theta
+                # and at 2 pi - theta, or for theta = 0 the k >= 1 half twice
+                halves = (1, 1) if theta_frac == 0 else (theta_frac, 1 - theta_frac)
+                total += sum(_abs_zero_sum_half(p, h, kmax, ctx.prec) for h in halves)
                 # first omitted asymptotic order bounds the tail error
                 err += 2 * (L / (2 * mp.pi)) ** 8 * mp.zeta(8, kmax + 1) * mp.mpf(5) / 16
         return Approx(total, err + ctx.eps(abs(total)))

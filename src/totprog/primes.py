@@ -17,6 +17,7 @@ bound cannot rule out the maximum (criterion.sweep).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,7 +73,7 @@ def _segmented_sieve(limit: int) -> list[int]:
     base[0:2] = b"\x00\x00"
     for i in range(2, int(math.isqrt(root)) + 1):
         if base[i]:
-            base[i * i :: i] = bytearray(len(base[i * i :: i]))
+            base[i * i :: i] = bytearray(len(range(i * i, root + 1, i)))
     base_primes = [i for i in range(2, root + 1) if base[i]]
     primes = list(base_primes)
     lo = root + 1
@@ -81,8 +82,8 @@ def _segmented_sieve(limit: int) -> list[int]:
         seg = bytearray([1]) * (hi - lo)
         for p in base_primes:
             start = max(p * p, (lo + p - 1) // p * p)
-            seg[start - lo :: p] = bytearray(len(seg[start - lo :: p]))
-        primes.extend(i + lo for i, flag in enumerate(seg) if flag)
+            seg[start - lo :: p] = bytearray(len(range(start, hi, p)))
+        primes.extend(itertools.compress(range(lo, hi), seg))
         lo = hi
     return primes
 
@@ -112,10 +113,11 @@ class ProgressionStats:
 
     Cumulative sums are mpf at `prec` bits.  The prime-power sums are built
     with the object.  theta and log(1 - 1/pbar) sums come from point_sums
-    alone: single-point readers (theta, log_one_minus, psi, S, R) call it,
-    and the walkers of every step point (steps, primorials) read theta_cum
+    alone: the walkers of every step point (steps, primorials) read theta_cum
     and log1m_cum, whose k-th entries are point_sums(k), grown on demand to
-    the furthest point walked.  S(x) = theta(x) - x/phi(q) and
+    the furthest point walked, and single-point readers (theta,
+    log_one_minus, psi, S, R) read those entries where a walk has reached
+    the point and call point_sums elsewhere.  S(x) = theta(x) - x/phi(q) and
     R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
     """
 
@@ -261,8 +263,16 @@ class ProgressionStats:
         self._extend(i)
         return i
 
+    def _sums_at(self, x) -> tuple:
+        """point_sums at the progression primes <= x, read from theta_cum and
+        log1m_cum when a walk has already stored them."""
+        k = self._count(x)
+        if 0 < k <= len(self.theta_cum):
+            return self.theta_cum[k - 1], self.log1m_cum[k - 1]
+        return self.point_sums(k)
+
     def theta(self, x) -> mp.mpf:
-        return self.point_sums(self._count(x))[0]
+        return self._sums_at(x)[0]
 
     def psi(self, x) -> mp.mpf:
         j = bisect.bisect_right(self.power_points, int(x))
@@ -271,7 +281,7 @@ class ProgressionStats:
 
     def log_one_minus(self, x) -> mp.mpf:
         """Sum of log(1 - 1/pbar) over progression primes pbar <= x."""
-        return self.point_sums(self._count(x))[1]
+        return self._sums_at(x)[1]
 
     def steps(self, lo, hi):
         """Yield (start, end, theta) for the intervals that tile [lo, hi] with
@@ -298,10 +308,11 @@ class ProgressionStats:
         if k_max > len(self.pbar):
             raise ValueError("sieve exhausted before k_max progression primes")
         self._extend(k_max)
-        entries = tuple(
-            (k + 1, self.pbar[k], self.theta_cum[k], self.theta_cum[k] + self.log1m_cum[k])
-            for k in range(k_max)
-        )
+        with mp.workprec(self.prec):
+            entries = tuple(
+                (k + 1, self.pbar[k], self.theta_cum[k], self.theta_cum[k] + self.log1m_cum[k])
+                for k in range(k_max)
+            )
         return PrimorialSeq(self.q, self.a, entries)
 
 

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from oracles import F_q_via_divisors, index_data_bruteforce, mertens_C_naive
+from totprog import constants
 from totprog.characters import build_group, totient, units
 from totprog.constants import (
     F1,
@@ -115,6 +116,85 @@ def test_winding_number_rejects_ambiguous_estimate(turns):
 @pytest.mark.parametrize("turns,k", [(0.0, 0), (1.02, 1), (-2.2, -2), (3.25, 3)])
 def test_winding_number_clean_estimate(turns, k):
     assert _winding_number(turns) == k
+
+
+# -- per-character caches ----------------------------------------------------
+
+# the caches whose values depend on _PZ_BITS, which their keys leave out
+_CUT_CACHES = ("_mertens_cached", "_prime_zeta")
+
+
+def _clear(*names):
+    for name in names or _CUT_CACHES + ("_log_L_int", "_abs_zero_sum_half"):
+        getattr(constants, name).cache_clear()
+
+
+def _module_caches():
+    return [n for n, f in vars(constants).items() if hasattr(f, "cache_clear") and f.__module__ == constants.__name__]
+
+
+def test_per_character_sums_are_computed_once_per_key():
+    """C(14, 1) asks 752 times for P(k, psi) and G_q(14) eight times for an
+    Euler-factor half sum.  Each is computed once per distinct key, at most
+    282 and exactly 2, and so is each log L(m, psi) under the P(k, psi), at
+    most 288 (1,968 uncached)."""
+    _clear()
+    mertens_C(14, 1)
+    assert constants._log_L_int.cache_info().misses <= 288
+    assert constants._prime_zeta.cache_info().misses <= 282
+    G_q(14)
+    assert constants._abs_zero_sum_half.cache_info().misses == 2
+
+
+_CACHED_CALLS = [
+    *((G_q, (14, PrecisionContext(prec), kmax, conv)) for prec in (53, 192) for kmax in (2000, 4000) for conv in ("published", "absolute")),
+    *((mertens_C, (q, 1, PrecisionContext(prec))) for prec in (53, 192) for q in (7, 14)),
+]
+
+
+def _bits(call):
+    fn, args = call
+    r = fn(*args)
+    values = r if fn is G_q else (r.C.value, r.C.err, r.M.value, r.M.err, r.log_C)
+    return [v._mpf_ for v in values]
+
+
+def test_cached_values_do_not_depend_on_call_order():
+    """Every call sees the value it gets from cold caches, whichever calls at
+    other precisions, kmax or conventions came first: the keys hold all
+    three."""
+    cold = []
+    for call in _CACHED_CALLS:
+        _clear()
+        cold.append(_bits(call))
+    _clear()
+    assert [_bits(c) for c in _CACHED_CALLS] == cold
+    _clear()
+    assert [_bits(c) for c in reversed(_CACHED_CALLS)] == cold[::-1]
+
+
+@pytest.mark.parametrize("q", [3, 7, 14])
+def test_prime_zeta_cut_is_within_its_stated_tail(q, monkeypatch):
+    """log C(q, 1) with the prime-zeta sums cut at 64 bits instead of
+    _PZ_BITS = 48 moves by no more than the tail _mertens_cached adds to the
+    error, 2^(2 - 48) (phi + 1).  Clearing the caches _CUT_CACHES names
+    gives the value that clearing every cache of the module gives, so no
+    other cache holds a value of the old cut; and the 48-bit value comes
+    back."""
+    _clear(*_CUT_CACHES)
+    at48 = mertens_C(q, 1).log_C
+    with monkeypatch.context() as m:
+        m.setattr(constants, "_PZ_BITS", 64)
+        _clear(*_CUT_CACHES)
+        try:
+            at64 = mertens_C(q, 1).log_C
+            _clear(*_module_caches())
+            assert mertens_C(q, 1).log_C._mpf_ == at64._mpf_
+        finally:
+            _clear(*_CUT_CACHES)
+    diff = abs(at64 - at48)
+    assert 0 < diff <= mp.mpf(2) ** (2 - 48) * (totient(q) + 1)
+    assert mertens_C(q, 1).log_C._mpf_ == at48._mpf_
 
 
 # -- F constants -------------------------------------------------------------

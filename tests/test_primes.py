@@ -7,12 +7,14 @@ from functools import lru_cache
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import mpf_add, round_nearest
 
 from oracles import exact_product_sums, running_sums, running_sums_bound
 from totprog.primes import (
     BLOCK,
     PrimeTable,
     ProgressionStats,
+    _SEGMENT,
     default_table,
     enumerate_smooth,
     primorials,
@@ -28,8 +30,15 @@ def test_small_primes(table):
     assert table.upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_segmented_matches_simple_sieve():
-    limit = 10_000
+# isqrt is 443 here, so the third segment, which starts 443 + 1 + 2 _SEGMENT,
+# ends exactly at this limit
+_THREE_SEGMENTS = 443 + 3 * _SEGMENT
+
+
+@pytest.mark.parametrize("limit", [10_000, _THREE_SEGMENTS - 1, _THREE_SEGMENTS, _THREE_SEGMENTS + 1, 5 * _SEGMENT])
+def test_segmented_matches_simple_sieve(limit):
+    if limit == _THREE_SEGMENTS:
+        assert limit - math.isqrt(limit) == 3 * _SEGMENT
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for i in range(2, int(limit**0.5) + 1):
@@ -178,12 +187,45 @@ def test_lazy_build_matches_an_eager_build(qa, prec, reads):
             entries = st_.primorials(arg).entries
             assert [e[:2] for e in entries] == [(k + 1, pbar[k]) for k in range(arg)]
             got = [v for e in entries for v in e[2:]]
-            want = [v for k in range(1, arg + 1) for v in (sums[k][0], sums[k][0] + sums[k][1])]
+            want = [v for k in range(1, arg + 1) for v in (sums[k][0], _sum_at(prec, *sums[k]))]
             needed = max(needed, arg)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
         assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
     assert [v._mpf_ for v in st_.theta_cum] == [sums[k][0]._mpf_ for k in range(1, needed + 1)]
     assert [v._mpf_ for v in st_.log1m_cum] == [sums[k][1]._mpf_ for k in range(1, needed + 1)]
+
+
+def _sum_at(prec, a, b):
+    return mp.make_mpf(mpf_add(a._mpf_, b._mpf_, prec, round_nearest))
+
+
+def _mpfs(values):
+    return [v._mpf_ for v in values]
+
+
+def test_single_point_reads_after_a_walk_take_no_logs(table, monkeypatch):
+    """theta and log_one_minus read the entries a walk has stored, with the
+    bits a fresh point_sums gives, and take block logs only past them."""
+    st_ = ProgressionStats(7, 3, table)
+    xs = [1, st_.pbar[0], st_.pbar[63], st_.pbar[64] + 1, st_.pbar[299]]
+    want = [_mpfs(st_.point_sums(bisect.bisect_right(st_.pbar, x))) for x in xs]
+    st_ = ProgressionStats(7, 3, table)
+    st_.primorials(300)
+    calls = []
+    block_sums = ProgressionStats._block_sums
+    monkeypatch.setattr(ProgressionStats, "_block_sums", lambda self, *a: calls.append(a) or block_sums(self, *a))
+    assert [_mpfs((st_.theta(x), st_.log_one_minus(x))) for x in xs] == want
+    assert calls == []
+    st_.theta(st_.pbar[300])
+    assert len(calls) == 1
+
+
+def test_primorials_add_at_the_working_precision():
+    """log phi(Nbar_k) = theta + log1m is rounded to prec, as log Nbar_k is,
+    not to the caller's precision."""
+    st_ = stats(5, 1)
+    for k, (_, _, th, lphi) in enumerate(primorials(5, 1, 40).entries):
+        assert lphi._mpf_ == mpf_add(th._mpf_, st_.log1m_cum[k]._mpf_, st_.prec, round_nearest)
 
 
 @pytest.mark.parametrize("prec", [3, 53, 300])

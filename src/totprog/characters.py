@@ -1,15 +1,19 @@
 """Dirichlet character groups modulo q.
 
 Characters are labelled in the Conrey/LMFDB scheme: a unit l mod q names the
-character chi_q(l, .), with chi_q(1, .) the principal character.  Values are
-held as exact rational exponents (chi(n) = e(t) with t in Q/Z); conversion to
-floating complex happens only at evaluation sites, at caller-chosen precision.
+character chi_q(l, .), with chi_q(1, .) the principal character.  A character
+is only its modulus and label: one table per modulus holds the integer
+discrete logs of every unit over the cyclic factors of each p^e || q, and
+chi(n) = e(t) comes from the logs of l and n as an exact t in Q/Z; conversion
+to floating complex happens only at evaluation sites, at caller-chosen
+precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -77,51 +81,39 @@ def _conrey_generator(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _local_index(p: int, e: int) -> dict:
-    """Discrete-log data for (Z/p^e Z)^x in the Conrey parametrisation.
+def _local_logs(p: int, e: int) -> tuple:
+    """(g, orders, logs) for (Z/p^e Z)^x in the Conrey parametrisation: every
+    unit is n = (-1)^eps g^a mod p^e, and logs maps n -> (eps, a).
 
-    Odd p: n -> a with g^a = n, g the Conrey generator; order phi(p^e).
-    p = 2, e >= 3: n -> (eps, b) with n = (-1)^eps 5^b mod 2^e.
-    p = 2, e == 2: n -> eps with n = (-1)^eps mod 4.
+    Odd p: g is the Conrey generator, eps = 0, orders (1, phi(p^e)).
+    p = 2: g = 5, orders (2, 2^(e-2)) for e >= 2 and (1, 1) for e = 1.
     """
     pe = p**e
-    if p == 2:
-        if e == 1:
-            return {1: 0}
-        if e == 2:
-            return {1: 0, 3: 1}
-        half = 2 ** (e - 2)
-        table = {}
-        x = 1
-        for b in range(half):
-            table[x % pe] = (0, b)
-            table[(-x) % pe] = (1, b)
-            x = x * 5 % pe
-        return table
-    phi = pe // p * (p - 1)
-    g = _conrey_generator(p)
-    table = {}
+    g = 5 if p == 2 else _conrey_generator(p)
+    sign = 2 if p == 2 and e > 1 else 1
+    order = totient(pe) // sign
+    logs = {}
     x = 1
-    for a in range(phi):
-        table[x] = a
+    for a in range(order):
+        for eps in range(sign):
+            logs[(-x if eps else x) % pe] = (eps, a)
         x = x * g % pe
-    return table
+    return g, (sign, order), logs
 
 
-def _local_exponent(p: int, e: int, l: int, n: int) -> Fraction:
-    """Exponent t with chi_{p^e}(l, n) = e(t), for units l, n mod p^e."""
-    pe = p**e
-    idx = _local_index(p, e)
-    if p == 2:
-        if e == 1:
-            return Fraction(0)
-        if e == 2:
-            return Fraction(idx[l % 4] * idx[n % 4], 2)
-        el, bl = idx[l % pe]
-        en, bn = idx[n % pe]
-        return Fraction(el * en, 2) + Fraction(bl * bn, 2 ** (e - 2))
-    phi = pe // p * (p - 1)
-    return Fraction(idx[l % pe] * idx[n % pe], phi)
+@lru_cache(maxsize=None)
+def _log_table(q: int) -> tuple:
+    """(logs, scaled, exps) mod q.  logs maps each unit n mod q (0 for q = 1)
+    to its integer logs b over the cyclic factors of every p^e || q, and
+    scaled to (b_i N / o_i), with o_i the orders of the factors and N their
+    lcm.  Then chi_q(l, n) = e(t) with t = exps[sum_i a_i s_i mod N] =
+    (sum_i a_i s_i mod N) / N, for a the logs of l and s the scaled logs of n."""
+    parts = [(p**e, *_local_logs(p, e)[1:]) for p, e in factorint(q).items()]
+    orders = [o for _, os, _ in parts for o in os]
+    N = math.lcm(*orders)
+    logs = {n: sum((t[n % pe] for pe, _, t in parts), ()) for n in range(q) if math.gcd(n, q) == 1}
+    scaled = {n: tuple(x * (N // o) for x, o in zip(b, orders)) for n, b in logs.items()}
+    return logs, scaled, [Fraction(k, N) for k in range(N)]
 
 
 @lru_cache(maxsize=None)
@@ -136,27 +128,16 @@ class DirichletCharacter:
 
     modulus: int
     label: int
-    _exponents: dict = field(repr=False, compare=False)
-
-    @classmethod
-    def _build(cls, q: int, l: int) -> "DirichletCharacter":
-        exps = {}
-        fac = factorint(q) if q > 1 else {}
-        for n in units(q):
-            t = Fraction(0)
-            for p, e in fac.items():
-                t += _local_exponent(p, e, l, n)
-            exps[n] = t % 1
-        return cls(q, l, exps)
 
     # --- exact algebra ---------------------------------------------------
 
     def exponent(self, n: int) -> Fraction | None:
         """t in [0,1) with chi(n) = e(t), or None when chi(n) = 0."""
-        n %= self.modulus
-        if self.modulus == 1:
-            n = 1
-        return self._exponents.get(n)
+        logs, scaled, exps = _log_table(self.modulus)
+        s = scaled.get(n % self.modulus)
+        if s is None:
+            return None
+        return exps[sum(map(operator.mul, logs[self.label % self.modulus], s)) % len(exps)]
 
     def value(self, n: int, prec: int = 53) -> mp.mpc:
         t = self.exponent(n)
@@ -206,22 +187,28 @@ class DirichletCharacter:
 
     @cached_property
     def _conductor_and_primitive(self):
-        q = self.modulus
-        d = q
-        for cand in divisors(q):
-            # chi factors through mod cand iff chi is trivial on units = 1 mod cand
-            if all(self.exponent(u) == 0 for u in units(q) if u % cand == 1 % max(cand, 2) or cand == 1):
-                d = cand
-                break
-        if d == q:
+        # Read off the label's logs (eps, a) one p^e || q at a time.  The local
+        # character is trivial on the units = 1 mod p^c iff p^(e-c) | a, so
+        # c = e - v_p(a) for a != 0; the sign alone (p = 2, a = 0, eps = 1)
+        # needs c = 2.  The inducing character mod p^c has logs (eps, a /
+        # p^(e-c)), so its label is (-1)^eps g^(a / p^(e-c)) mod p^c; the
+        # local labels combine by CRT.  (Not label mod d: chi_27(8, .) is
+        # induced by chi_9(2, .).)
+        d, label = 1, 0
+        for p, e in factorint(self.modulus).items():
+            g, _, logs = _local_logs(p, e)
+            eps, a = logs[self.label % p**e]
+            c = e
+            while c and a % p ** (e - c + 1) == 0:
+                c -= 1
+            c = max(c, 2 * eps)
+            pc = p**c
+            local = (-1) ** eps * pow(g, a // p ** (e - c), pc)
+            label += d * ((local - label) * pow(d, -1, pc) % pc)
+            d *= pc
+        if d == self.modulus:
             return d, self
-        prim = None
-        for cand_chi in build_group(d).characters:
-            if all(cand_chi.exponent(u % d) == self.exponent(u) for u in units(q)):
-                prim = cand_chi
-                break
-        assert prim is not None, "induction matching failed"
-        return d, prim
+        return d, build_group(d).by_label(label)
 
 
 @dataclass(frozen=True)
@@ -229,7 +216,6 @@ class CharacterGroup:
     """All phi(q) Dirichlet characters mod q, principal character first."""
 
     modulus: int
-    generators: tuple  # (residue, order) pairs for (Z/qZ)^x
     characters: tuple
 
     def __iter__(self):
@@ -253,35 +239,10 @@ class CharacterGroup:
         return {chi.label: chi for chi in self.characters}
 
 
-def _group_generators(q: int) -> tuple:
-    gens = []
-    for p, e in factorint(q).items():
-        pe = p**e
-        m = q // pe
-        minv = pow(m, -1, pe)
-
-        def lift(g):
-            return (1 + m * ((g - 1) * minv % pe)) % q
-
-        if p == 2:
-            if e == 2:
-                gens.append((lift(3), 2))
-            elif e >= 3:
-                gens.append((lift(pe - 1), 2))
-                gens.append((lift(5), 2 ** (e - 2)))
-        else:
-            gens.append((lift(_conrey_generator(p) % pe), pe // p * (p - 1)))
-    return tuple(gens)
-
-
 @lru_cache(maxsize=None)
 def build_group(q: int) -> CharacterGroup:
-    """Construct the full character group mod q (CRT over prime powers)."""
+    """The full character group mod q, in label order (principal first)."""
     if q < 1:
         raise ValueError("modulus must be a positive integer")
-    labels = sorted(units(q))
-    labels.remove(1 % q if q > 1 else 1)
-    chars = [DirichletCharacter._build(q, 1)]
-    chars.extend(DirichletCharacter._build(q, l) for l in labels)
-    return CharacterGroup(q, _group_generators(q), tuple(chars))
+    return CharacterGroup(q, tuple(DirichletCharacter(q, l) for l in units(q)))
 

@@ -30,18 +30,11 @@ import mpmath as mp
 
 from . import criterion, reference_data
 from .characters import totient
-from .constants import (
-    F_chi,
-    F_p_primecalc,
-    F_q,
-    G_q,
-    gamma_p,
-    index_data,
-    mertens_C,
-    nicolas_condition_scan,
-)
+# mertens_C is not called here: perfbench/selftest.py (TracerInstall) checks
+# that the tracer rebinds the name in this module too.
+from .constants import F_chi, F_p_primecalc, F_q, gamma_p, mertens_C, nicolas_condition_scan  # noqa: F401
 from .lvalues import Lprime_over_L_at_1, PrecisionContext
-from .primes import DEFAULT_LIMIT, PrimeTable, default_table, stats
+from .primes import DEFAULT_LIMIT, PrimeTable, default_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,8 +185,6 @@ def _table_rows(tid: str, ctx, args):
             rows.append((d, label, chi.parity, fmt(llv), ell, fmt(fv), ef, "ok" if ok else "MISMATCH"))
         return ("modulus", "label", "alpha", "LpL1", "expected", "F_chi", "expected_F", "status"), rows, mismatches
     if tid == "T8":
-        from .lvalues import b_sum_signed, m0_sum
-
         for q, (eF, eG, eR, eB, eM, eP, efinal) in reference_data.TABLE8.items():
             bp = criterion.bound_params(q, ctx)
             final = bp.F - mp.mpf("1.2") * bp.R + bp.P

@@ -36,6 +36,8 @@ from .lvalues import (
     L_at_1,
     Lprime_over_L_at_1,
     PrecisionContext,
+    _char_sum,
+    _row,
 )
 from . import primes as primes_mod
 
@@ -111,22 +113,14 @@ class MertensConstant:
 
 
 @lru_cache(maxsize=None)
-def _hurwitz_row(q: int, m: int, prec: int) -> dict:
-    with mp.workprec(prec):
-        return {r: mp.zeta(m, mp.mpf(r) / q) for r in units(q)}
-
-
-@lru_cache(maxsize=None)
 def _log_L_int(chi: DirichletCharacter, m: int, prec: int) -> mp.mpc:
     """log L(m, chi) for integer m >= 2 (imprimitive L-series mod q).
     The principal branch agrees with the Euler-sum branch since
     sum_p |arg local factor| < sum_p p^-m / (1 - p^-m) < pi.  Cached on
     (chi, m, prec): a character hashes on (modulus, label)."""
     q = chi.modulus
-    row = _hurwitz_row(q, m, prec)
     with mp.workprec(prec):
-        L = sum(chi.value(r, prec) * row[r] for r in units(q)) / mp.mpf(q) ** m
-        return mp.log(L)
+        return mp.log(_char_sum(chi, _row(mp.zeta, q, prec, m), prec) / mp.mpf(q) ** m)
 
 
 # The prime-zeta sums sum_k P(k, chi)/k are cut after k = _PZ_BITS (and each

@@ -220,8 +220,6 @@ class BoundParams:
     R: int
     B_signed: mp.mpf
     M: int
-    c1: Fraction | None
-    c2: Fraction | None
     x_q: int | None
     P: mp.mpf
 
@@ -236,10 +234,9 @@ def _bound_params_cached(q: int, prec: int) -> BoundParams:
         B = b_sum_signed(q, ctx).value
         M = m0_sum(q)
         c1 = reference_data.c1_of(q)
-        c2 = reference_data.c2_of(q)
         xq = x_q_threshold(q, c1) if c1 is not None else None
         P = _P_q_from(q, F, G, R, B, M, ctx)
-        return BoundParams(q, F, G, R, B, M, c1, c2, xq, P)
+        return BoundParams(q, F, G, R, B, M, xq, P)
 
 
 def bound_params(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> BoundParams:
@@ -461,10 +458,10 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
     if ctx.prec < MIN_PREC:
         raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
     if x_max is None:
-        bp = bound_params(q, ctx) if reference_data.c1_of(q) is not None else None
+        c1 = reference_data.c1_of(q)
         candidates = [E10_CEIL]
-        if bp is not None and bp.x_q is not None:
-            candidates.append(bp.x_q)
+        if c1 is not None:
+            candidates.append(x_q_threshold(q, c1))
         printed = reference_data.printed_xq_floor(q)
         if printed is not None:
             candidates.append(printed)

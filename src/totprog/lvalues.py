@@ -70,56 +70,46 @@ class Approx(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _digamma_row(q: int, prec: int) -> dict:
+def _row(f, d: int, prec: int, *args, **kwargs) -> dict:
+    """r -> f(*args, r/d, **kwargs) over the units r mod d, at prec bits.
+    Callers pass the mpmath kernel f as looked up at the call."""
     with mp.workprec(prec):
-        return {r: mp.digamma(mp.mpf(r) / q) for r in units(q)}
+        return {r: f(*args, mp.mpf(r) / d, **kwargs) for r in units(d)}
 
 
-@lru_cache(maxsize=None)
-def _loggamma_row(d: int, prec: int) -> dict:
+def _char_sum(chi: DirichletCharacter, row, prec: int) -> mp.mpc:
+    """sum_r chi(r) row[r] over the units r mod chi.modulus, at prec bits."""
     with mp.workprec(prec):
-        return {r: mp.loggamma(mp.mpf(r) / d) for r in units(d)}
-
-
-@lru_cache(maxsize=None)
-def _zeta2_row(d: int, prec: int) -> dict:
-    """zeta''(0, r/d), the s-second derivative of the Hurwitz zeta."""
-    with mp.workprec(prec):
-        return {r: mp.zeta(0, mp.mpf(r) / d, 2) for r in units(d)}
+        return sum(chi.value(r, prec) * row[r] for r in units(chi.modulus))
 
 
 def L_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpc:
     if chi.is_principal:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     q = chi.modulus
-    row = _digamma_row(q, ctx.prec)
     with ctx.workprec():
-        return -sum(chi.value(r, ctx.prec) * row[r] for r in units(q)) / q
+        return -_char_sum(chi, _row(mp.digamma, q, ctx.prec), ctx.prec) / q
 
 
 def _b_primitive(psi: DirichletCharacter, prec: int) -> mp.mpc:
     """Constant term b of L'/L(s, psi) at s = 0, psi primitive nonprincipal
     (the Lerch / Deninger sums of the module docstring)."""
     d = psi.modulus
-
-    def Z(row):
-        return sum(psi.value(r, prec) * row[r] for r in units(d))
-
     with mp.workprec(prec):
-        z1 = Z(_loggamma_row(d, prec))
+        z1 = _char_sum(psi, _row(mp.loggamma, d, prec), prec)
         if psi.parity:
-            z0 = -Z({r: r for r in units(d)}) / d
+            z0 = -_char_sum(psi, {r: r for r in units(d)}, prec) / d
             return -mp.log(d) + z1 / z0
-        return -mp.log(d) + Z(_zeta2_row(d, prec)) / (2 * z1)
+        return -mp.log(d) + _char_sum(psi, _row(mp.zeta, d, prec, 0, derivative=2), prec) / (2 * z1)
 
 
 @lru_cache(maxsize=None)
-def _ll1_cached(modulus: int, label: int, prec: int) -> mp.mpc:
-    prim = build_group(modulus).by_label(label).primitive()
+def _ll1_cached(chi: DirichletCharacter, prec: int) -> mp.mpc:
+    prim = chi.primitive()
     d = prim.modulus
     with mp.workprec(prec):
         ll = -mp.log(mp.mpf(d) / mp.pi) + mp.euler + mp.log(2) - _b_primitive(prim.conjugate(), prec)
-        for p in factorint(modulus):
+        for p in factorint(chi.modulus):
             if d % p:
                 val = prim.value(p, prec)
                 ll += val * mp.log(p) / (p - val)
@@ -130,7 +120,7 @@ def Lprime_over_L_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_
     """L'/L(1, chi) of the L-series mod chi.modulus (Euler factors included)."""
     if chi.is_principal:
         raise ValueError("L(s, chi0) has a pole at s = 1")
-    return _ll1_cached(chi.modulus, chi.label, ctx.prec)
+    return _ll1_cached(chi, ctx.prec)
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,9 @@ def _segmented_sieve(limit: int) -> list[int]:
     return primes
 
 
-@lru_cache(maxsize=4)
-def default_table(limit: int = DEFAULT_LIMIT) -> PrimeTable:
-    return PrimeTable(limit)
+@lru_cache(maxsize=None)
+def default_table() -> PrimeTable:
+    return PrimeTable(DEFAULT_LIMIT)
 
 
 @dataclass(frozen=True)

@@ -161,11 +161,6 @@ def c1_of(q: int) -> Fraction | None:
     return Fraction(row[0]) if row else None
 
 
-def c2_of(q: int) -> Fraction | None:
-    row = TABLE9.get(q)
-    return Fraction(row[1]) if row else None
-
-
 def printed_xq_floor(q: int) -> int | None:
     row = TABLE9.get(q)
     return row[2] if row else None
@@ -205,9 +200,5 @@ FIGURES = {
     "F7": {"kind": "logf", "q": 7, "residues": [1, 2, 3, 4, 5, 6], "xmax": 50000},
     "F8": {"kind": "logf", "q": 10, "residues": [1, 9, 3, 7], "xmax": 50000},
 }
-
-# Mertens-type constants marked on the smooth-ratio figures (tolerance 1e-4):
-# C(5,1) = 1.225238..., C(5,3) = 0.805951...; the plotted ratio tends to 1/C.
-THRESHOLD_C = {(5, 1): "1.2252", (5, 3): "0.8060"}
 
 TABLES_WITHOUT_DATA = ("T6", "T7")  # referenced ids with no published entries

@@ -8,7 +8,8 @@ equation that totprog.lvalues reflects L'/L(1, chi) from:
 
 The Laurent data of L'/L at s = 0 fitted from Hurwitz zeta values near
 s = 0; F_q regrouped over the divisors of q; R_{q,a} by counting m-th roots;
-and C(q,a) as the truncated Mertens product.
+and C(q,a) as the truncated Mertens product.  The conductor and primitive
+part of a character by searching the divisors of q and the group mod d.
 
 The sums of log p and log(1 - 1/p) over the first k progression primes by two
 routes independent of the block sums of ProgressionStats.point_sums: one log
@@ -99,6 +100,20 @@ def laurent_fit(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX, h:
         m_h, b_h = out[0]
         m_h2, b_h2 = out[1]
         return (4 * m_h2 - m_h) / 3, (4 * b_h2 - b_h) / 3
+
+
+def conductor_bruteforce(chi: DirichletCharacter) -> tuple:
+    """(conductor, primitive label) by search: the least d | q with chi
+    trivial on the units = 1 mod d, then the character mod d that agrees
+    with chi on every unit mod q (chi itself when d = q: distinct labels
+    mod q give distinct characters)."""
+    q, us = chi.modulus, units(chi.modulus)
+    d = next(d for d in divisors(q) if all(chi.exponent(u) == 0 for u in us if u % d == 1 % d))
+    if d == q:
+        return d, chi.label
+    exps = [chi.exponent(u) for u in us]
+    prim = next(psi for psi in build_group(d) if all(psi.exponent(u) == t for u, t in zip(us, exps)))
+    return d, prim.label
 
 
 def _num_primitive(d: int) -> int:

@@ -1,19 +1,24 @@
 """Character group construction, labelling, orthogonality, induction."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import conductor_bruteforce
 from totprog.characters import (
     DirichletCharacter,
     build_group,
     divisors,
+    factorint,
     totient,
     units,
 )
+
+_PRIMES = [p for p in range(2, 200) if all(p % r for r in range(2, p))]
 
 
 def _as_complex(chi: DirichletCharacter, n: int) -> complex:
@@ -172,3 +177,44 @@ def test_exponents_are_fractions_with_group_order_denominator():
                 assert isinstance(e, Fraction)
                 assert 0 <= e < 1
                 assert totient(q) % e.denominator == 0
+
+
+def test_a_character_is_its_modulus_and_label():
+    assert [f.name for f in dataclasses.fields(DirichletCharacter)] == ["modulus", "label"]
+    chi = build_group(12).by_label(5)
+    assert chi == DirichletCharacter(12, 5) and hash(chi) == hash(DirichletCharacter(12, 5))
+
+
+@pytest.mark.parametrize("q", [*range(1, 201), 243, 256, 1009])
+def test_conductor_and_primitive_match_the_search(q):
+    """The conductor and primitive label read off the label's logs equal
+    those a search over the divisors of q and the group mod d finds."""
+    for chi in build_group(q):
+        assert (chi.conductor, chi.primitive().label) == conductor_bruteforce(chi)
+
+
+def test_primitive_label_is_not_the_label_mod_the_conductor():
+    assert build_group(27).by_label(8).primitive() == DirichletCharacter(9, 2)
+    assert build_group(16).by_label(9).primitive() == DirichletCharacter(8, 5)
+    # -1 mod 16: the sign alone, induced from mod 4
+    assert build_group(16).by_label(15).primitive() == DirichletCharacter(4, 3)
+    differ = [
+        chi
+        for q in range(1, 201)
+        for chi in build_group(q)
+        if chi.conductor > 1 and chi.primitive().label != chi.label % chi.conductor
+    ]
+    assert len(differ) == 276
+
+
+@pytest.mark.parametrize("q", list(range(1, 201)))
+def test_conrey_labels_factor_over_prime_powers(q):
+    """chi_q(l, n) = prod over p^e || q of chi_{p^e}(l mod p^e, n mod p^e),
+    for every label l.  Both sides are characters in n, so n runs over the
+    primes below q that do not divide q, which generate the units mod q."""
+    pes = [p**e for p, e in factorint(q).items()]
+    gens = [p for p in _PRIMES if p < q and q % p]
+    for chi in build_group(q):
+        local = [build_group(pe).by_label(chi.label) for pe in pes]
+        for n in gens:
+            assert chi.exponent(n) == sum(psi.exponent(n) for psi in local) % 1

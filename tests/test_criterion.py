@@ -347,6 +347,21 @@ def test_sweep_all_negative(q, ctx, table):
     assert rep.checked > 0
 
 
+# max(floor(x_q), printed floor(x_q), 22027) per modulus
+_DEFAULT_X_MAX = {1: 22027, 2: 22027, 3: 22027, 4: 22027, 5: 39805, 6: 22027, 7: 78764, 8: 109133, 9: 76312, 10: 39805, 12: 90720, 14: 75702}
+
+
+def test_sweep_default_x_max_needs_no_bound_params(ctx, table, monkeypatch):
+    """The default x_max reads x_q from the bundled c1 alone: a sweep
+    computes none of F_q, G_q, B, M and P_q."""
+
+    def refuse(*_args):
+        raise AssertionError("sweep called bound_params")
+
+    monkeypatch.setattr(cr, "bound_params", refuse)
+    assert {q: cr.sweep(q, 1, ctx, table).x_max for q in _DEFAULT_X_MAX} == _DEFAULT_X_MAX
+
+
 def test_sweep_detects_violation(ctx, table):
     rep = cr.sweep(7, 3, ctx, table)  # nonsquare residue: f exceeds 1
     assert rep.verdict == "violation"

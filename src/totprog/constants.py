@@ -8,6 +8,10 @@ Highlights:
   corrections, so the naive 1/log-x-converging product is only a consistency
   oracle (tests/oracles.py).  The companion constant
   M(q,a) = sum_{p=a} {log(1-1/p)+1/p} - log C uses the same machinery.
+  The corrections read log L(m, chi) at integers m >= 2, as character sums
+  of Hurwitz rows zeta(m, r/q); ``_hurwitz_row`` evaluates those in fixed
+  point from one table of zeta(k) - 1 at the integers per precision (the
+  expansion about a = 1, DLMF 25.11.10), with a stated error bound.
 
 * ``F_q`` sums 1/(rho(1-rho)) over nontrivial zeros of the primitive
   L-functions via the closed form log(d/pi) + 2 Re L'/L(1, conj chi') - gamma
@@ -37,7 +41,6 @@ from .lvalues import (
     Lprime_over_L_at_1,
     PrecisionContext,
     _char_sum,
-    _row,
 )
 from . import primes as primes_mod
 
@@ -113,6 +116,73 @@ class MertensConstant:
 
 
 @lru_cache(maxsize=None)
+def _zeta_table(prec: int) -> tuple:
+    """floor((zeta(k) - 1) 2^W) for k = 0, 1, 2, ... at W = prec + 40, from
+    mp.zeta(k) at W + 20 bits, so each entry is within 1.01 units of its
+    value.  The table ends before its first zero entry: zeta(k) - 1 falls
+    with k, so every later entry is zero too.  Entries 0 and 1 are unused."""
+    w = prec + 40
+    table = [0, 0]
+    with mp.workprec(w + 20):
+        while z := int(mp.floor(mp.ldexp(mp.zeta(len(table)) - 1, w))):
+            table.append(z)
+    return tuple(table)
+
+
+def _hurwitz_terms(m: int, u: int, q: int, w: int) -> int:
+    """The first n with t_n = C(m+n-1, n) 2^-(m+n) (u/q)^n below 2^-(w+4)
+    and t_{n+1}/t_n = (m+n) u / (2 (n+1) q) <= 1/2, which then holds for
+    every later n too; for 0 <= u <= q/2."""
+    n, binom, num, den = 0, 1, 1 << (w + 4), 1 << m
+    while (m + n) * u > (n + 1) * q or binom * num >= den:
+        binom = binom * (m + n) // (n + 1)
+        n += 1
+        num *= u
+        den *= 2 * q
+    return n
+
+
+@lru_cache(maxsize=None)
+def _hurwitz_row(q: int, m: int, prec: int) -> dict:
+    """r -> zeta(m, r/q) over the units r mod q, for integer m >= 2, at prec
+    bits, in fixed point at W = prec + 40 bits from _zeta_table alone.
+
+    For 2r <= q take zeta(m, a) = a^-m + zeta(m, a + 1) and y = -r/q, else
+    y = (q - r)/q; so |y| <= 1/2, and with a' = 1 - y (DLMF 25.11.10)
+
+        zeta(m, a) = [a^-m] + a'^-m + sum_{n>=0} C(m+n-1, n) (zeta(m+n) - 1) y^n.
+
+    The sum is an integer Horner loop over coefficients c_n shared by the
+    row; it stops before the n = N that _hurwitz_terms returns, and every
+    c_n past the table is zero.  Bound, in units of 2^-W: the two powers are
+    floored (< 2); each c_n carries its table entry's error times
+    C(m+n-1, n), < 1.01 (1 - |y|)^-m in all; each Horner step floors once,
+    and step n is damped by |y|^n (< 2); the omitted terms n >= N, with
+    zeta(k) - 1 <= 2^(1-k) for k >= 3, are below 4 t_N < 1/4.  Since
+    zeta(m, a) >= (1 - |y|)^-m >= 1, the fixed
+    point value is zeta(m, a) (1 + delta) with |delta| < 6 * 2^-W, before
+    its rounding to prec bits."""
+    w = prec + 40
+    zeta = _zeta_table(prec)
+    coeffs = []
+    row = {}
+    for r in units(q):
+        u = -r if 2 * r <= q else q - r  # y = u/q
+        total = (q**m << w) // (q - u) ** m
+        if u < 0:
+            total += (q**m << w) // r**m
+        n_terms = max(0, min(_hurwitz_terms(m, abs(u), q, w), len(zeta) - m))
+        while (n := len(coeffs)) < n_terms:
+            coeffs.append(math.comb(m + n - 1, n) * zeta[m + n])
+        acc = 0
+        for c in reversed(coeffs[:n_terms]):
+            acc = c + acc * u // q
+        row[r] = total + acc
+    with mp.workprec(prec):
+        return {r: mp.mpf((v, -w)) for r, v in row.items()}
+
+
+@lru_cache(maxsize=None)
 def _log_L_int(chi: DirichletCharacter, m: int, prec: int) -> mp.mpc:
     """log L(m, chi) for integer m >= 2 (imprimitive L-series mod q).
     The principal branch agrees with the Euler-sum branch since
@@ -120,7 +190,7 @@ def _log_L_int(chi: DirichletCharacter, m: int, prec: int) -> mp.mpc:
     (chi, m, prec): a character hashes on (modulus, label)."""
     q = chi.modulus
     with mp.workprec(prec):
-        return mp.log(_char_sum(chi, _row(mp.zeta, q, prec, m), prec) / mp.mpf(q) ** m)
+        return mp.log(_char_sum(chi, _hurwitz_row(q, m, prec), prec) / mp.mpf(q) ** m)
 
 
 # The prime-zeta sums sum_k P(k, chi)/k are cut after k = _PZ_BITS (and each
@@ -155,29 +225,40 @@ def _mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
+# The primes of the partial Euler sum in _branched_log_L1: up to the first
+# limit, and up to each later one in turn while the estimate stays ambiguous.
+_BRANCH_LIMITS = (100_000, 1_000_000, 10_000_000)
+
+
 @lru_cache(maxsize=4)
-def _branch_primes(limit: int = 100_000) -> list:
+def _branch_primes(limit: int) -> list:
     return primes_mod.PrimeTable(limit).primes
 
 
 def _branched_log_L1(chi: DirichletCharacter, ctx: PrecisionContext) -> mp.mpc:
     """log L(1, chi) on the branch continued along the Euler product
     (the branch entering P(1,chi) = sum_p chi(p)/p).  The partial Euler sum
-    in double precision pins the winding number; the value itself comes from
-    the exact L(1,chi)."""
-    v = L_at_1(chi, ctx)
-    s0 = 0.0 + 0.0j
+    in double precision pins the winding number: over the primes up to each
+    limit of _BRANCH_LIMITS in turn, until the estimate lies within 0.25 of
+    an integer, raising past the last.  The value itself comes from the
+    exact L(1,chi)."""
     q = chi.modulus
     # chi(p) in doubles, once per residue class r = p mod q
     rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
-    for p in _branch_primes():
-        z = rot.get(p % q)
-        if z is None:
-            continue
-        s0 += -cmath.log(1 - z / p)
     with ctx.workprec():
-        principal = mp.log(v)
-        k = _winding_number((s0.imag - float(mp.im(principal))) / (2 * math.pi))
+        principal = mp.log(L_at_1(chi, ctx))
+    for limit in _BRANCH_LIMITS:
+        s0 = 0j
+        for p in _branch_primes(limit):
+            if (z := rot.get(p % q)) is not None:
+                s0 -= cmath.log(1 - z / p)
+        try:
+            k = _winding_number((s0.imag - float(mp.im(principal))) / (2 * math.pi))
+            break
+        except ArithmeticError:
+            if limit == _BRANCH_LIMITS[-1]:
+                raise
+    with ctx.workprec():
         return principal + 2j * mp.pi * k
 
 

@@ -8,7 +8,8 @@ equation that totprog.lvalues reflects L'/L(1, chi) from:
 
 The Laurent data of L'/L at s = 0 fitted from Hurwitz zeta values near
 s = 0; F_q regrouped over the divisors of q; R_{q,a} by counting m-th roots;
-and C(q,a) as the truncated Mertens product.  The conductor and primitive
+and C(q,a) as the truncated Mertens product.  The Hurwitz rows zeta(m, r/q)
+by one mpmath call per value.  The conductor and primitive
 part of a character by searching the divisors of q and the group mod d.
 
 The sums of log p and log(1 - 1/p) over the first k progression primes by two
@@ -51,6 +52,14 @@ def stieltjes_gamma1(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
         raise ValueError("gamma_1 argument must be positive")
     with ctx.workprec():
         return mp.stieltjes(1, _as_mpf(x))
+
+
+def hurwitz_row_mp(q: int, m: int, prec: int, rs=None) -> dict:
+    """r -> zeta(m, r/q) over the units r mod q (or the units rs), one mpmath
+    Hurwitz zeta call per value at prec bits (the route constants._hurwitz_row
+    replaced)."""
+    with mp.workprec(prec):
+        return {r: mp.zeta(m, mp.mpf(r) / q) for r in (units(q) if rs is None else rs)}
 
 
 @lru_cache(maxsize=None)

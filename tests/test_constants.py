@@ -1,13 +1,15 @@
 """Index data, Mertens-type constants, zero sums F_q / G_q."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import F_q_via_divisors, index_data_bruteforce, mertens_C_naive
+from oracles import F_q_via_divisors, hurwitz_row_mp, index_data_bruteforce, mertens_C_naive
 from totprog import constants
-from totprog.characters import build_group, totient, units
+from totprog.characters import build_group, factorint, totient, units
 from totprog.constants import (
     F1,
     F_chi,
@@ -118,6 +120,91 @@ def test_winding_number_clean_estimate(turns, k):
     assert _winding_number(turns) == k
 
 
+def test_ambiguous_winding_estimate_retries_over_more_primes(monkeypatch):
+    """A first prime list whose partial Euler sum winds too far (2 six times:
+    0.41 turns off for the complex characters mod 5) is retried over the
+    primes up to the next limit, once, and log C comes out unchanged."""
+    real = constants._branch_primes
+    asked = []
+
+    def branch_primes(limit):
+        asked.append(limit)
+        return [2] * 6 if limit == constants._BRANCH_LIMITS[0] else real(limit)
+
+    _clear("_mertens_cached")
+    want = mertens_C(5, 2).log_C
+    _clear("_mertens_cached")
+    monkeypatch.setattr(constants, "_branch_primes", branch_primes)
+    try:
+        got = mertens_C(5, 2).log_C
+    finally:
+        _clear("_mertens_cached")
+    first, second = constants._BRANCH_LIMITS[:2]
+    assert asked.count(second) == 2 and set(asked) == {first, second}
+    assert got._mpf_ == want._mpf_
+
+
+# -- Hurwitz rows zeta(m, r/q) -----------------------------------------------
+
+
+def _half_ulp(v, prec):
+    """Half a unit in the last place of v at prec bits, plus 2^-30 of one:
+    _hurwitz_row's bound before its rounding to prec bits is 6 * 2^-40 ulp,
+    and a reference at prec + 40 bits is off by a few 2^-40 ulp at most."""
+    return mp.ldexp(1 + mp.ldexp(1, -29), mp.mag(v) - prec - 1)
+
+
+def _correctly_rounded(row, q, m, prec, rs):
+    """Each row[r] within _half_ulp of the mpmath value at prec + 40 bits
+    (so that mpmath's own error at prec bits stays out)."""
+    ref = hurwitz_row_mp(q, m, prec + 40, rs)
+    with mp.workprec(prec + 40):
+        for r in rs:
+            assert abs(row[r] - ref[r]) <= _half_ulp(row[r], prec), (q, m, r, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 192])
+@pytest.mark.parametrize("q", [*range(1, 11), 12, 14])
+def test_hurwitz_rows_against_mpmath(q, prec):
+    for m in range(2, 66):
+        _correctly_rounded(constants._hurwitz_row(q, m, prec), q, m, prec, units(q))
+
+
+@pytest.mark.parametrize("prec", [53, 192])
+@pytest.mark.parametrize("q", [997, 1009])
+def test_hurwitz_rows_against_mpmath_sampled(q, prec):
+    """Seeded rows and units, with r = 1, q - 1 and r/q either side of 1/2."""
+    rng = random.Random(q * prec)
+    for m in (2, *rng.sample(range(3, 66), 3)):
+        rs = {1, q - 1, q // 2, q // 2 + 1, *rng.sample(units(q), 6)}
+        _correctly_rounded(constants._hurwitz_row(q, m, prec), q, m, prec, rs)
+
+
+@pytest.mark.parametrize("prec", [53, 192])
+def test_hurwitz_row_at_one_half(prec):
+    """zeta(m, 1/2) = (2^m - 1) zeta(m): the q = 2 row, against zeta at an
+    integer alone."""
+    for m in range(2, 66):
+        v = constants._hurwitz_row(2, m, prec)[1]
+        with mp.workprec(prec + 40):
+            assert abs(v - (2**m - 1) * mp.zeta(m)) <= _half_ulp(v, prec)
+
+
+@given(q=st.integers(1, 500), m=st.integers(2, 64))
+@settings(max_examples=25, deadline=None)
+def test_hurwitz_row_sums_to_principal_L(q, m):
+    """sum_r zeta(m, r/q) over the units r = q^m zeta(m) prod_{p|q}(1 - p^-m),
+    which is q^m L(m, chi_0): no Hurwitz kernel on this side.  The row is
+    within _half_ulp per value at 53 bits."""
+    row = constants._hurwitz_row(q, m, 53)
+    with mp.workprec(200):
+        want = mp.mpf(q) ** m * mp.zeta(m)
+        for p in factorint(q):
+            want *= 1 - mp.mpf(p) ** -m
+        slack = mp.fsum(_half_ulp(v, 53) for v in row.values())
+        assert abs(mp.fsum(row.values()) - want) <= slack
+
+
 # -- per-character caches ----------------------------------------------------
 
 # the caches whose values depend on _PZ_BITS, which their keys leave out
@@ -125,7 +212,7 @@ _CUT_CACHES = ("_mertens_cached", "_prime_zeta")
 
 
 def _clear(*names):
-    for name in names or _CUT_CACHES + ("_log_L_int", "_abs_zero_sum_half"):
+    for name in names or _CUT_CACHES + ("_log_L_int", "_hurwitz_row", "_zeta_table", "_abs_zero_sum_half"):
         getattr(constants, name).cache_clear()
 
 
@@ -137,11 +224,16 @@ def test_per_character_sums_are_computed_once_per_key():
     """C(14, 1) asks 752 times for P(k, psi) and G_q(14) eight times for an
     Euler-factor half sum.  Each is computed once per distinct key, at most
     282 and exactly 2, and so is each log L(m, psi) under the P(k, psi), at
-    most 288 (1,968 uncached)."""
+    most 288 (1,968 uncached).  Those read at most 48 Hurwitz rows mod 14,
+    m = 2...49, from one zeta(k) table per precision."""
     _clear()
     mertens_C(14, 1)
     assert constants._log_L_int.cache_info().misses <= 288
     assert constants._prime_zeta.cache_info().misses <= 282
+    assert constants._hurwitz_row.cache_info().misses <= 48
+    assert constants._zeta_table.cache_info().misses == 1
+    mertens_C(14, 1, PrecisionContext(53))
+    assert constants._zeta_table.cache_info().misses == 2
     G_q(14)
     assert constants._abs_zero_sum_half.cache_info().misses == 2
 

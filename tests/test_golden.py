@@ -17,12 +17,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 STORED = {
     "constants_q5_a3.json": ["constants", "--q", "5", "--a", "3"],
+    "constants_q14_a3.json": ["constants", "--q", "14", "--a", "3"],
     "table_T1.json": ["table", "T1"],
     "table_T1.csv": ["table", "T1", "--format", "csv"],
     "table_T2.json": ["table", "T2"],
     "table_T8.json": ["table", "T8"],
     "table_T9.json": ["table", "T9"],
+    "sweep_q3.json": ["sweep", "--q", "3"],
     "sweep_q7.json": ["sweep", "--q", "7"],
+    "sweep_q12.json": ["sweep", "--q", "12"],
+    "sweep_q14.json": ["sweep", "--q", "14"],
     "sweep_q1_xmax2000000.json": ["sweep", "--q", "1", "--xmax", "2000000"],
     "sweep_q7_xmax2000000.json": ["sweep", "--q", "7", "--xmax", "2000000"],
     "scan_q14.json": ["scan", "--q", "14"],

@@ -163,11 +163,6 @@ class DirichletCharacter:
         inv = pow(self.label, -1, self.modulus) if self.modulus > 1 else 1
         return build_group(self.modulus).by_label(inv)
 
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.modulus != other.modulus:
-            raise ValueError("character product requires a common modulus")
-        return build_group(self.modulus).by_label(self.label * other.label % self.modulus)
-
     def power(self, k: int) -> "DirichletCharacter":
         return build_group(self.modulus).by_label(pow(self.label, k, self.modulus) if self.modulus > 1 else 1)
 

@@ -1,12 +1,18 @@
 """Command-line interface.
 
-Subcommands:
-  constants  per-(q,a) constant bundle (C, M, index data, F, G, B, M0, P, x_q)
-  table      recompute a published table (T1-T9) and diff against the
-             bundled expected values
-  figure     emit the data series behind a figure (F1-F8)
-  sweep      check log f(pbar_k; q, a) < 0 up to the unconditional threshold
-  scan       Nicolas-type criterion scan over moduli
+Subcommands, and the options each reads besides --prec-bits, --out and
+--format, which all take:
+  constants  --q --a   per-(q,a) constant bundle (C, M, index data, F, G,
+                       B, M0, P, x_q)
+  table      (none)    recompute a published table (T1-T9) and diff against
+                       the bundled expected values
+  figure     --sieve-limit --xmax
+                       emit the data series behind a figure (F1-F8)
+  sweep      --q --a --sieve-limit --xmax
+                       check log f(pbar_k; q, a) < 0 up to the unconditional
+                       threshold
+  scan       --q       Nicolas-type criterion scan over moduli
+An option the subcommand does not read is a usage error.
 
 Exit codes: 0 success / definite result, 1 usage error, 2 inconclusive
 verdict, 3 table mismatch.  Numeric output is always rendered as decimal
@@ -32,9 +38,9 @@ from . import criterion, reference_data
 from .characters import totient
 # mertens_C is not called here: perfbench/selftest.py (TracerInstall) checks
 # that the tracer rebinds the name in this module too.
-from .constants import F_chi, F_p_primecalc, F_q, gamma_p, mertens_C, nicolas_condition_scan  # noqa: F401
-from .lvalues import Lprime_over_L_at_1, PrecisionContext
-from .primes import DEFAULT_LIMIT, PrimeTable, default_table
+from .constants import F_chi, F_q, gamma_p, mertens_C, nicolas_condition_scan  # noqa: F401
+from .lvalues import DEFAULT_PREC, Lprime_over_L_at_1
+from .primes import DEFAULT_LIMIT, prime_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,11 +66,13 @@ def _env(name: str, default):
 
 
 def _check(args) -> None:
-    if args.q is not None and args.q < 1:
+    """Range checks of the options the subcommand parsed."""
+    given = vars(args)
+    if given.get("q", 1) < 1:
         raise ValueError("modulus must be a positive integer")
-    if args.xmax is not None and args.xmax < 1:
+    if given.get("xmax") is not None and args.xmax < 1:
         raise ValueError("--xmax (or TOTPROG_XMAX) must be a positive integer")
-    if args.sieve_limit < 2:
+    if given.get("sieve_limit", 2) < 2:
         raise ValueError("--sieve-limit (or TOTPROG_SIEVE_LIMIT) must be at least 2")
     if args.prec_bits < criterion.MIN_PREC:
         raise ValueError(f"--prec-bits must be at least {criterion.MIN_PREC}, the precision of the sweep's float tier")
@@ -96,22 +104,11 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _ctx(args) -> PrecisionContext:
-    return PrecisionContext(prec=args.prec_bits)
-
-
-def _table_for(args) -> PrimeTable:
-    if args.sieve_limit != DEFAULT_LIMIT:
-        return PrimeTable(args.sieve_limit)
-    return default_table()
-
-
 # ---------------------------------------------------------------------------
 
 
 def cmd_constants(args) -> int:
-    ctx = _ctx(args)
-    b = criterion.build_bundle(args.q, args.a, ctx)
+    b = criterion.build_bundle(args.q, args.a, args.prec_bits)
     rows = [
         ("q", b.q),
         ("a", b.a),
@@ -139,21 +136,21 @@ def _diff_cell(computed, expected: str, tol: str) -> bool:
     return abs(mp.mpf(computed) - mp.mpf(expected)) <= mp.mpf(tol)
 
 
-def _table_rows(tid: str, ctx, args):
+def _table_rows(tid: str, prec: int):
     """Return (header, rows, mismatch_count); each row carries a status."""
     mismatches = 0
     rows = []
     if tid == "T1":
         for q, exp in reference_data.TABLE1_FQ.items():
-            val = F_q(q, ctx).value
+            val = F_q(q, prec).value
             ok = _diff_cell(val, exp, reference_data.TABLE1_TOL)
             mismatches += not ok
             rows.append((q, fmt(val), exp, "ok" if ok else "MISMATCH"))
         return ("q", "F_q", "expected", "status"), rows, mismatches
     if tid == "T2":
         for p, (eg, ef) in reference_data.TABLE2.items():
-            gp = gamma_p(p, ctx).value
-            fp = F_p_primecalc(p, ctx)
+            gp = gamma_p(p, prec).value
+            fp = F_q(p, prec).value
             status = []
             for name, got, exp in (("gamma", gp, eg), ("F", fp, ef)):
                 tol = (
@@ -174,8 +171,8 @@ def _table_rows(tid: str, ctx, args):
 
         for (d, label), (alpha, ell, ef) in data["chars"].items():
             chi = build_group(d).by_label(label)
-            llv = mp.re(Lprime_over_L_at_1(chi, ctx))
-            fv = F_chi(chi, ctx)
+            llv = mp.re(Lprime_over_L_at_1(chi, prec))
+            fv = F_chi(chi, prec)
             ok = (
                 chi.parity == alpha
                 and _diff_cell(llv, ell, reference_data.TABLE345_TOL)
@@ -186,7 +183,7 @@ def _table_rows(tid: str, ctx, args):
         return ("modulus", "label", "alpha", "LpL1", "expected", "F_chi", "expected_F", "status"), rows, mismatches
     if tid == "T8":
         for q, (eF, eG, eR, eB, eM, eP, efinal) in reference_data.TABLE8.items():
-            bp = criterion.bound_params(q, ctx)
+            bp = criterion.bound_params(q, prec)
             final = bp.F - mp.mpf("1.2") * bp.R + bp.P
             cells = [
                 ("F", fmt(bp.F), eF, reference_data.TABLE8_TOL),
@@ -227,7 +224,7 @@ def cmd_table(args) -> int:
         sys.stderr.write(f"table {tid}: no published entries are bundled for this table\n")
         return EXIT_USAGE
     try:
-        header, rows, mismatches = _table_rows(tid, _ctx(args), args)
+        header, rows, mismatches = _table_rows(tid, args.prec_bits)
     except KeyError:
         sys.stderr.write(f"unknown table id {tid!r} (expected T1-T9)\n")
         return EXIT_USAGE
@@ -244,12 +241,11 @@ def cmd_figure(args) -> int:
     if meta is None:
         sys.stderr.write(f"unknown figure id {fid!r} (expected F1-F8)\n")
         return EXIT_USAGE
-    ctx = _ctx(args)
-    table = _table_for(args)
+    prec = args.prec_bits
     if meta["kind"] == "landau":
         lo, hi = meta["n_range"]
         rows = []
-        with ctx.workprec():
+        with mp.workprec(prec):
             for n in range(lo, hi + 1):
                 val = mp.mpf(n) / (totient(n) * mp.log(mp.log(n)))
                 rows.append((n, fmt(val), "primorial" if n in meta["primorials"] else ""))
@@ -259,9 +255,9 @@ def cmd_figure(args) -> int:
         from .primes import enumerate_smooth
 
         q, a = meta["q"], meta["a"]
-        enum = enumerate_smooth(q, a, meta["range"][1], table)
+        enum = enumerate_smooth(q, a, meta["range"][1], prime_table(args.sieve_limit))
         rows = []
-        with ctx.workprec():
+        with mp.workprec(prec):
             inv_phi = mp.mpf(1) / totient(q)
             for n in enum.members:
                 logn = mp.log(n)
@@ -273,8 +269,9 @@ def cmd_figure(args) -> int:
     q = meta["q"]
     xmax = meta["xmax"] if args.xmax is None else args.xmax
     rows = []
+    table = prime_table(args.sieve_limit)
     for a in meta["residues"]:
-        ev = criterion.log_f_series(q, a, xmax, ctx, table)
+        ev = criterion.log_f_series(q, a, xmax, prec, table)
         for k, p, val in ev.rows:
             rows.append((q, a, k, p, fmt(val)))
     _write(_emit(rows, ("q", "a", "k", "pbar_k", "log_f"), args), args)
@@ -285,8 +282,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ctx = _ctx(args)
-    rep = criterion.sweep(args.q, args.a, ctx, _table_for(args), x_max=args.xmax)
+    rep = criterion.sweep(args.q, args.a, args.prec_bits, prime_table(args.sieve_limit), x_max=args.xmax)
     rows = [
         ("q", rep.q),
         ("a", rep.a),
@@ -302,9 +298,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    ctx = _ctx(args)
     rows = []
-    for q, Fv, minr, verdict in nicolas_condition_scan(args.q, ctx):
+    for q, Fv, minr, verdict in nicolas_condition_scan(args.q, args.prec_bits):
         rows.append((q, fmt(Fv), fmt(minr), "holds" if verdict else "fails"))
     _write(_emit(rows, ("q", "F_q", "min_2R", "criterion"), args), args)
     return EXIT_OK
@@ -316,37 +311,34 @@ def cmd_scan(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="totprog", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, q_required=False):
-        sp.add_argument("--q", type=int, required=q_required, default=None)
-        sp.add_argument("--a", type=int, default=1)
-        sp.add_argument("--prec-bits", type=int, default=_env("PREC_BITS", 192))
-        sp.add_argument("--sieve-limit", type=int, default=_env("SIEVE_LIMIT", DEFAULT_LIMIT))
-        sp.add_argument("--xmax", type=int, default=_env("XMAX", None))
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser("constants", help="per-(q,a) constant bundle")
-    common(sp, q_required=True)
-    sp.set_defaults(func=cmd_constants)
-
-    sp = sub.add_parser("table", help="recompute a published table and diff")
-    sp.add_argument("table_id", help="T1-T9")
-    common(sp)
-    sp.set_defaults(func=cmd_table)
-
-    sp = sub.add_parser("figure", help="emit data series for a figure")
-    sp.add_argument("figure_id", help="F1-F8")
-    common(sp)
-    sp.set_defaults(func=cmd_figure)
-
-    sp = sub.add_parser("sweep", help="check log f < 0 up to the threshold")
-    common(sp, q_required=True)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("scan", help="Nicolas-type criterion scan over moduli")
-    common(sp, q_required=True)
-    sp.set_defaults(func=cmd_scan)
+    options = {
+        "--q": dict(type=int, required=True),
+        "--a": dict(type=int, default=1),
+        "--prec-bits": dict(type=int, default=_env("PREC_BITS", DEFAULT_PREC)),
+        "--sieve-limit": dict(type=int, default=_env("SIEVE_LIMIT", DEFAULT_LIMIT)),
+        "--xmax": dict(type=int, default=_env("XMAX", None)),
+        "--out": dict(type=str, default=None),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
+    # (name, help, positional argument and its help, handler, the options it reads)
+    commands = (
+        ("constants", "per-(q,a) constant bundle", None, cmd_constants,
+         ("--q", "--a", "--prec-bits", "--out", "--format")),
+        ("table", "recompute a published table and diff", ("table_id", "T1-T9"), cmd_table,
+         ("--prec-bits", "--out", "--format")),
+        ("figure", "emit data series for a figure", ("figure_id", "F1-F8"), cmd_figure,
+         ("--prec-bits", "--sieve-limit", "--xmax", "--out", "--format")),
+        ("sweep", "check log f < 0 up to the threshold", None, cmd_sweep, tuple(options)),
+        ("scan", "Nicolas-type criterion scan over moduli", None, cmd_scan,
+         ("--q", "--prec-bits", "--out", "--format")),
+    )
+    for name, help_, positional, func, flags in commands:
+        sp = sub.add_parser(name, help=help_)
+        if positional:
+            sp.add_argument(positional[0], help=positional[1])
+        for flag in flags:
+            sp.add_argument(flag, **options[flag])
+        sp.set_defaults(func=func)
     return p
 
 

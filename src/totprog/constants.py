@@ -34,14 +34,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .characters import DirichletCharacter, build_group, factorint, totient, units
-from .lvalues import (
-    Approx,
-    DEFAULT_CTX,
-    L_at_1,
-    Lprime_over_L_at_1,
-    PrecisionContext,
-    _char_sum,
-)
+from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sum, eps
 from . import primes as primes_mod
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
     "F1",
     "F_chi",
     "F_q",
-    "F_p_primecalc",
     "gamma_p",
     "G_q",
     "nicolas_condition_scan",
@@ -230,12 +222,7 @@ def _mobius(n: int) -> int:
 _BRANCH_LIMITS = (100_000, 1_000_000, 10_000_000)
 
 
-@lru_cache(maxsize=4)
-def _branch_primes(limit: int) -> list:
-    return primes_mod.PrimeTable(limit).primes
-
-
-def _branched_log_L1(chi: DirichletCharacter, ctx: PrecisionContext) -> mp.mpc:
+def _branched_log_L1(chi: DirichletCharacter, prec: int) -> mp.mpc:
     """log L(1, chi) on the branch continued along the Euler product
     (the branch entering P(1,chi) = sum_p chi(p)/p).  The partial Euler sum
     in double precision pins the winding number: over the primes up to each
@@ -245,11 +232,11 @@ def _branched_log_L1(chi: DirichletCharacter, ctx: PrecisionContext) -> mp.mpc:
     q = chi.modulus
     # chi(p) in doubles, once per residue class r = p mod q
     rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
-    with ctx.workprec():
-        principal = mp.log(L_at_1(chi, ctx))
+    with mp.workprec(prec):
+        principal = mp.log(L_at_1(chi, prec))
     for limit in _BRANCH_LIMITS:
         s0 = 0j
-        for p in _branch_primes(limit):
+        for p in primes_mod.prime_table(limit).primes:
             if (z := rot.get(p % q)) is not None:
                 s0 -= cmath.log(1 - z / p)
         try:
@@ -258,7 +245,7 @@ def _branched_log_L1(chi: DirichletCharacter, ctx: PrecisionContext) -> mp.mpc:
         except ArithmeticError:
             if limit == _BRANCH_LIMITS[-1]:
                 raise
-    with ctx.workprec():
+    with mp.workprec(prec):
         return principal + 2j * mp.pi * k
 
 
@@ -273,10 +260,9 @@ def _winding_number(turns: float) -> int:
 
 @lru_cache(maxsize=None)
 def _mertens_cached(q: int, a: int, prec: int) -> MertensConstant:
-    ctx = PrecisionContext(prec=prec)
     group = build_group(q)
     phi = totient(q)
-    with ctx.workprec():
+    with mp.workprec(prec):
         # phi * log C = -gamma - sum_{p|q} log(1-1/p)
         #               + sum_{chi != chi0} conj(chi(a)) [ -log L(1,chi) + log K(chi) ]
         # with K(chi) = prod_p (1-1/p)^chi(p) (1-chi(p)/p)^-1, i.e.
@@ -294,7 +280,7 @@ def _mertens_cached(q: int, a: int, prec: int) -> MertensConstant:
                     (_prime_zeta(chi.power(k), k, prec) - _prime_zeta(chi, k, prec)) / k
                     for k in range(2, _PZ_BITS + 1)
                 )
-                acc += coef * (-_branched_log_L1(chi, ctx) + logK)
+                acc += coef * (-_branched_log_L1(chi, prec) + logK)
         log_C = mp.re(acc) / phi
         tail = mp.mpf(2) ** (2 - _PZ_BITS) * (phi + 1)  # see _PZ_BITS
         C = mp.e**log_C
@@ -302,30 +288,30 @@ def _mertens_cached(q: int, a: int, prec: int) -> MertensConstant:
         return MertensConstant(
             q,
             a,
-            Approx(C, (tail + ctx.eps(abs(log_C))) * C),
-            Approx(M_val, 2 * tail + ctx.eps(abs(M_val))),
+            Approx(C, (tail + eps(prec, abs(log_C))) * C),
+            Approx(M_val, 2 * tail + eps(prec, abs(M_val))),
             log_C,
         )
 
 
-def mertens_C(q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX) -> MertensConstant:
+def mertens_C(q: int, a: int, prec: int = DEFAULT_PREC) -> MertensConstant:
     if math.gcd(q, a) != 1:
         raise ValueError("q and a must be coprime")
-    return _mertens_cached(q, a % max(q, 2) if q > 1 else 1, ctx.prec)
+    return _mertens_cached(q, a % max(q, 2) if q > 1 else 1, prec)
 
 
 # --------------------------------------------------------------------------
 # Zero sums F_q, G_q and the Euler-Kronecker constants
 
 
-def F1(ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def F1(prec: int = DEFAULT_PREC) -> mp.mpf:
     """Contribution of a principal (trivially induced) character:
     sum over nontrivial zeta zeros of 1/(rho(1-rho))."""
-    with ctx.workprec():
+    with mp.workprec(prec):
         return 2 + mp.euler - mp.log(mp.pi) - 2 * mp.log(2)
 
 
-def F_chi(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def F_chi(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Zero sum for a nonprincipal character, through its primitive part
     chi' of conductor d:  log(d/pi) + 2 Re L'/L(1, conj chi') - gamma
     - (1-alpha) 2 log 2."""
@@ -333,8 +319,8 @@ def F_chi(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mp
         raise ValueError("use F1() for the principal character")
     prim = chi.primitive()
     d = prim.modulus
-    with ctx.workprec():
-        ll = Lprime_over_L_at_1(prim.conjugate(), ctx)
+    with mp.workprec(prec):
+        ll = Lprime_over_L_at_1(prim.conjugate(), prec)
         return (
             mp.log(mp.mpf(d) / mp.pi)
             + 2 * mp.re(ll)
@@ -343,32 +329,24 @@ def F_chi(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mp
         )
 
 
-def F_q(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> Approx:
+def F_q(q: int, prec: int = DEFAULT_PREC) -> Approx:
     group = build_group(q)
-    with ctx.workprec():
-        total = F1(ctx) + sum(F_chi(chi, ctx) for chi in group.nonprincipal())
-        return Approx(total, ctx.eps(abs(total)) * max(1, totient(q)))
+    with mp.workprec(prec):
+        total = F1(prec) + sum(F_chi(chi, prec) for chi in group.nonprincipal())
+        return Approx(total, eps(prec, abs(total)) * max(1, totient(q)))
 
 
-def gamma_p(p: int, ctx: PrecisionContext = DEFAULT_CTX) -> Approx:
+def gamma_p(p: int, prec: int = DEFAULT_PREC) -> Approx:
     """Euler-Kronecker constant of the p-th cyclotomic field:
     gamma + sum_{chi != chi0 mod p} L'/L(1, chi)."""
     if p < 3 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
         raise ValueError("gamma_p requires an odd prime")
     group = build_group(p)
-    with ctx.workprec():
+    with mp.workprec(prec):
         total = mp.euler + mp.re(
-            sum(Lprime_over_L_at_1(chi, ctx) for chi in group.nonprincipal())
+            sum(Lprime_over_L_at_1(chi, prec) for chi in group.nonprincipal())
         )
-        return Approx(total, ctx.eps(abs(total)) * p)
-
-
-def F_p_primecalc(p: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
-    """F_p for odd prime p from the Euler-Kronecker constant:
-    F_1 + 2 gamma_p - p gamma + (2-p) log(2 pi / p) + log 2."""
-    with ctx.workprec():
-        g = gamma_p(p, ctx).value
-        return F1(ctx) + 2 * g - p * mp.euler + (2 - p) * mp.log(2 * mp.pi / p) + mp.log(2)
+        return Approx(total, eps(prec, abs(total)) * p)
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +400,7 @@ def _euler_factor_angles(q: int):
 
 def G_q(
     q: int,
-    ctx: PrecisionContext = DEFAULT_CTX,
+    prec: int = DEFAULT_PREC,
     kmax: int = 2000,
     convention: str = "published",
 ) -> Approx:
@@ -436,7 +414,7 @@ def G_q(
     """
     if convention not in ("published", "absolute"):
         raise ValueError("convention must be 'published' or 'absolute'")
-    with ctx.workprec():
+    with mp.workprec(prec):
         total = mp.mpf(0)
         err = mp.mpf(0)
         for _chi, p, theta_frac in _euler_factor_angles(q):
@@ -447,21 +425,21 @@ def G_q(
                 # the full line sum_k f(|t_k|), k in Z: the halves k >= 0 at theta
                 # and at 2 pi - theta, or for theta = 0 the k >= 1 half twice
                 halves = (1, 1) if theta_frac == 0 else (theta_frac, 1 - theta_frac)
-                total += sum(_abs_zero_sum_half(p, h, kmax, ctx.prec) for h in halves)
+                total += sum(_abs_zero_sum_half(p, h, kmax, prec) for h in halves)
                 # first omitted asymptotic order bounds the tail error
                 err += 2 * (L / (2 * mp.pi)) ** 8 * mp.zeta(8, kmax + 1) * mp.mpf(5) / 16
-        return Approx(total, err + ctx.eps(abs(total)))
+        return Approx(total, err + eps(prec, abs(total)))
 
 
 # --------------------------------------------------------------------------
 # Nicolas condition scan
 
 
-def nicolas_condition_scan(q_max: int, ctx: PrecisionContext = DEFAULT_CTX):
+def nicolas_condition_scan(q_max: int, prec: int = DEFAULT_PREC):
     """Rows (q, F_q, min over squares a of 2 R_{q,a}, F_q < that bound)."""
     rows = []
     for q in range(1, q_max + 1):
-        fq = F_q(q, ctx).value
+        fq = F_q(q, prec).value
         sq_residues = sorted({pow(b, 2, q) if q > 1 else 1 for b in units(q)})
         bound = min(2 * index_data(q, a).R for a in sq_residues)
         rows.append((q, fq, bound, bool(fq < bound)))

@@ -34,7 +34,7 @@ from . import primes as primes_mod
 from . import reference_data
 from .characters import totient, units
 from .constants import F_q, G_q, index_data, mertens_C
-from .lvalues import Approx, DEFAULT_CTX, PrecisionContext, b_sum_signed, m0_sum
+from .lvalues import DEFAULT_PREC, Approx, b_sum_signed, eps, m0_sum
 
 __all__ = [
     "g",
@@ -69,10 +69,10 @@ def g(t) -> mp.mpf:
     return (1 + lt) / (t * t * lt * lt)
 
 
-def F_s(x, s, ctx: PrecisionContext = DEFAULT_CTX):
+def F_s(x, s, prec: int = DEFAULT_PREC):
     """F_s(x) = int_x^inf t^s g(t) dt = -x^(s-1)/((s-1) log x) + r_s(x),
     with r_s evaluated by quadrature of its integral form."""
-    with ctx.workprec():
+    with mp.workprec(prec):
         s = mp.mpc(s)
         if mp.re(s) >= 1:
             raise ValueError("F_s requires Re(s) < 1")
@@ -87,10 +87,10 @@ def F_s(x, s, ctx: PrecisionContext = DEFAULT_CTX):
         return lead + r
 
 
-def rs_bound(x, s, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def rs_bound(x, s, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Closed bound on |r_s(x)|:
     |s/(1-s)^2| x^(Re s - 1)/log^2 x * (1 + 2/(|Re s - 1| log x))."""
-    with ctx.workprec():
+    with mp.workprec(prec):
         s = mp.mpc(s)
         x = mp.mpf(x)
         sig = mp.re(s)
@@ -110,11 +110,11 @@ def _log_f(phi: int, theta, log1m, log_C) -> mp.mpf:
     return mp.log(mp.log(phi * theta)) / phi + log1m - log_C
 
 
-def log_f(x, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table=None) -> mp.mpf:
-    st = primes_mod.stats(q, a, table, ctx.prec)
-    mc = mertens_C(q, a, ctx)
+def log_f(x, q: int, a: int, prec: int = DEFAULT_PREC, table=None) -> mp.mpf:
+    st = primes_mod.stats(q, a, table, prec)
+    mc = mertens_C(q, a, prec)
     th, log1m = st.point_sums(st._count(x))
-    with ctx.workprec():
+    with mp.workprec(prec):
         if st.phi * th <= 1:
             raise ValueError("log f undefined until phi(q) theta(x) > 1")
         return _log_f(st.phi, th, log1m, mc.log_C)
@@ -128,14 +128,14 @@ class FEvaluation:
     rows: tuple  # (k, pbar_k, log f(pbar_k))
 
 
-def log_f_series(q: int, a: int, xmax, ctx: PrecisionContext = DEFAULT_CTX, table=None) -> FEvaluation:
+def log_f_series(q: int, a: int, xmax, prec: int = DEFAULT_PREC, table=None) -> FEvaluation:
     """log f at every progression prime <= xmax (f is constant in between)."""
-    st = primes_mod.stats(q, a, table, ctx.prec)
+    st = primes_mod.stats(q, a, table, prec)
     if xmax > st.table.limit:
         raise ValueError(f"xmax={xmax} exceeds sieve limit {st.table.limit}")
-    mc = mertens_C(q, a, ctx)
+    mc = mertens_C(q, a, prec)
     rows = []
-    with ctx.workprec():
+    with mp.workprec(prec):
         for i in range(st._index(xmax)):
             p = st.pbar[i]
             if st.phi * st.theta_cum[i] <= 1:
@@ -149,14 +149,14 @@ class KTruncated(NamedTuple):
     tail_estimate: mp.mpf  # heuristic: sup over sieved t>=T of |S| times 1/(T log T)
 
 
-def k_truncated(x, T, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table=None) -> KTruncated:
+def k_truncated(x, T, q: int, a: int, prec: int = DEFAULT_PREC, table=None) -> KTruncated:
     """int_x^T S(t;q,a) g(t) dt, exactly over the step structure of theta:
     on each segment theta is constant and both antiderivatives are explicit
     (int g = -1/(t log t), int t g = loglog t - 1/log t)."""
-    st = primes_mod.stats(q, a, table, ctx.prec)
+    st = primes_mod.stats(q, a, table, prec)
     if not (T > x > 1):
         raise ValueError("need T > x > 1")
-    with ctx.workprec():
+    with mp.workprec(prec):
 
         def anti_g(t):
             t = mp.mpf(t)
@@ -184,7 +184,7 @@ def k_truncated(x, T, q: int, a: int, ctx: PrecisionContext = DEFAULT_CTX, table
 # J-hat bounds and p_q
 
 
-def jhat_bound(x, q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def jhat_bound(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
     """|J-hat(x;q,a)| <= (0.01 phi + B_q + M_q)/(phi x log x) + M_q/(phi x)
     with the absolute-value aggregates (valid for x > e^4)."""
     if x <= mp.e**4:
@@ -192,21 +192,21 @@ def jhat_bound(x, q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
     from .lvalues import b_sum_abs
 
     phi = totient(q)
-    with ctx.workprec():
-        B = b_sum_abs(q, ctx).value
+    with mp.workprec(prec):
+        B = b_sum_abs(q, prec).value
         M = m0_sum(q)
         x = mp.mpf(x)
         return (mp.mpf("0.01") * phi + B + M) / (phi * x * mp.log(x)) + mp.mpf(M) / (phi * x)
 
 
-def jhat_signed_bound(x, q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def jhat_signed_bound(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
     """One-sided variant keeping signs:
     J-hat(x;q,1) <= (0.01 phi - B_q - M_q)/(x log x) - M_q/x."""
     if x <= mp.e**4:
         raise ValueError("bound requires x > e^4")
     phi = totient(q)
-    with ctx.workprec():
-        B = b_sum_signed(q, ctx).value
+    with mp.workprec(prec):
+        B = b_sum_signed(q, prec).value
         M = m0_sum(q)
         x = mp.mpf(x)
         return (mp.mpf("0.01") * phi - B - M) / (x * mp.log(x)) - mp.mpf(M) / x
@@ -226,21 +226,20 @@ class BoundParams:
 
 @lru_cache(maxsize=None)
 def _bound_params_cached(q: int, prec: int) -> BoundParams:
-    ctx = PrecisionContext(prec=prec)
-    with ctx.workprec():
-        F = F_q(q, ctx).value
-        G = G_q(q, ctx).value
+    with mp.workprec(prec):
+        F = F_q(q, prec).value
+        G = G_q(q, prec).value
         R = index_data(q, 1).R
-        B = b_sum_signed(q, ctx).value
+        B = b_sum_signed(q, prec).value
         M = m0_sum(q)
         c1 = reference_data.c1_of(q)
         xq = x_q_threshold(q, c1) if c1 is not None else None
-        P = _P_q_from(q, F, G, R, B, M, ctx)
+        P = _P_q_from(q, F, G, R, B, M, prec)
         return BoundParams(q, F, G, R, B, M, xq, P)
 
 
-def bound_params(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> BoundParams:
-    return _bound_params_cached(q, ctx.prec)
+def bound_params(q: int, prec: int = DEFAULT_PREC) -> BoundParams:
+    return _bound_params_cached(q, prec)
 
 
 def _p_q_formula(x, phi, F, G, R, B, M):
@@ -260,16 +259,16 @@ def _p_q_formula(x, phi, F, G, R, B, M):
     )
 
 
-def p_q_of_x(x, q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
-    bp = bound_params(q, ctx)
-    with ctx.workprec():
+def p_q_of_x(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
+    bp = bound_params(q, prec)
+    with mp.workprec(prec):
         return _p_q_formula(mp.mpf(x), totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)
 
 
 _P_GRID = 10_000  # intervals of the coarse log-x grid in _P_q_from
 
 
-def _P_q_from(q, F, G, R, B, M, ctx) -> mp.mpf:
+def _P_q_from(q, F, G, R, B, M, prec) -> mp.mpf:
     """Estimate of max p_q over [e^10, inf), not a bound: a coarse
     double-precision log grid on [e^10, 1e16] locates the argmax, then an
     mpf trisection refines it, and the value at 1e16 stands for the tail.
@@ -282,7 +281,7 @@ def _P_q_from(q, F, G, R, B, M, ctx) -> mp.mpf:
     floats = float(F), float(G), R, float(B), M
     step = (hi - lo) / _P_GRID
     best_i = max(range(_P_GRID + 1), key=lambda i: _p_q_formula(math.exp(lo + i * step), phi, *floats))
-    with ctx.workprec():
+    with mp.workprec(prec):
         a = mp.mpf(lo + max(best_i - 1, 0) * step)
         b = mp.mpf(lo + min(best_i + 1, _P_GRID) * step)
         for _ in range(60):  # golden-section style trisection in log x
@@ -301,8 +300,8 @@ def _P_q_from(q, F, G, R, B, M, ctx) -> mp.mpf:
         return peak
 
 
-def P_q(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
-    return bound_params(q, ctx).P
+def P_q(q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
+    return bound_params(q, prec).P
 
 
 def x_q_threshold(q: int, c1) -> int:
@@ -323,17 +322,17 @@ class XqCheckReport:
     first_violation: int | None
 
 
-def empirical_xq_check(q: int, X: int, ctx: PrecisionContext = DEFAULT_CTX, table=None) -> XqCheckReport:
+def empirical_xq_check(q: int, X: int, prec: int = DEFAULT_PREC, table=None) -> XqCheckReport:
     """Verify theta(sqrt(x);q,b)/sqrt(x) > 0.6/phi(q) for every unit b and
     every x in (x_q, X], scanning the step points of theta."""
-    bp = bound_params(q, ctx)
+    bp = bound_params(q, prec)
     xq = bp.x_q if bp.x_q is not None else 0
     if X <= xq:
         return XqCheckReport(q, xq, X, True, None)
     phi = totient(q)
     worst = None
     for b in units(q):
-        st = primes_mod.stats(q, b, table, ctx.prec)
+        st = primes_mod.stats(q, b, table, prec)
         # theta(sqrt x) = theta_val for y^2 <= x < nxt^2 (the ends are
         # integers), and there it fails from x >= (theta_val phi / 0.6)^2 on
         for y, nxt, theta_val in st.steps(math.isqrt(xq), math.isqrt(X) + 1):
@@ -359,7 +358,7 @@ class SweepReport:
     argmax_prime: int
     error_budget: mp.mpf
     verdict: str  # "all negative" | "violation" | "inconclusive"
-    escalated: int  # points evaluated at ctx.prec; not printed
+    escalated: int  # points evaluated at prec; not printed
 
 
 MIN_PREC = 53  # bits of a double: the sweep's float tier needs no less from its mp tier
@@ -418,20 +417,20 @@ def _float_screen(st, x_max, log_C, prec):
         yield k, p, g + log1m - log_C, math.inf if err is None else err
 
 
-def _sweep_report(q, a, x_max, st, mc, ctx, checked, best, escalated) -> SweepReport:
+def _sweep_report(q, a, x_max, st, mc, prec, checked, best, escalated) -> SweepReport:
     """The report on `checked` points whose largest log f is best = (log f,
-    k, pbar_k), or None; the budget adds the ctx.prec rounding of log f at
+    k, pbar_k), or None; the budget adds the prec rounding of log f at
     pbar_k, from point_sums' stated bound on theta and log1m, to the error
     of C."""
-    with ctx.workprec():
-        budget = mc.C.err / mc.C.value + 2 * ctx.eps(1)
+    with mp.workprec(prec):
+        budget = mc.C.err / mc.C.value + 2 * eps(prec, 1)
         if best is None:
             return SweepReport(q, a, x_max, 0, mp.mpf("nan"), 0, budget, "inconclusive", escalated)
         worst, k, p = best
         theta, log1m = st.point_sums(k)
         th_err, lm_err = st.point_bound(k)
         lam = mp.log(st.phi * theta)
-        u = mp.mpf(2) ** -ctx.prec  # and each mp log within 4u, as in _float_screen
+        u = mp.mpf(2) ** -prec  # and each mp log within 4u, as in _float_screen
         err = _rounding_bound(th_err / theta, lm_err, st.phi, lam, mp.log(lam) / st.phi, log1m, mc.log_C, u, 4 * u)
         budget += mp.inf if err is None else err
         if worst > budget:
@@ -443,19 +442,19 @@ def _sweep_report(q, a, x_max, st, mc, ctx, checked, best, escalated) -> SweepRe
         return SweepReport(q, a, x_max, checked, worst, p, budget, verdict, escalated)
 
 
-def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x_max=None) -> SweepReport:
+def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) -> SweepReport:
     """Check log f < 0 at every progression prime pbar_k <= x_max (default
     max(floor(x_q), printed floor, 22027)) and report the worst margin.
 
     Two tiers.  _float_screen bounds log f at every point in doubles; only
     the points whose upper bound reaches the largest lower bound, which
     include every point that can hold the maximum, and those where phi theta
-    is too near 1 to bound, are evaluated at ctx.prec from
+    is too near 1 to bound, are evaluated at prec from
     ProgressionStats.point_sums, so theta_cum and log1m_cum are never
     extended.  The maximum (the first point on ties), its prime and the count
     of points where log f is defined are those of log_f_series' rows, bit for
     bit, since those read the same point_sums values."""
-    if ctx.prec < MIN_PREC:
+    if prec < MIN_PREC:
         raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
     if x_max is None:
         c1 = reference_data.c1_of(q)
@@ -466,14 +465,14 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
         if printed is not None:
             candidates.append(printed)
         x_max = max(candidates)
-    st = primes_mod.stats(q, a, table, ctx.prec)
+    st = primes_mod.stats(q, a, table, prec)
     if x_max > st.table.limit:
         raise ValueError(f"xmax={x_max} exceeds sieve limit {st.table.limit}")
-    mc = mertens_C(q, a, ctx)
+    mc = mertens_C(q, a, prec)
     floor = -math.inf  # the largest f - E so far: log f's maximum is at least this
     heap = []  # (f + E, k, pbar_k) of the points that may reach the maximum
     checked = 0
-    for k, p, f, err in _float_screen(st, x_max, mc.log_C, ctx.prec):
+    for k, p, f, err in _float_screen(st, x_max, mc.log_C, prec):
         if err == math.inf:
             heapq.heappush(heap, (err, k, p))
             continue
@@ -485,7 +484,7 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
                 while heap[0][0] < floor:
                     heapq.heappop(heap)
     best = None
-    with ctx.workprec():
+    with mp.workprec(prec):
         for upper, k, p in sorted(heap, key=lambda c: c[1]):
             theta, log1m = st.point_sums(k)
             if st.phi * theta <= 1:
@@ -494,14 +493,14 @@ def sweep(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX, table=None, x
             val = _log_f(st.phi, theta, log1m, mc.log_C)
             if best is None or val > best[0]:
                 best = (val, k, p)
-    return _sweep_report(q, a, int(x_max), st, mc, ctx, checked, best, len(heap))
+    return _sweep_report(q, a, int(x_max), st, mc, prec, checked, best, len(heap))
 
 
-def grh_bound_check(q: int, x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def grh_bound_check(q: int, x, prec: int = DEFAULT_PREC) -> mp.mpf:
     """(F_q - 1.2 R_{q,1} + p_q(x)) / (phi(q) sqrt(x) log x) -- the
     conditional upper bound on log f(x;q,1) for x > max(x_q, e^4)."""
-    bp = bound_params(q, ctx)
-    with ctx.workprec():
+    bp = bound_params(q, prec)
+    with mp.workprec(prec):
         x = mp.mpf(x)
         if bp.x_q is not None and x <= max(bp.x_q, mp.e**4):
             raise ValueError("bound valid for x > max(x_q, e^4)")
@@ -530,13 +529,12 @@ class ConstantsBundle:
     x_q: int | None
 
 
-def build_bundle(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX) -> ConstantsBundle:
+def build_bundle(q: int, a: int = 1, prec: int = DEFAULT_PREC) -> ConstantsBundle:
     from .lvalues import b_sum_abs
 
-    mc = mertens_C(q, a, ctx)
+    mc = mertens_C(q, a, prec)
     idx = index_data(q, a)
-    have_c1 = reference_data.c1_of(q) is not None
-    bp = bound_params(q, ctx)
+    bp = bound_params(q, prec)
     return ConstantsBundle(
         q,
         a % max(q, 2) if q > 1 else 1,
@@ -544,11 +542,11 @@ def build_bundle(q: int, a: int = 1, ctx: PrecisionContext = DEFAULT_CTX) -> Con
         mc.M,
         idx.m,
         idx.R,
-        F_q(q, ctx),
-        G_q(q, ctx),
-        b_sum_signed(q, ctx),
-        b_sum_abs(q, ctx),
+        F_q(q, prec),
+        G_q(q, prec),
+        b_sum_signed(q, prec),
+        b_sum_abs(q, prec),
         m0_sum(q),
         bp.P,
-        bp.x_q if have_c1 else None,
+        bp.x_q,
     )

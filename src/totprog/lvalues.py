@@ -17,6 +17,12 @@ the primitive chi' mod d,
 The Laurent data (m0, b) at s = 0 adds the Euler factors of chi mod q to
 b(chi'); a numerical Laurent fit (Hurwitz zeta around s = 0, in
 tests/oracles.py) is the independent oracle.
+
+Precision is one int, prec: the mantissa bits of all floating work, passed
+positionally from every public function here and in constants, criterion
+and primes to the caches under it, so that a value is cached once per
+(arguments, prec).  DEFAULT_PREC is its one default; eps(prec, scale) is
+the nominal error allowance at prec bits.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import mpmath as mp
 from .characters import DirichletCharacter, build_group, factorint, units
 
 __all__ = [
-    "PrecisionContext",
+    "DEFAULT_PREC",
+    "eps",
     "Approx",
     "LaurentAtZero",
     "L_at_1",
@@ -42,24 +49,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working precision.
-
-    prec: mantissa bits for all floating work (default 192).
-    """
-
-    prec: int = 192
-
-    def workprec(self):
-        return mp.workprec(self.prec)
-
-    def eps(self, scale: float = 1.0) -> mp.mpf:
-        # coarse but honest: leave 24 guard bits against the mantissa
-        return mp.mpf(2) ** (-(self.prec - 24)) * max(1.0, abs(scale))
+DEFAULT_PREC = 192  # mantissa bits for all floating work
 
 
-DEFAULT_CTX = PrecisionContext()
+def eps(prec: int, scale: float = 1.0) -> mp.mpf:
+    # coarse but honest: leave 24 guard bits against the mantissa
+    return mp.mpf(2) ** (-(prec - 24)) * max(1.0, abs(scale))
 
 
 class Approx(NamedTuple):
@@ -83,12 +78,12 @@ def _char_sum(chi: DirichletCharacter, row, prec: int) -> mp.mpc:
         return sum(chi.value(r, prec) * row[r] for r in units(chi.modulus))
 
 
-def L_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpc:
+def L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
     if chi.is_principal:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     q = chi.modulus
-    with ctx.workprec():
-        return -_char_sum(chi, _row(mp.digamma, q, ctx.prec), ctx.prec) / q
+    with mp.workprec(prec):
+        return -_char_sum(chi, _row(mp.digamma, q, prec), prec) / q
 
 
 def _b_primitive(psi: DirichletCharacter, prec: int) -> mp.mpc:
@@ -116,11 +111,11 @@ def _ll1_cached(chi: DirichletCharacter, prec: int) -> mp.mpc:
         return ll
 
 
-def Lprime_over_L_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpc:
+def Lprime_over_L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
     """L'/L(1, chi) of the L-series mod chi.modulus (Euler factors included)."""
     if chi.is_principal:
         raise ValueError("L(s, chi0) has a pole at s = 1")
-    return _ll1_cached(chi, ctx.prec)
+    return _ll1_cached(chi, prec)
 
 
 @dataclass(frozen=True)
@@ -146,18 +141,18 @@ def structural_m0(chi: DirichletCharacter) -> int:
     return m0
 
 
-def laurent_at_zero(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> LaurentAtZero:
+def laurent_at_zero(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> LaurentAtZero:
     q = chi.modulus
-    with ctx.workprec():
+    with mp.workprec(prec):
         if chi.is_principal:
             b = mp.log(2 * mp.pi) - sum(mp.log(p) for p in factorint(q)) / 2
         else:
             prim = chi.primitive()
-            b = _b_primitive(prim, ctx.prec)
+            b = _b_primitive(prim, prec)
             for p in factorint(q):
                 if prim.modulus % p:
                     # 1 - chi'(p) p^-s has a simple zero at s = 0 when chi'(p) = 1
-                    val = prim.value(p, ctx.prec)
+                    val = prim.value(p, prec)
                     b += -mp.log(p) / 2 if prim.exponent(p) == 0 else mp.log(p) * val / (1 - val)
         return LaurentAtZero(structural_m0(chi), b)
 
@@ -169,13 +164,13 @@ def m0_sum(q: int) -> int:
     return sum(structural_m0(chi) for chi in build_group(q))
 
 
-def b_sum_signed(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> Approx:
-    with ctx.workprec():
-        total = sum(laurent_at_zero(chi, ctx).b for chi in build_group(q))
-        return Approx(mp.re(total), ctx.eps(abs(total)) * max(1, q))
+def b_sum_signed(q: int, prec: int = DEFAULT_PREC) -> Approx:
+    with mp.workprec(prec):
+        total = sum(laurent_at_zero(chi, prec).b for chi in build_group(q))
+        return Approx(mp.re(total), eps(prec, abs(total)) * max(1, q))
 
 
-def b_sum_abs(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> Approx:
-    with ctx.workprec():
-        total = sum(abs(laurent_at_zero(chi, ctx).b) for chi in build_group(q))
-        return Approx(total, ctx.eps(abs(total)) * max(1, q))
+def b_sum_abs(q: int, prec: int = DEFAULT_PREC) -> Approx:
+    with mp.workprec(prec):
+        total = sum(abs(laurent_at_zero(chi, prec).b) for chi in build_group(q))
+        return Approx(total, eps(prec, abs(total)) * max(1, q))

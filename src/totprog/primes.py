@@ -26,11 +26,13 @@ import mpmath as mp
 from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_pos, round_nearest as _RND
 
 from .characters import totient
+from .lvalues import DEFAULT_PREC
 
 __all__ = [
     "PrimeTable",
     "ProgressionStats",
     "PrimorialSeq",
+    "prime_table",
     "SmoothSetEnumeration",
     "theta",
     "psi",
@@ -42,7 +44,7 @@ _SEGMENT = 1 << 16
 _PI_1E6 = 78498  # pi(10^6), build-time sanity pin
 BLOCK = 64  # progression primes per exact product in point_sums
 GUARD = 32  # bits point_sums works with beyond prec
-DEFAULT_LIMIT = 2_000_000  # sieve limit of default_table
+DEFAULT_LIMIT = 2_000_000  # sieve limit when the caller names none
 
 
 class PrimeTable:
@@ -88,9 +90,11 @@ def _segmented_sieve(limit: int) -> list[int]:
     return primes
 
 
-@lru_cache(maxsize=None)
-def default_table() -> PrimeTable:
-    return PrimeTable(DEFAULT_LIMIT)
+@lru_cache(maxsize=4)
+def prime_table(limit: int) -> PrimeTable:
+    """The PrimeTable to `limit`, sieved once per limit.  Few are held: the
+    table to 10^7 alone holds 664,579 ints, about 33 MB."""
+    return PrimeTable(limit)
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class ProgressionStats:
     R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
     """
 
-    def __init__(self, q: int, a: int, table: PrimeTable, prec: int = 192):
+    def __init__(self, q: int, a: int, table: PrimeTable, prec: int = DEFAULT_PREC):
         if math.gcd(q, a) != 1:
             raise ValueError("q and a must be coprime")
         self.q, self.a = q, a % q if q > 1 else 1
@@ -316,8 +320,8 @@ class ProgressionStats:
         return PrimorialSeq(self.q, self.a, entries)
 
 
-def stats(q: int, a: int, table: PrimeTable | None = None, prec: int = 192) -> ProgressionStats:
-    return _stats_cached(q, a, table or default_table(), prec)
+def stats(q: int, a: int, table: PrimeTable | None = None, prec: int = DEFAULT_PREC) -> ProgressionStats:
+    return _stats_cached(q, a, table or prime_table(DEFAULT_LIMIT), prec)
 
 
 @lru_cache(maxsize=64)

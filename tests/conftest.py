@@ -1,14 +1,14 @@
 import pytest
 
-from totprog.lvalues import PrecisionContext
-from totprog.primes import default_table
+from totprog.lvalues import DEFAULT_PREC
+from totprog.primes import DEFAULT_LIMIT, prime_table
 
 
 @pytest.fixture(scope="session")
 def table():
-    return default_table()
+    return prime_table(DEFAULT_LIMIT)
 
 
 @pytest.fixture(scope="session")
-def ctx():
-    return PrecisionContext()
+def prec():
+    return DEFAULT_PREC

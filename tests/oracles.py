@@ -7,7 +7,8 @@ equation that totprog.lvalues reflects L'/L(1, chi) from:
     L'(1,chi) = -log(q) L(1,chi) - (1/q) sum_r chi(r) gamma_1(r/q)
 
 The Laurent data of L'/L at s = 0 fitted from Hurwitz zeta values near
-s = 0; F_q regrouped over the divisors of q; R_{q,a} by counting m-th roots;
+s = 0; F_q regrouped over the divisors of q, and F_p for prime p from the
+Euler-Kronecker constant gamma_p; R_{q,a} by counting m-th roots;
 and C(q,a) as the truncated Mertens product.  The Hurwitz rows zeta(m, r/q)
 by one mpmath call per value.  The conductor and primitive
 part of a character by searching the divisors of q and the group mod d.
@@ -26,8 +27,8 @@ import mpmath as mp
 
 from totprog import primes as primes_mod
 from totprog.characters import DirichletCharacter, build_group, divisors, totient, units
-from totprog.constants import IndexData, index_data
-from totprog.lvalues import DEFAULT_CTX, L_at_1, Lprime_over_L_at_1, PrecisionContext
+from totprog.constants import F1, IndexData, gamma_p, index_data
+from totprog.lvalues import DEFAULT_PREC, L_at_1, Lprime_over_L_at_1
 
 
 def _as_mpf(x) -> mp.mpf:
@@ -36,21 +37,21 @@ def _as_mpf(x) -> mp.mpf:
     return mp.mpf(x)
 
 
-def digamma(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def digamma(x, prec: int = DEFAULT_PREC) -> mp.mpf:
     """psi(x) for rational x in (0, 1] (delegated to mpmath's
-    Euler-Maclaurin kernel at ctx.prec bits)."""
+    Euler-Maclaurin kernel at prec bits)."""
     if x <= 0:
         raise ValueError("digamma argument must be positive")
-    with ctx.workprec():
+    with mp.workprec(prec):
         return mp.digamma(_as_mpf(x))
 
 
-def stieltjes_gamma1(x, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def stieltjes_gamma1(x, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Generalized Stieltjes constant gamma_1(x),
     gamma_1(x) = lim_N [ sum_{k<=N} log(k+x)/(k+x) - log^2(N+x)/2 ]."""
     if x <= 0:
         raise ValueError("gamma_1 argument must be positive")
-    with ctx.workprec():
+    with mp.workprec(prec):
         return mp.stieltjes(1, _as_mpf(x))
 
 
@@ -68,14 +69,14 @@ def _gamma1_row(q: int, prec: int) -> dict:
         return {r: mp.stieltjes(1, mp.mpf(r) / q) for r in units(q)}
 
 
-def Lprime_at_1(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpc:
+def Lprime_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
     if chi.is_principal:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     q = chi.modulus
-    row = _gamma1_row(q, ctx.prec)
-    with ctx.workprec():
-        tail = -sum(chi.value(r, ctx.prec) * row[r] for r in units(q)) / q
-        return -mp.log(q) * L_at_1(chi, ctx) + tail
+    row = _gamma1_row(q, prec)
+    with mp.workprec(prec):
+        tail = -sum(chi.value(r, prec) * row[r] for r in units(q)) / q
+        return -mp.log(q) * L_at_1(chi, prec) + tail
 
 
 def _L_and_deriv(chi: DirichletCharacter, s, prec: int):
@@ -92,15 +93,15 @@ def _L_and_deriv(chi: DirichletCharacter, s, prec: int):
         return L, Lp
 
 
-def laurent_fit(chi: DirichletCharacter, ctx: PrecisionContext = DEFAULT_CTX, h: float = 1e-4):
+def laurent_fit(chi: DirichletCharacter, prec: int = DEFAULT_PREC, h: float = 1e-4):
     """Fit L'/L(s,chi) = m0/s + b + O(s^2-extrapolated) from samples at
     s = +-h, +-h/2.  Returns (m0_estimate: mpf, b_estimate: mpc)."""
 
     def ratio(s):
-        L, Lp = _L_and_deriv(chi, s, ctx.prec)
+        L, Lp = _L_and_deriv(chi, s, prec)
         return Lp / L
 
-    with ctx.workprec():
+    with mp.workprec(prec):
         h = mp.mpf(h)
         out = []
         for step in (h, h / 2):
@@ -129,25 +130,33 @@ def _num_primitive(d: int) -> int:
     return sum(1 for chi in build_group(d) if chi.is_primitive)
 
 
-def F_q_via_divisors(q: int, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def F_q_via_divisors(q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Independent route: F_q = sum_{d|q, d>1} phi*(d) log(d/pi)
     + 2 sum_{d|q, d>1} sum_{chi* mod d} L'/L(1,chi)
     - phi(q)(gamma + log 2) + 2 gamma - log pi + 2.  Valid for q > 2 only
     (for q <= 2 the constant term would need -2 log 2, not -phi log 2)."""
     if q <= 2:
         raise ValueError("divisor regrouping of F_q requires q > 2")
-    with ctx.workprec():
+    with mp.workprec(prec):
         total = -totient(q) * (mp.euler + mp.log(2)) + 2 * mp.euler - mp.log(mp.pi) + 2
         for d in divisors(q)[1:]:
             total += _num_primitive(d) * mp.log(mp.mpf(d) / mp.pi)
             total += 2 * mp.re(
                 sum(
-                    Lprime_over_L_at_1(chi, ctx)
+                    Lprime_over_L_at_1(chi, prec)
                     for chi in build_group(d)
                     if chi.is_primitive
                 )
             )
         return total
+
+
+def F_p_primecalc(p: int, prec: int = DEFAULT_PREC) -> mp.mpf:
+    """F_p for odd prime p from the Euler-Kronecker constant:
+    F_1 + 2 gamma_p - p gamma + (2-p) log(2 pi / p) + log 2."""
+    with mp.workprec(prec):
+        g = gamma_p(p, prec).value
+        return F1(prec) + 2 * g - p * mp.euler + (2 - p) * mp.log(2 * mp.pi / p) + mp.log(2)
 
 
 def index_data_bruteforce(q: int, a: int) -> IndexData:
@@ -161,11 +170,11 @@ def index_data_bruteforce(q: int, a: int) -> IndexData:
     return IndexData(q, a % q, m, R)
 
 
-def mertens_C_naive(q: int, a: int, x, table=None, ctx: PrecisionContext = DEFAULT_CTX) -> mp.mpf:
+def mertens_C_naive(q: int, a: int, x, table=None, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Truncated product prod_{p<=x, p=a mod q}(1-1/p) * (log x)^(1/phi);
     converges to C(q,a) like 1/log x -- consistency oracle only."""
-    st = primes_mod.stats(q, a, table, ctx.prec)
-    with ctx.workprec():
+    st = primes_mod.stats(q, a, table, prec)
+    with mp.workprec(prec):
         return mp.e ** (st.log_one_minus(x) + mp.log(mp.log(x)) / st.phi)
 
 

@@ -121,8 +121,10 @@ def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, monkeypatc
     limits = []
     real = primes.PrimeTable.__init__
     monkeypatch.setattr(primes.PrimeTable, "__init__", lambda self, limit: limits.append(limit) or real(self, limit))
-    # an empty cache, so that a call of default_table would sieve
-    monkeypatch.setattr(cli, "default_table", functools.lru_cache(maxsize=4)(primes.default_table.__wrapped__))
+    # an empty cache, so that a call of prime_table(DEFAULT_LIMIT) would sieve
+    fresh = functools.lru_cache(maxsize=4)(primes.prime_table.__wrapped__)
+    monkeypatch.setattr(primes, "prime_table", fresh)
+    monkeypatch.setattr(cli, "prime_table", fresh)
     code, out, _ = run(["sweep", "--q", "3", "--xmax", "100", "--sieve-limit", "1000"], capsys)
     assert code == cli.EXIT_OK and json.loads(out)
     assert limits[0] == 1000 and primes.DEFAULT_LIMIT not in limits
@@ -162,7 +164,9 @@ def test_scan(capsys):
     assert verdicts[3] == "holds" and verdicts[14] == "holds"
 
 
-def test_figure_landau(capsys):
+def test_figure_landau(capsys, monkeypatch):
+    # the landau kind reads no primes, so it fetches no sieve
+    monkeypatch.setattr(cli, "prime_table", lambda limit: pytest.fail(f"figure F1 asked for the primes to {limit}"))
     code, out, _ = run(["figure", "F1"], capsys)
     assert code == cli.EXIT_OK
     rows = json.loads(out)
@@ -209,8 +213,6 @@ def test_precision_below_a_double_is_an_error(source, monkeypatch, capsys):
         ["sweep", "--q", "0"],
         ["scan", "--q", "0"],
         ["constants", "--q", "-3"],
-        ["table", "T1", "--q", "0"],
-        ["figure", "F1", "--q", "0"],
     ],
 )
 def test_nonpositive_modulus_is_an_error(argv, capsys):
@@ -218,12 +220,38 @@ def test_nonpositive_modulus_is_an_error(argv, capsys):
     assert (code, out, err) == (cli.EXIT_USAGE, "", "error: modulus must be a positive integer\n")
 
 
+# Each subcommand parses only the options it reads; these are the others.
+_UNREAD_OPTIONS = [
+    ["constants", "--q", "3", "--sieve-limit", "1000"],
+    ["constants", "--q", "3", "--xmax", "100"],
+    ["table", "T1", "--q", "0"],
+    ["table", "T8", "--a", "2"],
+    ["table", "T9", "--sieve-limit", "1000"],
+    ["table", "T9", "--xmax", "100"],
+    ["figure", "F1", "--q", "0"],
+    ["figure", "F1", "--a", "2"],
+    ["scan", "--q", "3", "--a", "2"],
+    ["scan", "--q", "3", "--sieve-limit", "1000"],
+    ["scan", "--q", "3", "--xmax", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD_OPTIONS, ids=[" ".join(argv) for argv in _UNREAD_OPTIONS])
+def test_option_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    # `table T8 --q 7` used to print all of T8
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (cli.EXIT_USAGE, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+
 def test_sweep_within_the_budget_is_inconclusive(capsys, monkeypatch):
     # (7, 3) has log f > 0; with an error of C as large as C it is not a violation
     real = criterion.mertens_C
 
-    def loose(q, a, ctx):
-        mc = real(q, a, ctx)
+    def loose(q, a, prec):
+        mc = real(q, a, prec)
         return dataclasses.replace(mc, C=Approx(mc.C.value, mc.C.value))
 
     monkeypatch.setattr(criterion, "mertens_C", loose)

@@ -2,18 +2,18 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import F_q_via_divisors, hurwitz_row_mp, index_data_bruteforce, mertens_C_naive
-from totprog import constants
+from oracles import F_p_primecalc, F_q_via_divisors, hurwitz_row_mp, index_data_bruteforce, mertens_C_naive
+from totprog import constants, primes
 from totprog.characters import build_group, factorint, totient, units
 from totprog.constants import (
     F1,
     F_chi,
-    F_p_primecalc,
     F_q,
     G_q,
     _winding_number,
@@ -22,7 +22,7 @@ from totprog.constants import (
     mertens_C,
     nicolas_condition_scan,
 )
-from totprog.lvalues import PrecisionContext
+from totprog.lvalues import eps
 
 
 # -- index data (m, R) -------------------------------------------------------
@@ -59,25 +59,25 @@ def test_R_counts_solutions():
 # -- Mertens-type constant ---------------------------------------------------
 
 
-def test_C_q1_is_exp_minus_gamma(ctx):
-    with ctx.workprec():
-        c = mertens_C(1, 1, ctx)
-        assert abs(c.C.value - mp.e**-mp.euler) < ctx.eps(4)
-        c2 = mertens_C(2, 1, ctx)
-        assert abs(c2.C.value - 2 * mp.e**-mp.euler) < ctx.eps(8)
+def test_C_q1_is_exp_minus_gamma(prec):
+    with mp.workprec(prec):
+        c = mertens_C(1, 1, prec)
+        assert abs(c.C.value - mp.e**-mp.euler) < eps(prec, 4)
+        c2 = mertens_C(2, 1, prec)
+        assert abs(c2.C.value - 2 * mp.e**-mp.euler) < eps(prec, 8)
 
 
-def test_C_published_thresholds(ctx):
-    assert abs(mertens_C(5, 1, ctx).C.value - mp.mpf("1.2252")) < 1e-4
-    assert abs(mertens_C(5, 3, ctx).C.value - mp.mpf("0.8060")) < 1e-4
+def test_C_published_thresholds(prec):
+    assert abs(mertens_C(5, 1, prec).C.value - mp.mpf("1.2252")) < 1e-4
+    assert abs(mertens_C(5, 3, prec).C.value - mp.mpf("0.8060")) < 1e-4
 
 
-def test_C_against_naive_product_discrepancy_decreases(ctx, table):
+def test_C_against_naive_product_discrepancy_decreases(prec, table):
     """The truncated product converges to the accelerated value: the
     discrepancy shrinks as the cutoff grows (consistency oracle)."""
     for q, a in ((3, 1), (5, 1), (7, 3)):
-        c = mertens_C(q, a, ctx).C.value
-        gaps = [abs(mertens_C_naive(q, a, x, table, ctx) - c) for x in (10**4, 10**5, 10**6)]
+        c = mertens_C(q, a, prec).C.value
+        gaps = [abs(mertens_C_naive(q, a, x, table, prec) - c) for x in (10**4, 10**5, 10**6)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 2e-4
 
@@ -89,21 +89,21 @@ def test_C_against_naive_product_discrepancy_decreases(ctx, table):
     "the discrepancy is not monotone at x = 1e4/1e5/1e6 (it still shrinks "
     "overall, as the companion test's pairs show)",
 )
-def test_C_naive_discrepancy_monotone_oscillating_pairs(q, a, ctx, table):
-    c = mertens_C(q, a, ctx).C.value
-    gaps = [abs(mertens_C_naive(q, a, x, table, ctx) - c) for x in (10**4, 10**5, 10**6)]
+def test_C_naive_discrepancy_monotone_oscillating_pairs(q, a, prec, table):
+    c = mertens_C(q, a, prec).C.value
+    gaps = [abs(mertens_C_naive(q, a, x, table, prec) - c) for x in (10**4, 10**5, 10**6)]
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_C_decomposition_reconstructs_mertens_sum(ctx, table):
+def test_C_decomposition_reconstructs_mertens_sum(prec, table):
     """exp(M(q,a)) consistency: log C + sum log(1-1/p) telescopes against
     (1/phi) loglog x + M(q,a) - sum_{p<=x} 1/p -> 0."""
     import math as _m
 
     q, a = 4, 3
-    c = mertens_C(q, a, ctx)
+    c = mertens_C(q, a, prec)
     x = 10**6
-    with ctx.workprec():
+    with mp.workprec(prec):
         s = mp.fsum(mp.mpf(1) / p for p in table.upto(x) if p % q == a)
         drift = s - mp.log(mp.log(x)) / totient(q) - c.M.value
         assert abs(drift) < 1e-3  # ~ 1/log x tail
@@ -124,17 +124,17 @@ def test_ambiguous_winding_estimate_retries_over_more_primes(monkeypatch):
     """A first prime list whose partial Euler sum winds too far (2 six times:
     0.41 turns off for the complex characters mod 5) is retried over the
     primes up to the next limit, once, and log C comes out unchanged."""
-    real = constants._branch_primes
+    real = primes.prime_table
     asked = []
 
-    def branch_primes(limit):
+    def prime_table(limit):
         asked.append(limit)
-        return [2] * 6 if limit == constants._BRANCH_LIMITS[0] else real(limit)
+        return SimpleNamespace(primes=[2] * 6) if limit == constants._BRANCH_LIMITS[0] else real(limit)
 
     _clear("_mertens_cached")
     want = mertens_C(5, 2).log_C
     _clear("_mertens_cached")
-    monkeypatch.setattr(constants, "_branch_primes", branch_primes)
+    monkeypatch.setattr(primes, "prime_table", prime_table)
     try:
         got = mertens_C(5, 2).log_C
     finally:
@@ -232,15 +232,15 @@ def test_per_character_sums_are_computed_once_per_key():
     assert constants._prime_zeta.cache_info().misses <= 282
     assert constants._hurwitz_row.cache_info().misses <= 48
     assert constants._zeta_table.cache_info().misses == 1
-    mertens_C(14, 1, PrecisionContext(53))
+    mertens_C(14, 1, 53)
     assert constants._zeta_table.cache_info().misses == 2
     G_q(14)
     assert constants._abs_zero_sum_half.cache_info().misses == 2
 
 
 _CACHED_CALLS = [
-    *((G_q, (14, PrecisionContext(prec), kmax, conv)) for prec in (53, 192) for kmax in (2000, 4000) for conv in ("published", "absolute")),
-    *((mertens_C, (q, 1, PrecisionContext(prec))) for prec in (53, 192) for q in (7, 14)),
+    *((G_q, (14, prec, kmax, conv)) for prec in (53, 192) for kmax in (2000, 4000) for conv in ("published", "absolute")),
+    *((mertens_C, (q, 1, prec)) for prec in (53, 192) for q in (7, 14)),
 ]
 
 
@@ -299,28 +299,28 @@ TABLE1 = {
 }
 
 
-def test_F1_value(ctx):
-    with ctx.workprec():
+def test_F1_value(prec):
+    with mp.workprec(prec):
         expect = 2 + mp.euler - mp.log(mp.pi) - 2 * mp.log(2)
-        assert abs(F1(ctx) - expect) < ctx.eps(4)
+        assert abs(F1(prec) - expect) < eps(prec, 4)
 
 
 @pytest.mark.parametrize("q", list(TABLE1))
-def test_F_q_published(q, ctx):
-    assert abs(F_q(q, ctx).value - mp.mpf(TABLE1[q])) < 1e-5
+def test_F_q_published(q, prec):
+    assert abs(F_q(q, prec).value - mp.mpf(TABLE1[q])) < 1e-5
 
 
 @pytest.mark.parametrize("q", list(range(3, 15)))
-def test_F_q_two_routes_agree(q, ctx):
+def test_F_q_two_routes_agree(q, prec):
     """Sum over characters vs the divisor/primitive-character regrouping
     (the regrouping is stated for q > 2 only)."""
-    assert abs(F_q(q, ctx).value - F_q_via_divisors(q, ctx)) < 1e-9
+    assert abs(F_q(q, prec).value - F_q_via_divisors(q, prec)) < 1e-9
 
 
-def test_F_q_divisor_route_rejects_small_q(ctx):
+def test_F_q_divisor_route_rejects_small_q(prec):
     for q in (1, 2):
         with pytest.raises(ValueError):
-            F_q_via_divisors(q, ctx)
+            F_q_via_divisors(q, prec)
 
 
 def test_F_q_depends_on_kernel():
@@ -329,7 +329,7 @@ def test_F_q_depends_on_kernel():
         assert abs(F_q(2 * q).value - F_q(q).value) < 1e-12
 
 
-def test_F_chi_published(ctx):
+def test_F_chi_published(prec):
     cases = [
         (4, 3, "0.1555680"),
         (8, 3, "0.3160732"),
@@ -339,21 +339,21 @@ def test_F_chi_published(ctx):
     ]
     for q, label, expected in cases:
         chi = build_group(q).by_label(label)
-        assert abs(F_chi(chi, ctx) - mp.mpf(expected)) < 1e-6
+        assert abs(F_chi(chi, prec) - mp.mpf(expected)) < 1e-6
 
 
-def test_gamma_p_and_primecalc(ctx):
+def test_gamma_p_and_primecalc(prec):
     cases = {3: "0.94550", 5: "1.72062", 7: "2.08759", 17: "3.58198", 149: "5.98342"}
     for p, expected in cases.items():
-        assert abs(gamma_p(p, ctx).value - mp.mpf(expected)) < 5e-6
+        assert abs(gamma_p(p, prec).value - mp.mpf(expected)) < 5e-6
     with pytest.raises(ValueError):
-        gamma_p(4, ctx)
+        gamma_p(4, prec)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
-def test_primecalc_agrees_with_character_sum(p, ctx):
+def test_primecalc_agrees_with_character_sum(p, prec):
     """Closed form for prime modulus vs the general character sum."""
-    assert abs(F_p_primecalc(p, ctx) - F_q(p, ctx).value) < 1e-9
+    assert abs(F_p_primecalc(p, prec) - F_q(p, prec).value) < 1e-9
 
 
 # -- G_q ---------------------------------------------------------------------
@@ -367,49 +367,49 @@ G_PUBLISHED = {
 
 
 @pytest.mark.parametrize("q", list(G_PUBLISHED))
-def test_G_q_published(q, ctx):
-    assert abs(G_q(q, ctx).value - mp.mpf(G_PUBLISHED[q])) < 1e-6
+def test_G_q_published(q, prec):
+    assert abs(G_q(q, prec).value - mp.mpf(G_PUBLISHED[q])) < 1e-6
 
 
-def test_G_q_6_published_row_omits_principal(ctx):
+def test_G_q_6_published_row_omits_principal(prec):
     """The printed 0.1177920 for q = 6 is the nonprincipal contribution
     alone; the full sum is 0.2561251."""
-    full = G_q(6, ctx).value
+    full = G_q(6, prec).value
     assert abs(full - mp.mpf("0.2561251")) < 1e-6
     assert full > mp.mpf("0.1177920")
 
 
-def test_G_q_kmax_doubling(ctx):
+def test_G_q_kmax_doubling(prec):
     for q in (6, 10, 12, 14):
-        a = G_q(q, ctx, kmax=2000)
-        b = G_q(q, ctx, kmax=4000)
+        a = G_q(q, prec, kmax=2000)
+        b = G_q(q, prec, kmax=4000)
         assert abs(a.value - b.value) <= a.err + b.err
 
 
-def test_G_q_conventions(ctx):
+def test_G_q_conventions(prec):
     # absolute >= published: for zeros at i t, 2/(t sqrt(1+t^2)) >= 2/(1+t^2)
     # term by term, so the literal absolute sum dominates the signed one
     for q in (3, 6, 8, 9, 12):
-        assert G_q(q, ctx, convention="absolute").value > G_q(q, ctx).value
+        assert G_q(q, prec, convention="absolute").value > G_q(q, prec).value
     with pytest.raises(ValueError):
-        G_q(6, ctx, convention="bogus")
+        G_q(6, prec, convention="bogus")
 
 
-def test_G_q_edge_moduli(ctx):
+def test_G_q_edge_moduli(prec):
     # q = 1 has no Euler-factor zeros; q = 2, 4, 8 share the single
     # principal-character factor 1 - 2^-s
-    assert G_q(1, ctx).value == 0
-    g2 = G_q(2, ctx).value
-    assert abs(g2 - G_q(4, ctx).value) < 1e-20
-    assert abs(g2 - G_q(8, ctx).value) < 1e-20
+    assert G_q(1, prec).value == 0
+    g2 = G_q(2, prec).value
+    assert abs(g2 - G_q(4, prec).value) < 1e-20
+    assert abs(g2 - G_q(8, prec).value) < 1e-20
     assert abs(g2 - mp.mpf("0.0397208")) < 1e-6
 
 
 # -- criterion scan ----------------------------------------------------------
 
 
-def test_nicolas_scan(ctx):
-    rows = {q: verdict for q, _, _, verdict in nicolas_condition_scan(14, ctx)}
+def test_nicolas_scan(prec):
+    rows = {q: verdict for q, _, _, verdict in nicolas_condition_scan(14, prec)}
     for q in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14):
         assert rows[q] is True
     assert rows[11] is False

@@ -7,9 +7,9 @@ from totprog.characters import build_group, factorint
 from totprog.lvalues import (
     L_at_1,
     Lprime_over_L_at_1,
-    PrecisionContext,
     b_sum_abs,
     b_sum_signed,
+    eps,
     laurent_at_zero,
     m0_sum,
     structural_m0,
@@ -17,24 +17,24 @@ from totprog.lvalues import (
 from oracles import Lprime_at_1, digamma, laurent_fit, stieltjes_gamma1
 
 
-def test_digamma_special_values(ctx):
-    with ctx.workprec():
-        assert abs(digamma(1, ctx) + mp.euler) < ctx.eps()
-        assert abs(digamma(mp.mpf(1) / 2, ctx) + mp.euler + 2 * mp.log(2)) < ctx.eps(4)
+def test_digamma_special_values(prec):
+    with mp.workprec(prec):
+        assert abs(digamma(1, prec) + mp.euler) < eps(prec)
+        assert abs(digamma(mp.mpf(1) / 2, prec) + mp.euler + 2 * mp.log(2)) < eps(prec, 4)
         # recurrence psi(x+1) = psi(x) + 1/x
         for x in ("0.25", "0.7", "1.9"):
             x = mp.mpf(x)
-            assert abs(digamma(x + 1, ctx) - digamma(x, ctx) - 1 / x) < ctx.eps(10)
+            assert abs(digamma(x + 1, prec) - digamma(x, prec) - 1 / x) < eps(prec, 10)
 
 
-def test_digamma_rejects_nonpositive(ctx):
+def test_digamma_rejects_nonpositive(prec):
     with pytest.raises(ValueError):
-        digamma(0, ctx)
+        digamma(0, prec)
     with pytest.raises(ValueError):
-        stieltjes_gamma1(-1, ctx)
+        stieltjes_gamma1(-1, prec)
 
 
-def test_gamma1_at_1_matches_series_oracle(ctx):
+def test_gamma1_at_1_matches_series_oracle(prec):
     """gamma_1(1) = lim sum log(k)/k - log(x)^2/2, Richardson-accelerated."""
     with mp.workprec(80):
         n = 16000
@@ -44,49 +44,49 @@ def test_gamma1_at_1_matches_series_oracle(ctx):
             - mp.log(n) ** 2 / 2
             - mp.log(n) / (2 * n)
         )
-    val = stieltjes_gamma1(1, ctx)
+    val = stieltjes_gamma1(1, prec)
     assert abs(val - mp.mpf("-0.0728158454836767")) < 1e-14
     assert abs(oracle - val) < 1e-6
 
 
-def test_gamma1_distribution_relation(ctx):
+def test_gamma1_distribution_relation(prec):
     """sum_{r=1}^{q} gamma_1(r/q) relates to gamma_1 and log q:
     sum_r zeta(s, r/q) = q^s zeta(s) forces
     sum_r gamma_1(r/q) = q (gamma_1 - gamma log q - log^2 q / 2)."""
     q = 3
-    with ctx.workprec():
-        lhs = mp.fsum(stieltjes_gamma1(mp.mpf(r) / q, ctx) for r in range(1, q + 1))
-        g1 = stieltjes_gamma1(1, ctx)
+    with mp.workprec(prec):
+        lhs = mp.fsum(stieltjes_gamma1(mp.mpf(r) / q, prec) for r in range(1, q + 1))
+        g1 = stieltjes_gamma1(1, prec)
         rhs = q * (g1 - mp.euler * mp.log(q) - mp.log(q) ** 2 / 2)
-        assert abs(lhs - rhs) < ctx.eps(100)
+        assert abs(lhs - rhs) < eps(prec, 100)
 
 
 # -- L(1, chi) ---------------------------------------------------------------
 
 
-def test_L1_closed_forms(ctx):
-    with ctx.workprec():
+def test_L1_closed_forms(prec):
+    with mp.workprec(prec):
         chi4 = build_group(4).by_label(3)
-        assert abs(L_at_1(chi4, ctx) - mp.pi / 4) < ctx.eps(4)
+        assert abs(L_at_1(chi4, prec) - mp.pi / 4) < eps(prec, 4)
         chi3 = build_group(3).by_label(2)
-        assert abs(L_at_1(chi3, ctx) - mp.pi / (3 * mp.sqrt(3))) < ctx.eps(4)
+        assert abs(L_at_1(chi3, prec) - mp.pi / (3 * mp.sqrt(3))) < eps(prec, 4)
 
 
-def test_L1_conjugation(ctx):
+def test_L1_conjugation(prec):
     for q, label in ((5, 2), (7, 3), (13, 2)):
         chi = build_group(q).by_label(label)
-        with ctx.workprec():
-            assert abs(L_at_1(chi.conjugate(), ctx) - mp.conj(L_at_1(chi, ctx))) < ctx.eps(4)
+        with mp.workprec(prec):
+            assert abs(L_at_1(chi.conjugate(), prec) - mp.conj(L_at_1(chi, prec))) < eps(prec, 4)
 
 
-def test_L1_rejects_principal(ctx):
+def test_L1_rejects_principal(prec):
     with pytest.raises(ValueError):
-        L_at_1(build_group(5).principal, ctx)
+        L_at_1(build_group(5).principal, prec)
     with pytest.raises(ValueError):
-        Lprime_over_L_at_1(build_group(5).principal, ctx)
+        Lprime_over_L_at_1(build_group(5).principal, prec)
 
 
-def test_L1_euler_product_cross_check(ctx, table):
+def test_L1_euler_product_cross_check(prec, table):
     """Partial Euler product over primes to 2e6 agrees to ~1e-4 (the tail
     of a conditionally convergent product decays slowly)."""
     chi = build_group(4).by_label(3)
@@ -96,7 +96,7 @@ def test_L1_euler_product_cross_check(ctx, table):
             v = mp.re(chi(p)) if p % 2 else 0
             if v:
                 prod *= 1 / (1 - v / p)
-        assert abs(prod - L_at_1(chi, ctx)) < 1e-4
+        assert abs(prod - L_at_1(chi, prec)) < 1e-4
 
 
 @pytest.mark.parametrize(
@@ -109,9 +109,9 @@ def test_L1_euler_product_cross_check(ctx, table):
         (12, 11, "0.4767499"),
     ],
 )
-def test_LpL1_published_values(q, label, expected, ctx):
+def test_LpL1_published_values(q, label, expected, prec):
     chi = build_group(q).by_label(label)
-    val = mp.re(Lprime_over_L_at_1(chi, ctx))
+    val = mp.re(Lprime_over_L_at_1(chi, prec))
     assert abs(val - mp.mpf(expected)) < 1e-6
 
 
@@ -119,13 +119,13 @@ ORACLE_MODULI = list(range(3, 17)) + [20, 21, 24, 28]
 
 
 @pytest.mark.parametrize("q", ORACLE_MODULI)
-def test_LpL1_matches_stieltjes_oracle(q, ctx):
+def test_LpL1_matches_stieltjes_oracle(q, prec):
     """Functional-equation route vs L'(1)/L(1) from gamma_1(r/q) rows."""
-    tol = mp.mpf(2) ** -(ctx.prec - 16)
+    tol = mp.mpf(2) ** -(prec - 16)
     for chi in build_group(q).nonprincipal():
-        with ctx.workprec():
-            oracle = Lprime_at_1(chi, ctx) / L_at_1(chi, ctx)
-        assert abs(Lprime_over_L_at_1(chi, ctx) - oracle) < tol, (q, chi.label)
+        with mp.workprec(prec):
+            oracle = Lprime_at_1(chi, prec) / L_at_1(chi, prec)
+        assert abs(Lprime_over_L_at_1(chi, prec) - oracle) < tol, (q, chi.label)
 
 
 def test_stieltjes_oracle_moduli_cover_every_kind():
@@ -158,12 +158,12 @@ def test_structural_m0_cases():
 
 
 @pytest.mark.parametrize("q", list(range(1, 15)))
-def test_laurent_structural_matches_numerical_fit(q, ctx):
+def test_laurent_structural_matches_numerical_fit(q, prec):
     """Independent oracle: fit m0/s + b from L'/L sampled near s = 0 via
     Hurwitz-zeta series, compare with the structural evaluation."""
     for chi in build_group(q):
-        la = laurent_at_zero(chi, ctx)
-        m0_fit, b_fit = laurent_fit(chi, ctx)
+        la = laurent_at_zero(chi, prec)
+        m0_fit, b_fit = laurent_fit(chi, prec)
         assert abs(m0_fit - la.m0) < 1e-8
         assert abs(b_fit - la.b) < 1e-8
         assert structural_m0(chi) == la.m0
@@ -189,23 +189,23 @@ def test_m0_sums():
     # published table prints 1 for q = 6; the extra Euler factor makes it 2
 
 
-def test_b_sums(ctx):
+def test_b_sums(prec):
     for q, want in B_EXPECTED.items():
-        assert abs(b_sum_signed(q, ctx).value - mp.mpf(want)) < 1e-6
+        assert abs(b_sum_signed(q, prec).value - mp.mpf(want)) < 1e-6
     # q = 8: print is low by exactly log 2 (modulus/conductor slip)
-    b8 = b_sum_signed(8, ctx).value
+    b8 = b_sum_signed(8, prec).value
     assert abs(b8 - mp.mpf("2.3343911")) < 1e-6
     assert abs(b8 - mp.log(2) - mp.mpf("1.6412439")) < 1e-6
 
 
-def test_abs_sum_dominates_signed(ctx):
+def test_abs_sum_dominates_signed(prec):
     for q in (3, 5, 8, 12, 14):
-        with ctx.workprec():
-            assert b_sum_abs(q, ctx).value >= abs(b_sum_signed(q, ctx).value) - ctx.eps(10)
+        with mp.workprec(prec):
+            assert b_sum_abs(q, prec).value >= abs(b_sum_signed(q, prec).value) - eps(prec, 10)
 
 
 def test_precision_doubling_stability():
-    lo = PrecisionContext(prec=128)
-    hi = PrecisionContext(prec=256)
+    lo = 128
+    hi = 256
     for q in (7, 12):
         assert abs(b_sum_signed(q, lo).value - b_sum_signed(q, hi).value) < 1e-25

@@ -14,9 +14,10 @@ from totprog.primes import (
     BLOCK,
     PrimeTable,
     ProgressionStats,
+    DEFAULT_LIMIT,
     _SEGMENT,
-    default_table,
     enumerate_smooth,
+    prime_table,
     primorials,
     stats,
 )
@@ -327,7 +328,7 @@ def test_S_and_R_are_derived(table):
 @given(x=st.integers(min_value=2, max_value=200_000))
 @settings(max_examples=60, deadline=None)
 def test_theta_monotone_and_bounded(x):
-    st_ = stats(5, 1, default_table())
+    st_ = stats(5, 1, prime_table(DEFAULT_LIMIT))
     assert st_.theta(x) <= st_.theta(x + 1000)
     assert st_.theta(x) <= st_.psi(x)
 

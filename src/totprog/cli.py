@@ -19,8 +19,9 @@ verdict, 3 table mismatch.  Numeric output is always rendered as decimal
 strings ('.' decimal separator) so runs are byte-for-byte reproducible.
 
 Defaults may be overridden with environment variables TOTPROG_PREC_BITS,
-TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX; each must be an integer, the
-precision at least 53 bits, the sieve limit at least 2 and x_max at least 1.
+TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX, read only by a subcommand that takes
+the option; each must be an integer, the precision at least 53 bits, the
+sieve limit at least 2 and x_max at least 1.
 """
 
 from __future__ import annotations
@@ -50,9 +51,23 @@ EXIT_MISMATCH = 3
 _ENV_PREFIX = "TOTPROG_"
 
 
+# the built-in defaults of the options TOTPROG_<DEST> overrides
+_ENV_DEFAULTS = {"prec_bits": DEFAULT_PREC, "sieve_limit": DEFAULT_LIMIT, "xmax": None}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Fill each option of _ENV_DEFAULTS that the subcommand takes and the
+        command line leaves out from its variable or built-in default, so
+        the variables of options it does not take are never read."""
+        args, extras = super().parse_known_args(args, namespace)
+        for dest, default in _ENV_DEFAULTS.items():
+            if dest in vars(args) and getattr(args, dest) is None:
+                setattr(args, dest, _env(dest.upper(), default))
+        return args, extras
 
 
 def _env(name: str, default):
@@ -314,9 +329,9 @@ def build_parser() -> _Parser:
     options = {
         "--q": dict(type=int, required=True),
         "--a": dict(type=int, default=1),
-        "--prec-bits": dict(type=int, default=_env("PREC_BITS", DEFAULT_PREC)),
-        "--sieve-limit": dict(type=int, default=_env("SIEVE_LIMIT", DEFAULT_LIMIT)),
-        "--xmax": dict(type=int, default=_env("XMAX", None)),
+        "--prec-bits": dict(type=int),  # the defaults of these three: _ENV_DEFAULTS
+        "--sieve-limit": dict(type=int),
+        "--xmax": dict(type=int),
         "--out": dict(type=str, default=None),
         "--format": dict(choices=("json", "csv"), default="json"),
     }

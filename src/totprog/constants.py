@@ -354,28 +354,61 @@ def gamma_p(p: int, prec: int = DEFAULT_PREC) -> Approx:
 
 
 @lru_cache(maxsize=None)
-def _abs_zero_sum_half(p: int, theta_frac, kmax: int, prec: int) -> mp.mpf:
+def _abs_zero_sum_half(p: int, theta_frac, kmax: int, prec: int) -> Approx:
     """sum over k >= 0 of f(t_k), t_k = (theta + 2 pi k)/L with L = log p,
     theta = 2 pi theta_frac (a Fraction, or 1) and f(t) = 1/(t sqrt(1+t^2)),
-    for 0 < theta <= 2 pi; Hurwitz-zeta tail.
-    Cached on (p, theta/2pi, kmax, prec), which all characters and moduli
-    with the same chi'(p) share, as do the halves theta and 2 pi - theta."""
+    for 0 < theta <= 2 pi: the terms k <= kmax in fixed point, the rest as
+    Hurwitz zetas in mpmath.  Cached on (p, theta/2pi, kmax, prec), which all
+    characters and moduli with the same chi'(p) share, as do the halves
+    theta and 2 pi - theta.
+
+    With theta_frac = a/b, P = floor(2 pi 2^W) and Lw = floor(L 2^W), term k
+    is, in units u = 2^-W,
+
+        T = ((P a // b + k P) << W) // Lw,   f = 2^3W // (T isqrt(2^2W + T^2)),
+
+    at W = prec + 40 + g, where g = 2 bitlen(floor(1/t_0)) guard bits absorb
+    the amplification |f'(t)| ~ t^-2 at a small first t_0 = theta/L.  Bound,
+    in units u, per term: the final floor (< 1) and the isqrt floor
+    (< 2 f(t)); and T u is within u + 2 t r_k u of t, where r_k = 1/(2 pi)
+    + 1/(theta + 2 pi k) + 1/L covers the roundings of P, Lw and P a // b,
+    which moves f by at most 2 |f'(t)| + 8 f(t) r_k: t |f'(t)| <= 2 f(t),
+    and as u is far below t_0/16, |f'| at most doubles (and f grows by
+    under 4/3) between t and T u.  Since f(t) <= t^-2, |f'(t)| <= 2 t^-3,
+    t_k >= 2 pi k/L and r_k < 1.8 for k >= 1, the sum is within
+
+        kmax + 1 + 2 |f'(t_0)| + (2 + 8 r_0) f(t_0) + 4.9 v^3 + 28 v^2,   v = L/(2 pi).
+
+    The err returned adds 2^(3 - prec) |total| for the rounding of the sum
+    to prec bits and of the three tail terms (at most 4 units in its last
+    place); the tail's truncated asymptotic series is G_q's to bound."""
+    a, b = theta_frac.numerator, theta_frac.denominator
+    w = prec + 40 + 2 * int(b * math.log(p) / (2 * math.pi * a)).bit_length()
+    with mp.workprec(w + 20):
+        P = int(mp.floor(mp.ldexp(2 * mp.pi, w)))
+        Lw = int(mp.floor(mp.ldexp(mp.log(p), w)))
+    one, cube = 1 << (2 * w), 1 << (3 * w)
+    acc = 0
+    first = P * a // b  # then P (a + k b) // b = first + k P
+    for n in range(first, first + (kmax + 1) * P, P):
+        T = (n << w) // Lw
+        acc += cube // (T * math.isqrt(one + T * T))
     with mp.workprec(prec):
-        L = mp.log(p)
-        total = mp.mpf(0)
-        two_pi = 2 * mp.pi
-        tf = mp.mpf(theta_frac.numerator) / theta_frac.denominator
-        theta = two_pi * tf
-        for k in range(kmax + 1):
-            t = (theta + two_pi * k) / L
-            total += 1 / (t * mp.sqrt(1 + t * t))
+        two_pi, L = 2 * mp.pi, mp.log(p)
+        tf = mp.mpf(a) / b
+        t0 = two_pi * tf / L
+        total = mp.mpf((acc, -w))
         # f(t) = t^-2 - t^-4/2 + 3 t^-6/8 - ...; sum tails as Hurwitz zetas
-        u = L / two_pi
+        v = L / two_pi
         shift = kmax + 1 + tf
-        total += u**2 * mp.zeta(2, shift)
-        total -= u**4 / 2 * mp.zeta(4, shift)
-        total += 3 * u**6 / 8 * mp.zeta(6, shift)
-        return total
+        total += v**2 * mp.zeta(2, shift)
+        total -= v**4 / 2 * mp.zeta(4, shift)
+        total += 3 * v**6 / 8 * mp.zeta(6, shift)
+        f0 = 1 / (t0 * mp.sqrt(1 + t0 * t0))
+        df0 = (1 + 2 * t0 * t0) / (t0 * t0 * (1 + t0 * t0) ** 1.5)
+        r0 = 1 / two_pi + 1 / (two_pi * tf) + 1 / L
+        units = kmax + 1 + 2 * df0 + (2 + 8 * r0) * f0 + mp.mpf(4.9) * v**3 + 28 * v**2
+        return Approx(total, mp.ldexp(units, -w) + mp.ldexp(abs(total), 3 - prec))
 
 
 def _signed_zero_sum_theta0(L: mp.mpf) -> mp.mpf:
@@ -417,6 +450,7 @@ def G_q(
     with mp.workprec(prec):
         total = mp.mpf(0)
         err = mp.mpf(0)
+        tail = mp.mpf(0)  # sum of (L/2pi)^8 over the angles summed in absolute value
         for _chi, p, theta_frac in _euler_factor_angles(q):
             L = mp.log(p)
             if theta_frac == 0 and convention == "published":
@@ -425,9 +459,14 @@ def G_q(
                 # the full line sum_k f(|t_k|), k in Z: the halves k >= 0 at theta
                 # and at 2 pi - theta, or for theta = 0 the k >= 1 half twice
                 halves = (1, 1) if theta_frac == 0 else (theta_frac, 1 - theta_frac)
-                total += sum(_abs_zero_sum_half(p, h, kmax, prec) for h in halves)
-                # first omitted asymptotic order bounds the tail error
-                err += 2 * (L / (2 * mp.pi)) ** 8 * mp.zeta(8, kmax + 1) * mp.mpf(5) / 16
+                sums = [_abs_zero_sum_half(p, h, kmax, prec) for h in halves]
+                total += sum(s.value for s in sums)
+                err += sum(s.err for s in sums)
+                tail += (L / (2 * mp.pi)) ** 8
+        if tail:
+            # the first omitted asymptotic order, 5 t^-8/16 per term, bounds
+            # each half's tail; zeta(8, kmax + 1) covers every shift
+            err += tail * mp.zeta(8, kmax + 1) * mp.mpf(5) / 8
         return Approx(total, err + eps(prec, abs(total)))
 
 

@@ -242,62 +242,64 @@ def bound_params(q: int, prec: int = DEFAULT_PREC) -> BoundParams:
     return _bound_params_cached(q, prec)
 
 
-def _p_q_formula(x, phi, F, G, R, B, M):
-    """p_q(x): in doubles when x is a float (F, G and B floats too), else in
-    mpf at the working precision."""
-    if isinstance(x, float):
-        m, c12, c001 = math, 1.2, 0.01
-    else:
-        m, c12, c001 = mp, mp.mpf("1.2"), mp.mpf("0.01")
-    lx = m.log(x)
-    sx = m.sqrt(x)
-    return (
-        (3 * F + c12 * R) / lx
-        + (1 + 2 / lx) * G / sx
-        + (c001 * phi - B - M) / sx
-        - (M / x - phi / (2 * (x - 1))) * sx * lx
-    )
+def _p_q_values(xs, phi, F, G, R, B, M, m=mp):
+    """(x, p_q(x)) for each x of xs: in doubles when m is math (F, G and B
+    floats too), else in mpf at the working precision.  The two numerators
+    that do not depend on x are computed once."""
+    c12, c001 = (1.2, 0.01) if m is math else (mp.mpf("1.2"), mp.mpf("0.01"))
+    num_log = 3 * F + c12 * R
+    num_sqrt = c001 * phi - B - M
+    log, sqrt = m.log, m.sqrt
+    for x in xs:
+        lx = log(x)
+        sx = sqrt(x)
+        yield x, num_log / lx + (1 + 2 / lx) * G / sx + num_sqrt / sx - (M / x - phi / (2 * (x - 1))) * sx * lx
 
 
 def p_q_of_x(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
     bp = bound_params(q, prec)
     with mp.workprec(prec):
-        return _p_q_formula(mp.mpf(x), totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)
+        return next(_p_q_values([mp.mpf(x)], totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M))[1]
 
 
 _P_GRID = 10_000  # intervals of the coarse log-x grid in _P_q_from
+_P_LO = 10.0  # its first point, log e^10; its last is log 1e16
+_P_STEP = (math.log(1e16) - _P_LO) / _P_GRID
+
+
+def _p_q_grid(phi, F, G, R, B, M):
+    """(x, p_q(x)) in doubles at x = e^(_P_LO + i _P_STEP), i = 0..._P_GRID."""
+    return _p_q_values((math.exp(_P_LO + i * _P_STEP) for i in range(_P_GRID + 1)), phi, F, G, R, B, M, math)
 
 
 def _P_q_from(q, F, G, R, B, M, prec) -> mp.mpf:
     """Estimate of max p_q over [e^10, inf), not a bound: a coarse
-    double-precision log grid on [e^10, 1e16] locates the argmax, then an
-    mpf trisection refines it, and the value at 1e16 stands for the tail.
-    That last step is not certified: a term with a negative coefficient,
-    such as (0.01 phi - B - M)/sqrt(x) (that coefficient is -3.2 to -5.0
-    for the T8 moduli), rises toward 0 beyond 1e16 instead of staying below
-    its value there."""
+    double-precision log grid on [e^10, 1e16] locates the argmax, a 60-step
+    trisection in doubles refines it within the two grid cells beside it,
+    and p_q in mpf at the refined point and at both ends gives the value;
+    the value at 1e16 stands for the tail.  That last step is not certified:
+    a term with a negative coefficient, such as (0.01 phi - B - M)/sqrt(x)
+    (that coefficient is -3.2 to -5.0 for the T8 moduli), rises toward 0
+    beyond 1e16 instead of staying below its value there."""
     phi = totient(q)
-    lo, hi = 10.0, math.log(1e16)
     floats = float(F), float(G), R, float(B), M
-    step = (hi - lo) / _P_GRID
-    best_i = max(range(_P_GRID + 1), key=lambda i: _p_q_formula(math.exp(lo + i * step), phi, *floats))
+    best_i, best = 0, -math.inf
+    for i, (_, value) in enumerate(_p_q_grid(phi, *floats)):
+        if value > best:
+            best_i, best = i, value
+    a = _P_LO + max(best_i - 1, 0) * _P_STEP
+    b = _P_LO + min(best_i + 1, _P_GRID) * _P_STEP
+    for _ in range(60):  # golden-section style trisection in log x
+        m1 = a + (b - a) / 3
+        m2 = b - (b - a) / 3
+        (_, f1), (_, f2) = _p_q_values((math.exp(m1), math.exp(m2)), phi, *floats, math)
+        if f1 < f2:
+            a = m1
+        else:
+            b = m2
     with mp.workprec(prec):
-        a = mp.mpf(lo + max(best_i - 1, 0) * step)
-        b = mp.mpf(lo + min(best_i + 1, _P_GRID) * step)
-        for _ in range(60):  # golden-section style trisection in log x
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            f1 = _p_q_formula(mp.e**m1, phi, F, G, R, B, M)
-            f2 = _p_q_formula(mp.e**m2, phi, F, G, R, B, M)
-            if f1 < f2:
-                a = m1
-            else:
-                b = m2
-        xstar = mp.e ** ((a + b) / 2)
-        peak = _p_q_formula(xstar, phi, F, G, R, B, M)
-        for edge in (mp.e**10, mp.mpf(10) ** 16):
-            peak = max(peak, _p_q_formula(edge, phi, F, G, R, B, M))
-        return peak
+        points = (mp.e ** mp.mpf((a + b) / 2), mp.e**10, mp.mpf(10) ** 16)
+        return max(value for _, value in _p_q_values(points, phi, F, G, R, B, M))
 
 
 def P_q(q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
@@ -504,7 +506,7 @@ def grh_bound_check(q: int, x, prec: int = DEFAULT_PREC) -> mp.mpf:
         x = mp.mpf(x)
         if bp.x_q is not None and x <= max(bp.x_q, mp.e**4):
             raise ValueError("bound valid for x > max(x_q, e^4)")
-        num = bp.F - mp.mpf("1.2") * bp.R + _p_q_formula(x, totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)
+        num = bp.F - mp.mpf("1.2") * bp.R + p_q_of_x(x, q, prec)
         return num / (totient(q) * mp.sqrt(x) * mp.log(x))
 
 

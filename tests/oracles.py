@@ -10,7 +10,9 @@ The Laurent data of L'/L at s = 0 fitted from Hurwitz zeta values near
 s = 0; F_q regrouped over the divisors of q, and F_p for prime p from the
 Euler-Kronecker constant gamma_p; R_{q,a} by counting m-th roots;
 and C(q,a) as the truncated Mertens product.  The Hurwitz rows zeta(m, r/q)
-by one mpmath call per value.  The conductor and primitive
+by one mpmath call per value, and the Euler-factor half sums of G_q by one
+mpf division and square root per term.  p_q(x) term by term in mpf, and the
+trisection that refines max p_q in mpf.  The conductor and primitive
 part of a character by searching the divisors of q and the group mod d.
 
 The sums of log p and log(1 - 1/p) over the first k progression primes by two
@@ -25,6 +27,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from totprog import criterion
 from totprog import primes as primes_mod
 from totprog.characters import DirichletCharacter, build_group, divisors, totient, units
 from totprog.constants import F1, IndexData, gamma_p, index_data
@@ -225,3 +228,61 @@ def running_sums_bound(k: int, theta, log1m, prec: int) -> tuple:
     either sum."""
     c = 2 * (k + 4) * mp.ldexp(1, -prec)
     return c * theta, c * abs(log1m)
+
+
+def abs_zero_sum_half_mp(p: int, theta_frac, kmax: int, prec: int) -> mp.mpf:
+    """The Euler-factor half sum of constants._abs_zero_sum_half, term by
+    term in mpf at prec bits (the route it replaced): f(t_k) for k <= kmax,
+    then the same three Hurwitz-zeta tail terms."""
+    with mp.workprec(prec):
+        L = mp.log(p)
+        total = mp.mpf(0)
+        two_pi = 2 * mp.pi
+        tf = mp.mpf(theta_frac.numerator) / theta_frac.denominator
+        theta = two_pi * tf
+        for k in range(kmax + 1):
+            t = (theta + two_pi * k) / L
+            total += 1 / (t * mp.sqrt(1 + t * t))
+        u = L / two_pi
+        shift = kmax + 1 + tf
+        total += u**2 * mp.zeta(2, shift)
+        total -= u**4 / 2 * mp.zeta(4, shift)
+        total += 3 * u**6 / 8 * mp.zeta(6, shift)
+        return total
+
+
+def p_q_mp(x, phi, F, G, R, B, M) -> mp.mpf:
+    """p_q(x) in mpf at the working precision, every term from scratch."""
+    lx = mp.log(x)
+    sx = mp.sqrt(x)
+    return (
+        (3 * F + mp.mpf("1.2") * R) / lx
+        + (1 + 2 / lx) * G / sx
+        + (mp.mpf("0.01") * phi - B - M) / sx
+        - (M / x - phi / (2 * (x - 1))) * sx * lx
+    )
+
+
+def P_q_trisection_mp(q: int, F, G, R, B, M, prec: int) -> mp.mpf:
+    """max p_q as criterion._P_q_from estimates it, with the refinement it
+    replaced: from the same double-precision grid argmax, a 60-step
+    trisection in mpf, then the larger of p_q at its midpoint and at both
+    ends of the range."""
+    phi = totient(q)
+    grid = criterion._p_q_grid(phi, float(F), float(G), R, float(B), M)
+    best_i = max(enumerate(v for _, v in grid), key=lambda iv: iv[1])[0]
+    lo, step = criterion._P_LO, criterion._P_STEP
+    with mp.workprec(prec):
+        a = mp.mpf(lo + max(best_i - 1, 0) * step)
+        b = mp.mpf(lo + min(best_i + 1, criterion._P_GRID) * step)
+        for _ in range(60):
+            m1 = a + (b - a) / 3
+            m2 = b - (b - a) / 3
+            if p_q_mp(mp.e**m1, phi, F, G, R, B, M) < p_q_mp(mp.e**m2, phi, F, G, R, B, M):
+                a = m1
+            else:
+                b = m2
+        peak = p_q_mp(mp.e ** ((a + b) / 2), phi, F, G, R, B, M)
+        for edge in (mp.e**10, mp.mpf(10) ** 16):
+            peak = max(peak, p_q_mp(edge, phi, F, G, R, B, M))
+        return peak

@@ -3,11 +3,14 @@
 import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
 from totprog import cli, constants, criterion, primes
 from totprog.lvalues import Approx
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -193,6 +196,19 @@ def test_bad_env_value_is_an_error(name, monkeypatch, capsys):
     monkeypatch.setenv(f"TOTPROG_{name}", "abc")
     code, out, err = run(["sweep", "--q", "7"], capsys)
     assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: TOTPROG_{name}='abc' is not an integer\n")
+
+
+def test_env_value_of_an_option_the_subcommand_does_not_take_is_not_read(monkeypatch, capsys):
+    # table takes neither --xmax nor --sieve-limit; it used to exit 1 here
+    monkeypatch.setenv("TOTPROG_XMAX", "abc")
+    monkeypatch.setenv("TOTPROG_SIEVE_LIMIT", "abc")
+    code, out, err = run(["table", "T9"], capsys)
+    assert (code, out, err) == (cli.EXIT_OK, (GOLDEN / "table_T9.json").read_text(), "")
+    code, out, err = run(["sweep", "--q", "7"], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: TOTPROG_SIEVE_LIMIT='abc' is not an integer\n")
+    monkeypatch.delenv("TOTPROG_SIEVE_LIMIT")
+    code, out, err = run(["sweep", "--q", "7"], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: TOTPROG_XMAX='abc' is not an integer\n")
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

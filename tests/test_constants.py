@@ -2,13 +2,21 @@
 
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import F_p_primecalc, F_q_via_divisors, hurwitz_row_mp, index_data_bruteforce, mertens_C_naive
+from oracles import (
+    F_p_primecalc,
+    F_q_via_divisors,
+    abs_zero_sum_half_mp,
+    hurwitz_row_mp,
+    index_data_bruteforce,
+    mertens_C_naive,
+)
 from totprog import constants, primes
 from totprog.characters import build_group, factorint, totient, units
 from totprog.constants import (
@@ -22,7 +30,7 @@ from totprog.constants import (
     mertens_C,
     nicolas_condition_scan,
 )
-from totprog.lvalues import eps
+from totprog.lvalues import Approx, eps
 
 
 # -- index data (m, R) -------------------------------------------------------
@@ -403,6 +411,48 @@ def test_G_q_edge_moduli(prec):
     assert abs(g2 - G_q(4, prec).value) < 1e-20
     assert abs(g2 - G_q(8, prec).value) < 1e-20
     assert abs(g2 - mp.mpf("0.0397208")) < 1e-6
+
+
+def _half_sum_angles():
+    """(p, theta/2pi) of every Euler-factor half sum G_q takes for q <= 30,
+    and three at p = 1009, the smallest first t_0 = theta/log p among them."""
+    angles = {(1009, Fraction(1, 1008)), (1009, Fraction(1, 2)), (1009, Fraction(1007, 1008))}
+    for q in range(1, 31):
+        for _chi, p, tf in constants._euler_factor_angles(q):
+            angles.update({(p, 1)} if tf == 0 else {(p, tf), (p, 1 - tf)})
+    return sorted(angles)
+
+
+@pytest.mark.parametrize("prec", [53, 192])
+@pytest.mark.parametrize("kmax", [100, 2000])
+def test_abs_zero_sum_half_against_the_mp_loop(prec, kmax):
+    """The fixed-point half sum is within its stated err of the term-by-term
+    mpf sum at prec + 64 bits, the same kmax and the same tail terms; and
+    its guard bits keep that err within twice the rounding to prec bits."""
+    for p, tf in _half_sum_angles():
+        got = constants._abs_zero_sum_half(p, tf, kmax, prec)
+        want = abs_zero_sum_half_mp(p, tf, kmax, prec + 64)
+        assert abs(got.value - want) <= got.err <= mp.ldexp(abs(got.value), 4 - prec), (p, tf)
+
+
+def test_G_q_err_adds_each_half_sum_err(monkeypatch):
+    """With every half sum's err raised to 1, G_q's err is at least the
+    number of half sums it took."""
+    real, calls = constants._abs_zero_sum_half, []
+    monkeypatch.setattr(constants, "_abs_zero_sum_half", lambda *args: calls.append(args) or Approx(real(*args).value, 1))
+    err = G_q(14, convention="absolute").err
+    assert len(calls) == 14 and err >= 14
+
+
+def test_G_q_evaluates_zeta_8_once(monkeypatch):
+    """G_q bounds the asymptotic tail of every half sum with one
+    zeta(8, kmax + 1), however many angles it sums."""
+    real, orders = mp.zeta, []
+    monkeypatch.setattr(mp, "zeta", lambda s, *args: orders.append(s) or real(s, *args))
+    for q in (1, 3, 14):
+        orders.clear()
+        G_q(q, convention="absolute")
+        assert orders.count(8) == (q > 1)
 
 
 # -- criterion scan ----------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 import mpmath as mp
 import pytest
 
-from oracles import running_sums, running_sums_bound
+from oracles import P_q_trisection_mp, p_q_mp, running_sums, running_sums_bound
 from totprog import criterion as cr
 from totprog.characters import totient, units
 from totprog.constants import mertens_C
@@ -236,20 +236,43 @@ def test_P_q_attained_at_left_endpoint(prec):
 
 @pytest.mark.parametrize("q", [3, 7, 14])
 def test_P_q_grid_evaluates_the_p_q_formula(q, prec, monkeypatch):
-    """The grid that locates max p_q calls _p_q_formula itself, in doubles,
-    at each of its points; those values are the mp formula's to 1e-12, and
-    the refined P is at least their maximum."""
+    """_P_q_from reads every point of the grid that locates max p_q, in
+    doubles; those values are the mp formula's to 1e-12, and the refined P
+    is at least their maximum."""
     bp = cr.bound_params(q, prec)
-    real, calls = cr._p_q_formula, []
-    monkeypatch.setattr(cr, "_p_q_formula", lambda x, *args: calls.append((x, real(x, *args))) or calls[-1][1])
+    real, grid = cr._p_q_grid, []
+
+    def recorded(*args):
+        for point in real(*args):
+            grid.append(point)
+            yield point
+
+    monkeypatch.setattr(cr, "_p_q_grid", recorded)
     P = cr._P_q_from(q, bp.F, bp.G, bp.R, bp.B_signed, bp.M, prec)
-    grid = [(x, v) for x, v in calls if isinstance(x, float)]
-    assert len(grid) == cr._P_GRID + 1
+    assert len(grid) == cr._P_GRID + 1 and all(isinstance(x, float) for x, _ in grid)
     assert P._mpf_ == bp.P._mpf_
     with mp.workprec(prec):
         for x, v in grid[::250]:
-            assert abs(v - real(mp.mpf(x), totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)) < 1e-12
+            assert abs(v - p_q_mp(mp.mpf(x), totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)) < 1e-12
         assert P >= max(v for _, v in grid) - 1e-12
+
+
+def test_P_q_against_the_mp_trisection(prec):
+    """The double-precision trisection gives the mpf trisection's P bit for
+    bit where the maximum is at an end of [e^10, 1e16] (every q <= 30 but
+    2 and 6), and to 1e-15 where it is inside."""
+    inside = []
+    for q in range(1, 31):
+        bp = cr.bound_params(q, prec)
+        want = P_q_trisection_mp(q, bp.F, bp.G, bp.R, bp.B_signed, bp.M, prec)
+        with mp.workprec(prec):
+            ends = [p_q_mp(x, totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M) for x in (mp.e**10, mp.mpf(10) ** 16)]
+        if any(want._mpf_ == end._mpf_ for end in ends):
+            assert bp.P._mpf_ == want._mpf_
+        else:
+            inside.append(q)
+            assert abs(bp.P - want) < 1e-15
+    assert inside == [2, 6]
 
 
 def test_final_column_negative(prec):

@@ -16,11 +16,16 @@ from totprog import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 STORED = {
+    "constants_q2_a1.json": ["constants", "--q", "2", "--a", "1"],
+    "constants_q6_a5.json": ["constants", "--q", "6", "--a", "5"],
     "constants_q5_a3.json": ["constants", "--q", "5", "--a", "3"],
     "constants_q14_a3.json": ["constants", "--q", "14", "--a", "3"],
     "table_T1.json": ["table", "T1"],
     "table_T1.csv": ["table", "T1", "--format", "csv"],
     "table_T2.json": ["table", "T2"],
+    "table_T3.json": ["table", "T3"],
+    "table_T4.json": ["table", "T4"],
+    "table_T5.json": ["table", "T5"],
     "table_T8.json": ["table", "T8"],
     "table_T9.json": ["table", "T9"],
     "sweep_q3.json": ["sweep", "--q", "3"],

@@ -1,7 +1,7 @@
 """CLI stdout, byte for byte, against outputs recorded in tests/golden/.
 
-The three large figure outputs are pinned by their sha256 digests in
-tests/golden/figures.sha256 instead of being stored.  Each command runs with
+The large figure outputs, F1-F8 at their defaults, are pinned by their
+sha256 digests in tests/golden/figures.sha256 instead of being stored.  Each command runs with
 every TOTPROG_* variable unset, so only the built-in defaults apply.
 """
 
@@ -16,6 +16,7 @@ from totprog import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 STORED = {
+    "constants_q1_a1.json": ["constants", "--q", "1", "--a", "1"],
     "constants_q2_a1.json": ["constants", "--q", "2", "--a", "1"],
     "constants_q6_a5.json": ["constants", "--q", "6", "--a", "5"],
     "constants_q5_a3.json": ["constants", "--q", "5", "--a", "3"],
@@ -42,6 +43,11 @@ DIGESTED = {
     "figure_F1.json": ["figure", "F1"],
     "figure_F2.json": ["figure", "F2"],
     "figure_F3.json": ["figure", "F3"],
+    "figure_F4.json": ["figure", "F4"],
+    "figure_F5.json": ["figure", "F5"],
+    "figure_F6.json": ["figure", "F6"],
+    "figure_F7.json": ["figure", "F7"],
+    "figure_F8.json": ["figure", "F8"],
 }
 
 

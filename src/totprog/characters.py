@@ -7,6 +7,11 @@ discrete logs of every unit over the cyclic factors of each p^e || q, and
 chi(n) = e(t) comes from the logs of l and n as an exact t in Q/Z; conversion
 to floating complex happens only at evaluation sites, at caller-chosen
 precision.
+
+residue(q, a) is the one check and reduction of a residue class a mod q,
+for every layer that takes one.  DirichletCharacter.euler_factors lists the
+Euler factors that the L-series mod q has beyond its primitive L-function,
+for every sum that reads them.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "CharacterGroup",
     "DirichletCharacter",
     "build_group",
+    "residue",
     "units",
     "totient",
     "divisors",
@@ -50,6 +56,14 @@ def units(q: int) -> tuple[int, ...]:
     if q == 1:
         return (1,)
     return tuple(n for n in range(1, q) if math.gcd(n, q) == 1)
+
+
+def residue(q: int, a: int) -> int:
+    """The reduced residue a mod q, 1 for q = 1; raises ValueError unless
+    gcd(q, a) = 1."""
+    if math.gcd(q, a) != 1:
+        raise ValueError("q and a must be coprime")
+    return a % q if q > 1 else 1
 
 
 def totient(n: int) -> int:
@@ -179,6 +193,15 @@ class DirichletCharacter:
     def primitive(self) -> "DirichletCharacter":
         """The primitive character chi' inducing chi."""
         return self._conductor_and_primitive[1]
+
+    @cached_property
+    def euler_factors(self) -> tuple:
+        """(p, t) for each prime p | q with p not dividing the conductor, where
+        chi'(p) = e(t) for the primitive chi' inducing chi, in ascending p:
+        L(s, chi) = L(s, chi') prod (1 - chi'(p) p^-s) over these p, and each
+        factor adds the zeros s = i(2 pi (t + k))/log p, k in Z."""
+        prim = self.primitive()
+        return tuple((p, prim.exponent(p)) for p in factorint(self.modulus) if prim.modulus % p)
 
     @cached_property
     def _conductor_and_primitive(self):

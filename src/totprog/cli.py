@@ -37,10 +37,8 @@ import mpmath as mp
 
 from . import criterion, reference_data
 from .characters import totient
-# mertens_C is not called here: perfbench/selftest.py (TracerInstall) checks
-# that the tracer rebinds the name in this module too.
-from .constants import F_chi, F_q, gamma_p, mertens_C, nicolas_condition_scan  # noqa: F401
-from .lvalues import DEFAULT_PREC, Lprime_over_L_at_1
+from .constants import F_chi, F_q, gamma_p, index_data, mertens_C, nicolas_condition_scan
+from .lvalues import DEFAULT_PREC, Lprime_over_L_at_1, b_sum_abs
 from .primes import DEFAULT_LIMIT, prime_table
 
 EXIT_OK = 0
@@ -123,22 +121,25 @@ def _write(text: str, args) -> None:
 
 
 def cmd_constants(args) -> int:
-    b = criterion.build_bundle(args.q, args.a, args.prec_bits)
+    q, prec = args.q, args.prec_bits
+    mc = mertens_C(q, args.a, prec)
+    idx = index_data(q, args.a)
+    bp = criterion.bound_params(q, prec)
     rows = [
-        ("q", b.q),
-        ("a", b.a),
-        ("C", fmt(b.C.value)),
-        ("C_err", fmt(b.C.err, 3)),
-        ("M", fmt(b.M.value)),
-        ("index_m", b.Ind),
-        ("R", b.R),
-        ("F_q", fmt(b.F.value)),
-        ("G_q", fmt(b.G.value)),
-        ("B_signed", fmt(b.B_signed.value)),
-        ("B_abs", fmt(b.B_abs.value)),
-        ("M0", b.M0),
-        ("P_q", fmt(b.P) if b.P is not None else ""),
-        ("x_q", b.x_q if b.x_q is not None else ""),
+        ("q", q),
+        ("a", idx.a),
+        ("C", fmt(mc.C.value)),
+        ("C_err", fmt(mc.C.err, 3)),
+        ("M", fmt(mc.M.value)),
+        ("index_m", idx.m),
+        ("R", idx.R),
+        ("F_q", fmt(bp.F)),
+        ("G_q", fmt(bp.G)),
+        ("B_signed", fmt(bp.B_signed)),
+        ("B_abs", fmt(b_sum_abs(q, prec).value)),
+        ("M0", bp.M),
+        ("P_q", fmt(bp.P)),
+        ("x_q", bp.x_q if bp.x_q is not None else ""),
     ]
     _write(_emit(rows, ("name", "value"), args), args)
     return EXIT_OK

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .characters import DirichletCharacter, build_group, factorint, totient, units
+from .characters import DirichletCharacter, build_group, factorint, residue, totient, units
 from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sum, eps
 from . import primes as primes_mod
 
@@ -65,21 +65,18 @@ class IndexData:
 
 @lru_cache(maxsize=None)
 def _power_image(q: int, n: int) -> frozenset:
-    return frozenset(pow(b, n, q) for b in units(q)) if q > 1 else frozenset({0})
+    """The reduced residues of the n-th powers of the units mod q."""
+    return frozenset(residue(q, pow(b, n, q)) for b in units(q))
 
 
 def index_data(q: int, a: int) -> IndexData:
     """m by ascending search; R by the prime-power closed form
     R = (m,2)(m,2^(alpha-2)) * prod_i (m, phi(q_i^alpha_i)) (the 2-part
     factors appearing only when 4 | q)."""
-    if math.gcd(q, a) != 1:
-        raise ValueError("q and a must be coprime")
-    a %= max(q, 2)
-    if q == 1:
-        return IndexData(1, 1, 2, 1)
+    a = residue(q, a)
     m = 2
     while m <= totient(q) + 2:
-        if a % q in _power_image(q, m):
+        if a in _power_image(q, m):
             break
         m += 1
     else:  # pragma: no cover - unreachable: some n>1 coprime to phi(q) works
@@ -295,9 +292,7 @@ def _mertens_cached(q: int, a: int, prec: int) -> MertensConstant:
 
 
 def mertens_C(q: int, a: int, prec: int = DEFAULT_PREC) -> MertensConstant:
-    if math.gcd(q, a) != 1:
-        raise ValueError("q and a must be coprime")
-    return _mertens_cached(q, a % max(q, 2) if q > 1 else 1, prec)
+    return _mertens_cached(q, residue(q, a), prec)
 
 
 # --------------------------------------------------------------------------
@@ -417,20 +412,6 @@ def _signed_zero_sum_theta0(L: mp.mpf) -> mp.mpf:
     return (L / 2) * mp.coth(L / 2) - 1
 
 
-def _euler_factor_angles(q: int):
-    """(chi, p, theta/2pi as Fraction) for each chi mod q and p | q with
-    p not dividing the conductor of chi (so the imprimitive L-series gains
-    the zeros of 1 - chi'(p) p^-s)."""
-    out = []
-    for chi in build_group(q):
-        prim = chi.primitive()
-        d = prim.modulus
-        for p in factorint(q):
-            if d % p != 0:
-                out.append((chi, p, prim.exponent(p)))
-    return out
-
-
 def G_q(
     q: int,
     prec: int = DEFAULT_PREC,
@@ -438,7 +419,9 @@ def G_q(
     convention: str = "published",
 ) -> Approx:
     """Zero sum over the purely imaginary (Re rho = 0) zeros rho =
-    i(theta + 2 pi k)/log p of the Euler factors of imprimitive L-series.
+    i(theta + 2 pi k)/log p of the Euler factors of imprimitive L-series:
+    for each chi mod q, the factors 1 - chi'(p) p^-s of chi.euler_factors,
+    with chi'(p) = e(theta/2 pi).
 
     convention="absolute": the literal sum of 1/|rho(1-rho)|.
     convention="published": progressions with chi'(p) = 1 (theta = 0) use the
@@ -451,7 +434,7 @@ def G_q(
         total = mp.mpf(0)
         err = mp.mpf(0)
         tail = mp.mpf(0)  # sum of (L/2pi)^8 over the angles summed in absolute value
-        for _chi, p, theta_frac in _euler_factor_angles(q):
+        for p, theta_frac in (f for chi in build_group(q) for f in chi.euler_factors):
             L = mp.log(p)
             if theta_frac == 0 and convention == "published":
                 total += _signed_zero_sum_theta0(L)
@@ -479,7 +462,6 @@ def nicolas_condition_scan(q_max: int, prec: int = DEFAULT_PREC):
     rows = []
     for q in range(1, q_max + 1):
         fq = F_q(q, prec).value
-        sq_residues = sorted({pow(b, 2, q) if q > 1 else 1 for b in units(q)})
-        bound = min(2 * index_data(q, a).R for a in sq_residues)
+        bound = min(2 * index_data(q, a).R for a in _power_image(q, 2))
         rows.append((q, fq, bound, bool(fq < bound)))
     return rows

@@ -34,7 +34,7 @@ from . import primes as primes_mod
 from . import reference_data
 from .characters import totient, units
 from .constants import F_q, G_q, index_data, mertens_C
-from .lvalues import DEFAULT_PREC, Approx, b_sum_signed, eps, m0_sum
+from .lvalues import DEFAULT_PREC, b_sum_abs, b_sum_signed, eps, m0_sum
 
 __all__ = [
     "g",
@@ -53,8 +53,6 @@ __all__ = [
     "empirical_xq_check",
     "sweep",
     "grh_bound_check",
-    "ConstantsBundle",
-    "build_bundle",
 ]
 
 E10_CEIL = 22027  # ceil(e^10)
@@ -189,8 +187,6 @@ def jhat_bound(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
     with the absolute-value aggregates (valid for x > e^4)."""
     if x <= mp.e**4:
         raise ValueError("bound requires x > e^4")
-    from .lvalues import b_sum_abs
-
     phi = totient(q)
     with mp.workprec(prec):
         B = b_sum_abs(q, prec).value
@@ -495,7 +491,7 @@ def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) 
             val = _log_f(st.phi, theta, log1m, mc.log_C)
             if best is None or val > best[0]:
                 best = (val, k, p)
-    return _sweep_report(q, a, int(x_max), st, mc, prec, checked, best, len(heap))
+    return _sweep_report(q, st.a, int(x_max), st, mc, prec, checked, best, len(heap))
 
 
 def grh_bound_check(q: int, x, prec: int = DEFAULT_PREC) -> mp.mpf:
@@ -509,46 +505,3 @@ def grh_bound_check(q: int, x, prec: int = DEFAULT_PREC) -> mp.mpf:
         num = bp.F - mp.mpf("1.2") * bp.R + p_q_of_x(x, q, prec)
         return num / (totient(q) * mp.sqrt(x) * mp.log(x))
 
-
-# --------------------------------------------------------------------------
-# Per-(q,a) bundle for the CLI
-
-
-@dataclass(frozen=True)
-class ConstantsBundle:
-    q: int
-    a: int
-    C: Approx
-    M: Approx
-    Ind: int
-    R: int
-    F: Approx
-    G: Approx
-    B_signed: Approx
-    B_abs: Approx
-    M0: int
-    P: mp.mpf | None
-    x_q: int | None
-
-
-def build_bundle(q: int, a: int = 1, prec: int = DEFAULT_PREC) -> ConstantsBundle:
-    from .lvalues import b_sum_abs
-
-    mc = mertens_C(q, a, prec)
-    idx = index_data(q, a)
-    bp = bound_params(q, prec)
-    return ConstantsBundle(
-        q,
-        a % max(q, 2) if q > 1 else 1,
-        mc.C,
-        mc.M,
-        idx.m,
-        idx.R,
-        F_q(q, prec),
-        G_q(q, prec),
-        b_sum_signed(q, prec),
-        b_sum_abs(q, prec),
-        m0_sum(q),
-        bp.P,
-        bp.x_q,
-    )

@@ -104,10 +104,9 @@ def _ll1_cached(chi: DirichletCharacter, prec: int) -> mp.mpc:
     d = prim.modulus
     with mp.workprec(prec):
         ll = -mp.log(mp.mpf(d) / mp.pi) + mp.euler + mp.log(2) - _b_primitive(prim.conjugate(), prec)
-        for p in factorint(chi.modulus):
-            if d % p:
-                val = prim.value(p, prec)
-                ll += val * mp.log(p) / (p - val)
+        for p, _ in chi.euler_factors:
+            val = prim.value(p, prec)
+            ll += val * mp.log(p) / (p - val)
         return ll
 
 
@@ -128,17 +127,11 @@ class LaurentAtZero:
 
 
 def structural_m0(chi: DirichletCharacter) -> int:
-    """Order of vanishing of L(s,chi) at s = 0."""
-    q = chi.modulus
-    if chi.is_principal:
-        return len(factorint(q))
-    prim = chi.primitive()
-    d = prim.modulus
-    m0 = 1 - chi.parity
-    for p in factorint(q):
-        if d % p != 0 and prim.exponent(p) == 0:
-            m0 += 1
-    return m0
+    """Order of vanishing of L(s,chi) at s = 0: one for each Euler factor
+    with chi'(p) = 1, plus one from L(s, chi') when chi is nonprincipal and
+    even."""
+    m0 = sum(t == 0 for _, t in chi.euler_factors)
+    return m0 if chi.is_principal else m0 + 1 - chi.parity
 
 
 def laurent_at_zero(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> LaurentAtZero:
@@ -149,11 +142,10 @@ def laurent_at_zero(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> Lauren
         else:
             prim = chi.primitive()
             b = _b_primitive(prim, prec)
-            for p in factorint(q):
-                if prim.modulus % p:
-                    # 1 - chi'(p) p^-s has a simple zero at s = 0 when chi'(p) = 1
-                    val = prim.value(p, prec)
-                    b += -mp.log(p) / 2 if prim.exponent(p) == 0 else mp.log(p) * val / (1 - val)
+            for p, t in chi.euler_factors:
+                # 1 - chi'(p) p^-s has a simple zero at s = 0 when chi'(p) = 1
+                val = prim.value(p, prec)
+                b += -mp.log(p) / 2 if t == 0 else mp.log(p) * val / (1 - val)
         return LaurentAtZero(structural_m0(chi), b)
 
 

@@ -7,11 +7,12 @@ log(1 - 1/pbar) are taken in mpmath arbitrary precision by one route,
 ProgressionStats.point_sums, with one stated rounding bound: logs of exact
 integer products of up to BLOCK progression primes, added block by block.
 Readers of a single point (theta, log f at x, the sweep's few candidates
-for the maximum) call it; readers that walk every step point (log f series,
-steps, primorials) read its values for each k, stored as the primes are
-walked.  The sweep screens every step point first in doubles (about 1e-13
-where the smallest margin is 2.2e-4) and reads point_sums only where that
-bound cannot rule out the maximum (criterion.sweep).
+for the maximum) call it; walkers of every step point (log f series, steps,
+primorials) read its values for each k from theta_cum and log1m_cum, which
+they fill as they walk.  The sweep screens every step point first in
+doubles (about 1e-13 where the smallest margin is 2.2e-4) and reads
+point_sums only where that bound cannot rule out the maximum
+(criterion.sweep).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 import mpmath as mp
 from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_pos, round_nearest as _RND
 
-from .characters import totient
+from .characters import residue, totient
 from .lvalues import DEFAULT_PREC
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "PrimorialSeq",
     "prime_table",
     "SmoothSetEnumeration",
-    "theta",
-    "psi",
     "primorials",
     "enumerate_smooth",
 ]
@@ -117,18 +116,15 @@ class ProgressionStats:
 
     Cumulative sums are mpf at `prec` bits.  The prime-power sums are built
     with the object.  theta and log(1 - 1/pbar) sums come from point_sums
-    alone: the walkers of every step point (steps, primorials) read theta_cum
+    alone: single-point readers (theta, log_one_minus, psi, S, R) call it,
+    and the walkers of every step point (steps, primorials) read theta_cum
     and log1m_cum, whose k-th entries are point_sums(k), grown on demand to
-    the furthest point walked, and single-point readers (theta,
-    log_one_minus, psi, S, R) read those entries where a walk has reached
-    the point and call point_sums elsewhere.  S(x) = theta(x) - x/phi(q) and
+    the furthest point walked.  S(x) = theta(x) - x/phi(q) and
     R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
     """
 
     def __init__(self, q: int, a: int, table: PrimeTable, prec: int = DEFAULT_PREC):
-        if math.gcd(q, a) != 1:
-            raise ValueError("q and a must be coprime")
-        self.q, self.a = q, a % q if q > 1 else 1
+        self.q, self.a = q, residue(q, a)
         self.table = table
         self.prec = prec
         self.phi = totient(q)
@@ -267,16 +263,8 @@ class ProgressionStats:
         self._extend(i)
         return i
 
-    def _sums_at(self, x) -> tuple:
-        """point_sums at the progression primes <= x, read from theta_cum and
-        log1m_cum when a walk has already stored them."""
-        k = self._count(x)
-        if 0 < k <= len(self.theta_cum):
-            return self.theta_cum[k - 1], self.log1m_cum[k - 1]
-        return self.point_sums(k)
-
     def theta(self, x) -> mp.mpf:
-        return self._sums_at(x)[0]
+        return self.point_sums(self._count(x))[0]
 
     def psi(self, x) -> mp.mpf:
         j = bisect.bisect_right(self.power_points, int(x))
@@ -285,7 +273,7 @@ class ProgressionStats:
 
     def log_one_minus(self, x) -> mp.mpf:
         """Sum of log(1 - 1/pbar) over progression primes pbar <= x."""
-        return self._sums_at(x)[1]
+        return self.point_sums(self._count(x))[1]
 
     def steps(self, lo, hi):
         """Yield (start, end, theta) for the intervals that tile [lo, hi] with
@@ -321,20 +309,13 @@ class ProgressionStats:
 
 
 def stats(q: int, a: int, table: PrimeTable | None = None, prec: int = DEFAULT_PREC) -> ProgressionStats:
-    return _stats_cached(q, a, table or prime_table(DEFAULT_LIMIT), prec)
+    """The ProgressionStats of the class a mod q, one per reduced residue."""
+    return _stats_cached(q, residue(q, a), table or prime_table(DEFAULT_LIMIT), prec)
 
 
 @lru_cache(maxsize=64)
 def _stats_cached(q, a, table, prec):
     return ProgressionStats(q, a, table, prec)
-
-
-def theta(x, q: int, a: int, table: PrimeTable | None = None) -> mp.mpf:
-    return stats(q, a, table).theta(x)
-
-
-def psi(x, q: int, a: int, table: PrimeTable | None = None) -> mp.mpf:
-    return stats(q, a, table).psi(x)
 
 
 def primorials(q: int, a: int, k_max: int, table: PrimeTable | None = None) -> PrimorialSeq:
@@ -343,9 +324,10 @@ def primorials(q: int, a: int, k_max: int, table: PrimeTable | None = None) -> P
 
 def enumerate_smooth(q: int, a: int, X: int, table: PrimeTable | None = None) -> SmoothSetEnumeration:
     """All n <= X whose prime factors are all = a mod q (excluding 1),
-    by depth-first products over the progression primes."""
+    by depth-first products over the progression primes; raises ValueError
+    when X exceeds the sieve limit."""
     st = stats(q, a, table)
-    admissible = [p for p in st.pbar if p <= X]
+    admissible = st.pbar[: st._count(X)]
     found: list[int] = []
 
     def extend(value: int, start: int) -> None:
@@ -357,4 +339,4 @@ def enumerate_smooth(q: int, a: int, X: int, table: PrimeTable | None = None) ->
             extend(nxt, i)
 
     extend(1, 0)
-    return SmoothSetEnumeration(q, a % q if q > 1 else 1, X, tuple(sorted(found)))
+    return SmoothSetEnumeration(q, st.a, X, tuple(sorted(found)))

@@ -14,9 +14,12 @@ from totprog.characters import (
     build_group,
     divisors,
     factorint,
+    residue,
     totient,
     units,
 )
+from totprog.constants import index_data, mertens_C
+from totprog.primes import ProgressionStats, enumerate_smooth, prime_table, stats
 
 _PRIMES = [p for p in range(2, 200) if all(p % r for r in range(2, p))]
 
@@ -191,6 +194,42 @@ def test_conductor_and_primitive_match_the_search(q):
     those a search over the divisors of q and the group mod d finds."""
     for chi in build_group(q):
         assert (chi.conductor, chi.primitive().label) == conductor_bruteforce(chi)
+
+
+@pytest.mark.parametrize("q", list(range(1, 201)))
+def test_euler_factors_match_the_conductor_search(q):
+    """euler_factors holds the primes p | q not dividing the conductor the
+    search finds, and at each the value chi'(p) of the character mod that
+    conductor, read as chi(n) for a unit n = p mod the conductor."""
+    for chi in build_group(q):
+        d, _ = conductor_bruteforce(chi)
+        assert [p for p, _ in chi.euler_factors] == [p for p in sorted(factorint(q)) if d % p]
+        for p, t in chi.euler_factors:
+            n = next(n for n in units(q) if (n - p) % d == 0)
+            assert chi.exponent(n) == t
+
+
+def test_residue_reduces_a_class_mod_q():
+    assert [residue(7, a) for a in (1, 8, -6, 13)] == [1, 1, 1, 6]
+    assert residue(1, 0) == residue(1, 5) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        residue,
+        lambda q, a: ProgressionStats(q, a, prime_table(1000)),
+        lambda q, a: stats(q, a, prime_table(1000)),
+        lambda q, a: enumerate_smooth(q, a, 100, prime_table(1000)),
+        mertens_C,
+        index_data,
+    ],
+    ids=["residue", "ProgressionStats", "stats", "enumerate_smooth", "mertens_C", "index_data"],
+)
+@pytest.mark.parametrize("q, a", [(6, 4), (7, 0), (7, 14), (12, -3)])
+def test_a_class_not_coprime_to_q_is_refused(call, q, a):
+    with pytest.raises(ValueError, match="q and a must be coprime"):
+        call(q, a)
 
 
 def test_primitive_label_is_not_the_label_mod_the_conductor():

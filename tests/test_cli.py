@@ -112,6 +112,19 @@ def test_sweep_past_the_sieve_is_refused(capsys):
     assert "exceeds sieve limit 50000" in err
 
 
+def test_smooth_figure_past_the_sieve_is_refused(capsys):
+    # F2 enumerates the smooth set to 49,991, which a 50 sieve cannot build
+    code, out, err = run(["figure", "F2", "--sieve-limit", "50"], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: x=49991 exceeds sieve limit 50\n")
+
+
+@pytest.mark.parametrize("argv", [["constants", "--q", "7"], ["sweep", "--q", "7", "--xmax", "2000"]])
+def test_a_class_prints_as_its_reduced_residue(argv, capsys):
+    code, out, _ = run([*argv, "--a", "8"], capsys)
+    assert (code, out) == run([*argv, "--a", "1"], capsys)[:2]
+    assert {r["name"]: r["value"] for r in json.loads(out)}["a"] == 1
+
+
 def test_sieve_self_check_failure_is_an_error(capsys, monkeypatch):
     # a limit other than the default builds a new table, so the check runs
     monkeypatch.setattr(primes, "_PI_1E6", 0)

@@ -418,7 +418,7 @@ def _half_sum_angles():
     and three at p = 1009, the smallest first t_0 = theta/log p among them."""
     angles = {(1009, Fraction(1, 1008)), (1009, Fraction(1, 2)), (1009, Fraction(1007, 1008))}
     for q in range(1, 31):
-        for _chi, p, tf in constants._euler_factor_angles(q):
+        for p, tf in (f for chi in build_group(q) for f in chi.euler_factors):
             angles.update({(p, 1)} if tf == 0 else {(p, tf), (p, 1 - tf)})
     return sorted(angles)
 

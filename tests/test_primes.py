@@ -204,9 +204,10 @@ def _mpfs(values):
     return [v._mpf_ for v in values]
 
 
-def test_single_point_reads_after_a_walk_take_no_logs(table, monkeypatch):
-    """theta and log_one_minus read the entries a walk has stored, with the
-    bits a fresh point_sums gives, and take block logs only past them."""
+def test_single_point_reads_after_a_walk_take_one_partial_block(table, monkeypatch):
+    """theta and log_one_minus after a walk give the bits a fresh point_sums
+    gives, each read taking at most one block log pair: the walk has stored
+    every whole block before the point."""
     st_ = ProgressionStats(7, 3, table)
     xs = [1, st_.pbar[0], st_.pbar[63], st_.pbar[64] + 1, st_.pbar[299]]
     want = [_mpfs(st_.point_sums(bisect.bisect_right(st_.pbar, x))) for x in xs]
@@ -215,10 +216,18 @@ def test_single_point_reads_after_a_walk_take_no_logs(table, monkeypatch):
     calls = []
     block_sums = ProgressionStats._block_sums
     monkeypatch.setattr(ProgressionStats, "_block_sums", lambda self, *a: calls.append(a) or block_sums(self, *a))
-    assert [_mpfs((st_.theta(x), st_.log_one_minus(x))) for x in xs] == want
-    assert calls == []
-    st_.theta(st_.pbar[300])
-    assert len(calls) == 1
+    for x, w in zip(xs, want):
+        got = []
+        for read in (st_.theta, st_.log_one_minus):
+            calls.clear()
+            got.append(read(x))
+            assert len(calls) <= 1
+        assert _mpfs(got) == w
+
+
+def test_stats_are_shared_by_every_representative_of_a_class():
+    assert stats(7, 8) is stats(7, 1) is stats(7, -6)
+    assert stats(1, 5) is stats(1, 1)
 
 
 def test_primorials_add_at_the_working_precision():

@@ -7,7 +7,8 @@ Subcommands, and the options each reads besides --prec-bits, --out and
   table      (none)    recompute a published table (T1-T9) and diff against
                        the bundled expected values
   figure     --sieve-limit --xmax
-                       emit the data series behind a figure (F1-F8)
+                       emit the data series behind a figure (F1-F8);
+                       F1 reads neither option, F2 and F3 not --xmax
   sweep      --q --a --sieve-limit --xmax
                        check log f(pbar_k; q, a) < 0 up to the unconditional
                        threshold
@@ -257,6 +258,11 @@ def cmd_figure(args) -> int:
     if meta is None:
         sys.stderr.write(f"unknown figure id {fid!r} (expected F1-F8)\n")
         return EXIT_USAGE
+    given = {"--xmax": args.xmax is not None, "--sieve-limit": args.sieve_limit != DEFAULT_LIMIT}
+    unread = {"landau": ("--xmax", "--sieve-limit"), "smooth-ratio": ("--xmax",)}.get(meta["kind"], ())
+    for flag in unread:
+        if given[flag]:
+            raise ValueError(f"figure {fid} does not read {flag}")
     prec = args.prec_bits
     if meta["kind"] == "landau":
         lo, hi = meta["n_range"]

@@ -14,8 +14,8 @@ Highlights:
   expansion about a = 1, DLMF 25.11.10), with a stated error bound.
 
 * ``F_q`` sums 1/(rho(1-rho)) over nontrivial zeros of the primitive
-  L-functions via the closed form log(d/pi) + 2 Re L'/L(1, conj chi') - gamma
-  - (1-alpha) 2 log 2 per nonprincipal character.
+  L-functions via the closed form -log(d/pi) + gamma + 2 alpha log 2
+  - 2 Re b(chi') per nonprincipal character, from lvalues' cached b(chi').
 
 * ``G_q`` covers the purely imaginary Euler-factor zeros of imprimitive
   L-series.  Two conventions are exposed: "absolute" is the literal
@@ -34,7 +34,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .characters import DirichletCharacter, build_group, factorint, residue, totient, units
-from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sum, eps
+from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sum, eps, laurent_at_zero
 from . import primes as primes_mod
 
 __all__ = [
@@ -308,20 +308,14 @@ def F1(prec: int = DEFAULT_PREC) -> mp.mpf:
 
 def F_chi(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Zero sum for a nonprincipal character, through its primitive part
-    chi' of conductor d:  log(d/pi) + 2 Re L'/L(1, conj chi') - gamma
-    - (1-alpha) 2 log 2."""
+    chi' of conductor d:  -log(d/pi) + gamma + 2 alpha log 2 - 2 Re b(chi'),
+    b(chi') the constant term of L'/L(s, chi') at s = 0 (laurent_at_zero)."""
     if chi.is_principal:
         raise ValueError("use F1() for the principal character")
     prim = chi.primitive()
-    d = prim.modulus
     with mp.workprec(prec):
-        ll = Lprime_over_L_at_1(prim.conjugate(), prec)
-        return (
-            mp.log(mp.mpf(d) / mp.pi)
-            + 2 * mp.re(ll)
-            - mp.euler
-            - (1 - chi.parity) * 2 * mp.log(2)
-        )
+        b = laurent_at_zero(prim, prec)
+        return -mp.log(mp.mpf(prim.modulus) / mp.pi) + mp.euler + chi.parity * 2 * mp.log(2) - 2 * mp.re(b)
 
 
 def F_q(q: int, prec: int = DEFAULT_PREC) -> Approx:
@@ -334,7 +328,7 @@ def F_q(q: int, prec: int = DEFAULT_PREC) -> Approx:
 def gamma_p(p: int, prec: int = DEFAULT_PREC) -> Approx:
     """Euler-Kronecker constant of the p-th cyclotomic field:
     gamma + sum_{chi != chi0 mod p} L'/L(1, chi)."""
-    if p < 3 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
+    if p < 3 or factorint(p) != {p: 1}:
         raise ValueError("gamma_p requires an odd prime")
     group = build_group(p)
     with mp.workprec(prec):

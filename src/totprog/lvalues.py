@@ -14,9 +14,10 @@ the primitive chi' mod d,
     L'/L(1,chi) = -log(d/pi) + gamma + log 2 - b(conj chi')
                   + sum_{p | q, p not| d} chi'(p) log p / (p - chi'(p)).
 
-The Laurent data (m0, b) at s = 0 adds the Euler factors of chi mod q to
-b(chi'); a numerical Laurent fit (Hurwitz zeta around s = 0, in
-tests/oracles.py) is the independent oracle.
+b(psi) is cached once per (psi, prec); L'/L(1, chi), F(chi) and the Laurent
+data at s = 0 all read it.  The Laurent data (structural_m0, laurent_at_zero)
+add the Euler factors of chi mod q to b(chi'); a numerical Laurent fit
+(Hurwitz zeta around s = 0, in tests/oracles.py) is the independent oracle.
 
 Precision is one int, prec: the mantissa bits of all floating work, passed
 positionally from every public function here and in constants, criterion
@@ -27,7 +28,6 @@ the nominal error allowance at prec bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_PREC",
     "eps",
     "Approx",
-    "LaurentAtZero",
     "L_at_1",
     "Lprime_over_L_at_1",
     "laurent_at_zero",
@@ -86,6 +85,7 @@ def L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
         return -_char_sum(chi, _row(mp.digamma, q, prec), prec) / q
 
 
+@lru_cache(maxsize=None)
 def _b_primitive(psi: DirichletCharacter, prec: int) -> mp.mpc:
     """Constant term b of L'/L(s, psi) at s = 0, psi primitive nonprincipal
     (the Lerch / Deninger sums of the module docstring)."""
@@ -98,32 +98,17 @@ def _b_primitive(psi: DirichletCharacter, prec: int) -> mp.mpc:
         return -mp.log(d) + _char_sum(psi, _row(mp.zeta, d, prec, 0, derivative=2), prec) / (2 * z1)
 
 
-@lru_cache(maxsize=None)
-def _ll1_cached(chi: DirichletCharacter, prec: int) -> mp.mpc:
-    prim = chi.primitive()
-    d = prim.modulus
-    with mp.workprec(prec):
-        ll = -mp.log(mp.mpf(d) / mp.pi) + mp.euler + mp.log(2) - _b_primitive(prim.conjugate(), prec)
-        for p, _ in chi.euler_factors:
-            val = prim.value(p, prec)
-            ll += val * mp.log(p) / (p - val)
-        return ll
-
-
 def Lprime_over_L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
     """L'/L(1, chi) of the L-series mod chi.modulus (Euler factors included)."""
     if chi.is_principal:
         raise ValueError("L(s, chi0) has a pole at s = 1")
-    return _ll1_cached(chi, prec)
-
-
-@dataclass(frozen=True)
-class LaurentAtZero:
-    """L'/L(s,chi) = m0/s + b + O(s) at s = 0 (imprimitive L-series,
-    Euler-factor zeros included in m0)."""
-
-    m0: int
-    b: mp.mpc
+    prim = chi.primitive()
+    with mp.workprec(prec):
+        ll = -mp.log(mp.mpf(prim.modulus) / mp.pi) + mp.euler + mp.log(2) - _b_primitive(prim.conjugate(), prec)
+        for p, _ in chi.euler_factors:
+            val = prim.value(p, prec)
+            ll += val * mp.log(p) / (p - val)
+        return ll
 
 
 def structural_m0(chi: DirichletCharacter) -> int:
@@ -134,7 +119,9 @@ def structural_m0(chi: DirichletCharacter) -> int:
     return m0 if chi.is_principal else m0 + 1 - chi.parity
 
 
-def laurent_at_zero(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> LaurentAtZero:
+def laurent_at_zero(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
+    """b in L'/L(s, chi) = m0/s + b + O(s) at s = 0 on the L-series mod q, with
+    m0 = structural_m0(chi); for a primitive chi, the cached b(chi)."""
     q = chi.modulus
     with mp.workprec(prec):
         if chi.is_principal:
@@ -146,7 +133,7 @@ def laurent_at_zero(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> Lauren
                 # 1 - chi'(p) p^-s has a simple zero at s = 0 when chi'(p) = 1
                 val = prim.value(p, prec)
                 b += -mp.log(p) / 2 if t == 0 else mp.log(p) * val / (1 - val)
-        return LaurentAtZero(structural_m0(chi), b)
+        return b
 
 
 # --- aggregates over the full group ---------------------------------------
@@ -158,11 +145,11 @@ def m0_sum(q: int) -> int:
 
 def b_sum_signed(q: int, prec: int = DEFAULT_PREC) -> Approx:
     with mp.workprec(prec):
-        total = sum(laurent_at_zero(chi, prec).b for chi in build_group(q))
+        total = sum(laurent_at_zero(chi, prec) for chi in build_group(q))
         return Approx(mp.re(total), eps(prec, abs(total)) * max(1, q))
 
 
 def b_sum_abs(q: int, prec: int = DEFAULT_PREC) -> Approx:
     with mp.workprec(prec):
-        total = sum(abs(laurent_at_zero(chi, prec).b) for chi in build_group(q))
+        total = sum(abs(laurent_at_zero(chi, prec)) for chi in build_group(q))
         return Approx(total, eps(prec, abs(total)) * max(1, q))

@@ -128,7 +128,7 @@ class ProgressionStats:
         self.table = table
         self.prec = prec
         self.phi = totient(q)
-        self.pbar = [p for p in table.primes if (p - self.a) % q == 0 or q == 1]
+        self.pbar = [p for p in table.primes if (p - self.a) % q == 0]
         self.theta_cum = []  # point_sums(k)[0] at index k - 1, see _extend
         self.log1m_cum = []  # point_sums(k)[1] at index k - 1
         self._blocks = [(fzero, fzero)]  # point_sums' sums over each whole BLOCK prefix
@@ -140,7 +140,7 @@ class ProgressionStats:
                 if pk > table.limit:
                     break
                 while pk <= table.limit:
-                    if (pk - self.a) % q == 0 or q == 1:
+                    if (pk - self.a) % q == 0:
                         powers.append((pk, p))
                     pk *= p
             powers.sort()

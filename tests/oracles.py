@@ -7,8 +7,9 @@ equation that totprog.lvalues reflects L'/L(1, chi) from:
     L'(1,chi) = -log(q) L(1,chi) - (1/q) sum_r chi(r) gamma_1(r/q)
 
 The Laurent data of L'/L at s = 0 fitted from Hurwitz zeta values near
-s = 0; F_q regrouped over the divisors of q, and F_p for prime p from the
-Euler-Kronecker constant gamma_p; R_{q,a} by counting m-th roots;
+s = 0; F(chi) through L'/L(1, conj chi') rather than b(chi'); F_q regrouped
+over the divisors of q, and F_p for prime p from the Euler-Kronecker
+constant gamma_p; R_{q,a} by counting m-th roots;
 and C(q,a) as the truncated Mertens product.  The Hurwitz rows zeta(m, r/q)
 by one mpmath call per value, and the Euler-factor half sums of G_q by one
 mpf division and square root per term.  p_q(x) term by term in mpf, and the
@@ -152,6 +153,20 @@ def F_q_via_divisors(q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
                 )
             )
         return total
+
+
+def F_chi_via_LpL1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpf:
+    """F(chi) for nonprincipal chi with primitive part chi' mod d, through
+    L'/L(1, conj chi') (the route constants.F_chi replaced):
+    log(d/pi) + 2 Re L'/L(1, conj chi') - gamma - (1 - alpha) 2 log 2."""
+    prim = chi.primitive()
+    with mp.workprec(prec):
+        return (
+            mp.log(mp.mpf(prim.modulus) / mp.pi)
+            + 2 * mp.re(Lprime_over_L_at_1(prim.conjugate(), prec))
+            - mp.euler
+            - (1 - chi.parity) * 2 * mp.log(2)
+        )
 
 
 def F_p_primecalc(p: int, prec: int = DEFAULT_PREC) -> mp.mpf:

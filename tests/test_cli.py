@@ -118,6 +118,30 @@ def test_smooth_figure_past_the_sieve_is_refused(capsys):
     assert (code, out, err) == (cli.EXIT_USAGE, "", "error: x=49991 exceeds sieve limit 50\n")
 
 
+# (a figure command, the first option in it that its figure does not read)
+_UNREAD_FIGURE_OPTIONS = [
+    (["figure", "F1", "--xmax", "5"], "--xmax"),
+    (["figure", "F1", "--sieve-limit", "3"], "--sieve-limit"),
+    (["figure", "F1", "--xmax", "5", "--sieve-limit", "3"], "--xmax"),
+    (["figure", "F2", "--xmax", "100"], "--xmax"),
+    (["figure", "F3", "--xmax", "100"], "--xmax"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _UNREAD_FIGURE_OPTIONS, ids=[" ".join(a) for a, _ in _UNREAD_FIGURE_OPTIONS])
+def test_figure_option_its_kind_does_not_read_is_refused(argv, flag, capsys):
+    # the landau figure F1 reads no primes and the smooth-ratio F2 and F3 no
+    # x_max; each used to print its default series
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: figure {argv[1]} does not read {flag}\n")
+
+
+def test_figure_option_from_the_environment_is_refused_alike(monkeypatch, capsys):
+    monkeypatch.setenv("TOTPROG_XMAX", "100")
+    code, out, err = run(["figure", "F2"], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: figure F2 does not read --xmax\n")
+
+
 @pytest.mark.parametrize("argv", [["constants", "--q", "7"], ["sweep", "--q", "7", "--xmax", "2000"]])
 def test_a_class_prints_as_its_reduced_residue(argv, capsys):
     code, out, _ = run([*argv, "--a", "8"], capsys)

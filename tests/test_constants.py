@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    F_chi_via_LpL1,
     F_p_primecalc,
     F_q_via_divisors,
     abs_zero_sum_half_mp,
@@ -17,7 +18,7 @@ from oracles import (
     index_data_bruteforce,
     mertens_C_naive,
 )
-from totprog import constants, primes
+from totprog import constants, lvalues, primes
 from totprog.characters import build_group, factorint, totient, units
 from totprog.constants import (
     F1,
@@ -30,7 +31,7 @@ from totprog.constants import (
     mertens_C,
     nicolas_condition_scan,
 )
-from totprog.lvalues import Approx, eps
+from totprog.lvalues import Approx, b_sum_abs, b_sum_signed, eps
 
 
 # -- index data (m, R) -------------------------------------------------------
@@ -348,6 +349,27 @@ def test_F_chi_published(prec):
     for q, label, expected in cases:
         chi = build_group(q).by_label(label)
         assert abs(F_chi(chi, prec) - mp.mpf(expected)) < 1e-6
+
+
+@pytest.mark.parametrize("q", [*range(3, 61), 139, 149])
+def test_F_chi_matches_the_LpL1_route(q):
+    """F(chi) from b(chi') against the reflection through L'/L(1, conj chi'),
+    to 2^-185 relative at 192 bits, for every nonprincipal chi mod q."""
+    for chi in build_group(q).nonprincipal():
+        want = F_chi_via_LpL1(chi, 192)
+        assert abs(F_chi(chi, 192) - want) <= mp.ldexp(abs(want), -185), chi.label
+
+
+def test_each_b_is_computed_once():
+    """F_q, both B sums and gamma_p read one cached b(psi) per primitive psi:
+    mod 14 every nonprincipal character is induced from one mod 7, so the
+    four ask for b of the 5 nonprincipal characters mod 7 and nothing else."""
+    lvalues._b_primitive.cache_clear()
+    F_q(14)
+    b_sum_signed(14)
+    b_sum_abs(14)
+    gamma_p(7)
+    assert lvalues._b_primitive.cache_info().misses == 5
 
 
 def test_gamma_p_and_primecalc(prec):

@@ -2,10 +2,13 @@
 
 The large figure outputs, F1-F8 at their defaults, are pinned by their
 sha256 digests in tests/golden/figures.sha256 instead of being stored.  Each command runs with
-every TOTPROG_* variable unset, so only the built-in defaults apply.
+every TOTPROG_* variable unset, so only the built-in defaults apply.  The
+stdout digests in perfbench/expected.json, which the benchmark's correctness
+gate compares each run against, must match the golden of the same command.
 """
 
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 from totprog import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected.json"
 
 STORED = {
     "constants_q1_a1.json": ["constants", "--q", "1", "--a", "1"],
@@ -34,6 +38,7 @@ STORED = {
     "sweep_q12.json": ["sweep", "--q", "12"],
     "sweep_q14.json": ["sweep", "--q", "14"],
     "sweep_q1_xmax2000000.json": ["sweep", "--q", "1", "--xmax", "2000000"],
+    "sweep_q7_xmax2000.json": ["sweep", "--q", "7", "--xmax", "2000"],
     "sweep_q7_xmax2000000.json": ["sweep", "--q", "7", "--xmax", "2000000"],
     "scan_q14.json": ["scan", "--q", "14"],
     "figure_F7_xmax2000.json": ["figure", "F7", "--xmax", "2000"],
@@ -80,3 +85,12 @@ def test_every_golden_file_is_checked():
     on_disk = {p.name for p in GOLDEN.iterdir()}
     assert on_disk == set(STORED) | {"figures.sha256"}
     assert set(_digests()) == set(DIGESTED)
+
+
+def test_benchmark_digests_match_the_goldens():
+    """Every command of the benchmark's correctness gate has a golden with
+    the recorded sha256, byte count and exit code 0."""
+    by_argv = {" ".join(argv): name for name, argv in STORED.items()}
+    for command, want in json.loads(EXPECTED.read_text())["commands"].items():
+        out = (GOLDEN / by_argv[command]).read_bytes()
+        assert (hashlib.sha256(out).hexdigest(), len(out), 0) == (want["sha256"], want["bytes"], want["exit"]), command

@@ -153,14 +153,11 @@ class DirichletCharacter:
             return None
         return exps[sum(map(operator.mul, logs[self.label % self.modulus], s)) % len(exps)]
 
-    def value(self, n: int, prec: int = 53) -> mp.mpc:
+    def value(self, n: int, prec: int) -> mp.mpc:
         t = self.exponent(n)
         if t is None:
             return mp.mpc(0)
         return _root_of_unity(t.numerator, t.denominator, prec)
-
-    def __call__(self, n: int, prec: int = 53) -> mp.mpc:
-        return self.value(n, prec)
 
     @property
     def is_principal(self) -> bool:

@@ -19,10 +19,8 @@ Exit codes: 0 success / definite result, 1 usage error, 2 inconclusive
 verdict, 3 table mismatch.  Numeric output is always rendered as decimal
 strings ('.' decimal separator) so runs are byte-for-byte reproducible.
 
-Defaults may be overridden with environment variables TOTPROG_PREC_BITS,
-TOTPROG_SIEVE_LIMIT and TOTPROG_XMAX, read only by a subcommand that takes
-the option; each must be an integer, the precision at least 53 bits, the
-sieve limit at least 2 and x_max at least 1.
+The precision must be at least 53 bits, the sieve limit at least 2 and
+x_max at least 1.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import mpmath as mp
@@ -47,36 +44,10 @@ EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
 
-_ENV_PREFIX = "TOTPROG_"
-
-
-# the built-in defaults of the options TOTPROG_<DEST> overrides
-_ENV_DEFAULTS = {"prec_bits": DEFAULT_PREC, "sieve_limit": DEFAULT_LIMIT, "xmax": None}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    def parse_known_args(self, args=None, namespace=None):
-        """Fill each option of _ENV_DEFAULTS that the subcommand takes and the
-        command line leaves out from its variable or built-in default, so
-        the variables of options it does not take are never read."""
-        args, extras = super().parse_known_args(args, namespace)
-        for dest, default in _ENV_DEFAULTS.items():
-            if dest in vars(args) and getattr(args, dest) is None:
-                setattr(args, dest, _env(dest.upper(), default))
-        return args, extras
-
-
-def _env(name: str, default):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_PREFIX}{name}={raw!r} is not an integer") from None
 
 
 def _check(args) -> None:
@@ -85,9 +56,9 @@ def _check(args) -> None:
     if given.get("q", 1) < 1:
         raise ValueError("modulus must be a positive integer")
     if given.get("xmax") is not None and args.xmax < 1:
-        raise ValueError("--xmax (or TOTPROG_XMAX) must be a positive integer")
+        raise ValueError("--xmax must be a positive integer")
     if given.get("sieve_limit", 2) < 2:
-        raise ValueError("--sieve-limit (or TOTPROG_SIEVE_LIMIT) must be at least 2")
+        raise ValueError("--sieve-limit must be at least 2")
     if args.prec_bits < criterion.MIN_PREC:
         raise ValueError(f"--prec-bits must be at least {criterion.MIN_PREC}, the precision of the sweep's float tier")
 
@@ -336,8 +307,8 @@ def build_parser() -> _Parser:
     options = {
         "--q": dict(type=int, required=True),
         "--a": dict(type=int, default=1),
-        "--prec-bits": dict(type=int),  # the defaults of these three: _ENV_DEFAULTS
-        "--sieve-limit": dict(type=int),
+        "--prec-bits": dict(type=int, default=DEFAULT_PREC),
+        "--sieve-limit": dict(type=int, default=DEFAULT_LIMIT),
         "--xmax": dict(type=int),
         "--out": dict(type=str, default=None),
         "--format": dict(choices=("json", "csv"), default="json"),

@@ -18,10 +18,9 @@ Highlights:
   - 2 Re b(chi') per nonprincipal character, from lvalues' cached b(chi').
 
 * ``G_q`` covers the purely imaginary Euler-factor zeros of imprimitive
-  L-series.  Two conventions are exposed: "absolute" is the literal
-  sum of 1/|rho(1-rho)|; "published" evaluates the chi'(p) = 1 progressions
-  with the signed closed form (L/2)coth(L/2) - 1 instead (the reference
-  tables were built that way -- see the README notes).
+  L-series as the reference tables evaluate it: the literal
+  sum of 1/|rho(1-rho)|, except that a factor with chi'(p) = 1 takes the
+  signed closed form (L/2)coth(L/2) - 1.
 """
 
 from __future__ import annotations
@@ -406,44 +405,37 @@ def _signed_zero_sum_theta0(L: mp.mpf) -> mp.mpf:
     return (L / 2) * mp.coth(L / 2) - 1
 
 
-def G_q(
-    q: int,
-    prec: int = DEFAULT_PREC,
-    kmax: int = 2000,
-    convention: str = "published",
-) -> Approx:
+# the terms of each half sum evaluated one by one; the rest are Hurwitz zetas
+_KMAX = 2000
+
+
+def G_q(q: int, prec: int = DEFAULT_PREC) -> Approx:
     """Zero sum over the purely imaginary (Re rho = 0) zeros rho =
     i(theta + 2 pi k)/log p of the Euler factors of imprimitive L-series:
     for each chi mod q, the factors 1 - chi'(p) p^-s of chi.euler_factors,
-    with chi'(p) = e(theta/2 pi).
-
-    convention="absolute": the literal sum of 1/|rho(1-rho)|.
-    convention="published": progressions with chi'(p) = 1 (theta = 0) use the
-    signed closed form (L/2)coth(L/2) - 1 instead of absolute values; this is
-    the evaluation the reference tables contain.
+    with chi'(p) = e(theta/2 pi).  A factor with theta = 0 takes the signed
+    closed form (L/2)coth(L/2) - 1, any other the sum of 1/|rho(1-rho)|;
+    this is the evaluation the reference tables contain.
     """
-    if convention not in ("published", "absolute"):
-        raise ValueError("convention must be 'published' or 'absolute'")
     with mp.workprec(prec):
         total = mp.mpf(0)
         err = mp.mpf(0)
         tail = mp.mpf(0)  # sum of (L/2pi)^8 over the angles summed in absolute value
         for p, theta_frac in (f for chi in build_group(q) for f in chi.euler_factors):
             L = mp.log(p)
-            if theta_frac == 0 and convention == "published":
+            if theta_frac == 0:
                 total += _signed_zero_sum_theta0(L)
             else:
-                # the full line sum_k f(|t_k|), k in Z: the halves k >= 0 at theta
-                # and at 2 pi - theta, or for theta = 0 the k >= 1 half twice
-                halves = (1, 1) if theta_frac == 0 else (theta_frac, 1 - theta_frac)
-                sums = [_abs_zero_sum_half(p, h, kmax, prec) for h in halves]
+                # the full line sum_k f(|t_k|), k in Z: the halves k >= 0 at
+                # theta and at 2 pi - theta
+                sums = [_abs_zero_sum_half(p, h, _KMAX, prec) for h in (theta_frac, 1 - theta_frac)]
                 total += sum(s.value for s in sums)
                 err += sum(s.err for s in sums)
                 tail += (L / (2 * mp.pi)) ** 8
         if tail:
             # the first omitted asymptotic order, 5 t^-8/16 per term, bounds
-            # each half's tail; zeta(8, kmax + 1) covers every shift
-            err += tail * mp.zeta(8, kmax + 1) * mp.mpf(5) / 8
+            # each half's tail; zeta(8, _KMAX + 1) covers every shift
+            err += tail * mp.zeta(8, _KMAX + 1) * mp.mpf(5) / 8
         return Approx(total, err + eps(prec, abs(total)))
 
 

@@ -67,16 +67,22 @@ def g(t) -> mp.mpf:
     return (1 + lt) / (t * t * lt * lt)
 
 
+def _F_s_domain(x, s) -> tuple:
+    """(x, s) as mpmath numbers; raises unless x > 1 and Re(s) < 1, the
+    domain of F_s and of r_s."""
+    s, x = mp.mpc(s), mp.mpf(x)
+    if mp.re(s) >= 1:
+        raise ValueError("F_s and r_s require Re(s) < 1")
+    if x <= 1:
+        raise ValueError("F_s and r_s require x > 1")
+    return x, s
+
+
 def F_s(x, s, prec: int = DEFAULT_PREC):
     """F_s(x) = int_x^inf t^s g(t) dt = -x^(s-1)/((s-1) log x) + r_s(x),
     with r_s evaluated by quadrature of its integral form."""
     with mp.workprec(prec):
-        s = mp.mpc(s)
-        if mp.re(s) >= 1:
-            raise ValueError("F_s requires Re(s) < 1")
-        x = mp.mpf(x)
-        if x <= 1:
-            raise ValueError("F_s requires x > 1")
+        x, s = _F_s_domain(x, s)
         lead = -mp.power(x, s - 1) / ((s - 1) * mp.log(x))
         integral = mp.quad(
             lambda t: 2 * mp.power(t, s - 2) / ((s - 1) * mp.log(t) ** 3), [x, mp.inf]
@@ -89,8 +95,7 @@ def rs_bound(x, s, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Closed bound on |r_s(x)|:
     |s/(1-s)^2| x^(Re s - 1)/log^2 x * (1 + 2/(|Re s - 1| log x))."""
     with mp.workprec(prec):
-        s = mp.mpc(s)
-        x = mp.mpf(x)
+        x, s = _F_s_domain(x, s)
         sig = mp.re(s)
         return (
             abs(s / (1 - s) ** 2)
@@ -498,9 +503,11 @@ def grh_bound_check(q: int, x, prec: int = DEFAULT_PREC) -> mp.mpf:
     """(F_q - 1.2 R_{q,1} + p_q(x)) / (phi(q) sqrt(x) log x) -- the
     conditional upper bound on log f(x;q,1) for x > max(x_q, e^4)."""
     bp = bound_params(q, prec)
+    if bp.x_q is None:
+        raise ValueError(f"x_q is not bundled for q = {q}, so the bound's range is unknown")
     with mp.workprec(prec):
         x = mp.mpf(x)
-        if bp.x_q is not None and x <= max(bp.x_q, mp.e**4):
+        if x <= max(bp.x_q, mp.e**4):
             raise ValueError("bound valid for x > max(x_q, e^4)")
         num = bp.F - mp.mpf("1.2") * bp.R + p_q_of_x(x, q, prec)
         return num / (totient(q) * mp.sqrt(x) * mp.log(x))

@@ -12,8 +12,9 @@ over the divisors of q, and F_p for prime p from the Euler-Kronecker
 constant gamma_p; R_{q,a} by counting m-th roots;
 and C(q,a) as the truncated Mertens product.  The Hurwitz rows zeta(m, r/q)
 by one mpmath call per value, and the Euler-factor half sums of G_q by one
-mpf division and square root per term.  p_q(x) term by term in mpf, and the
-trisection that refines max p_q in mpf.  The conductor and primitive
+mpf division and square root per term.  The literal sum of 1/|rho(1-rho)|
+over G_q's zeros, with no signed closed form at chi'(p) = 1.  p_q(x) term
+by term in mpf, and the trisection that refines max p_q in mpf.  The conductor and primitive
 part of a character by searching the divisors of q and the group mod d.
 
 The sums of log p and log(1 - 1/p) over the first k progression primes by two
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from totprog import criterion
+from totprog import constants, criterion
 from totprog import primes as primes_mod
 from totprog.characters import DirichletCharacter, build_group, divisors, totient, units
 from totprog.constants import F1, IndexData, gamma_p, index_data
@@ -263,6 +264,18 @@ def abs_zero_sum_half_mp(p: int, theta_frac, kmax: int, prec: int) -> mp.mpf:
         total += u**2 * mp.zeta(2, shift)
         total -= u**4 / 2 * mp.zeta(4, shift)
         total += 3 * u**6 / 8 * mp.zeta(6, shift)
+        return total
+
+
+def G_q_absolute(q: int, prec: int) -> mp.mpf:
+    """The literal sum of 1/|rho(1-rho)| over the zeros constants.G_q sums:
+    a factor with chi'(p) = 1 (theta = 0) as the k >= 1 half twice, where
+    G_q takes the signed closed form (L/2)coth(L/2) - 1."""
+    with mp.workprec(prec):
+        total = mp.mpf(0)
+        for p, tf in (f for chi in build_group(q) for f in chi.euler_factors):
+            for half in (1, 1) if tf == 0 else (tf, 1 - tf):
+                total += constants._abs_zero_sum_half(p, half, constants._KMAX, prec).value
         return total
 
 

@@ -69,7 +69,7 @@ def test_known_values_mod_8():
         assert abs(_as_complex(chi5, n) - expect5[n]) < 1e-12
     # even modulus: chi vanishes on even n
     assert chi3.exponent(4) is None
-    assert chi3(4) == 0
+    assert chi3.value(4, 53) == 0
 
 
 def test_quadratic_character_mod_5():
@@ -133,6 +133,28 @@ def test_conjugate_and_power_properties(q, i, j):
     assert abs(_as_complex(conj, n) - _as_complex(chi, n).conjugate()) < 1e-10
     k = (i % 5) + 1
     assert abs(_as_complex(chi.power(k), n) - _as_complex(chi, n) ** k) < 1e-9
+
+
+_unit_index = st.integers(min_value=0, max_value=10**6)
+
+
+@given(q=st.integers(min_value=1, max_value=500), i=_unit_index, j=_unit_index, k=_unit_index, l=_unit_index)
+@settings(max_examples=150, deadline=None)
+def test_exponent_is_exactly_multiplicative_in_n_and_in_the_label(q, i, j, k, l):
+    """chi(mn) = chi(m) chi(n) and chi_{ab}(n) = chi_a(n) chi_b(n), as exact
+    sums of exponents in Q/Z, at random units of a random modulus."""
+    grp, us = build_group(q), units(q)
+    chi, psi = grp.characters[i % len(us)], grp.characters[j % len(us)]
+    m, n = us[k % len(us)], us[l % len(us)]
+    assert chi.exponent(m * n) == (chi.exponent(m) + chi.exponent(n)) % 1
+    assert grp.by_label(chi.label * psi.label).exponent(n) == (chi.exponent(n) + psi.exponent(n)) % 1
+
+
+@given(q=st.integers(min_value=1, max_value=500), i=_unit_index)
+@settings(max_examples=100, deadline=None)
+def test_conductor_and_primitive_match_the_search_at_random_moduli(q, i):
+    chi = build_group(q).characters[i % totient(q)]
+    assert (chi.conductor, chi.primitive().label) == conductor_bruteforce(chi)
 
 
 def test_parity():

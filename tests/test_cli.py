@@ -136,12 +136,6 @@ def test_figure_option_its_kind_does_not_read_is_refused(argv, flag, capsys):
     assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: figure {argv[1]} does not read {flag}\n")
 
 
-def test_figure_option_from_the_environment_is_refused_alike(monkeypatch, capsys):
-    monkeypatch.setenv("TOTPROG_XMAX", "100")
-    code, out, err = run(["figure", "F2"], capsys)
-    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: figure F2 does not read --xmax\n")
-
-
 @pytest.mark.parametrize("argv", [["constants", "--q", "7"], ["sweep", "--q", "7", "--xmax", "2000"]])
 def test_a_class_prints_as_its_reduced_residue(argv, capsys):
     code, out, _ = run([*argv, "--a", "8"], capsys)
@@ -170,13 +164,13 @@ def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, monkeypatc
     assert limits[0] == 1000 and primes.DEFAULT_LIMIT not in limits
 
 
-@pytest.mark.parametrize("argv,env", [(["--sieve-limit", "-5"], None), (["--sieve-limit", "1"], None), ([], "0")])
-def test_sieve_limit_below_two_is_an_error(argv, env, monkeypatch, capsys):
+# the ids of the three range tests (sieve limit, precision, x_max) are those
+# they had beside the cases of the removed TOTPROG_* environment variables
+@pytest.mark.parametrize("argv", [["--sieve-limit", "-5"], ["--sieve-limit", "1"]], ids=["argv0-None", "argv1-None"])
+def test_sieve_limit_below_two_is_an_error(argv, capsys):
     # PrimeTable used to raise such a limit to 2 without a word
-    if env is not None:
-        monkeypatch.setenv("TOTPROG_SIEVE_LIMIT", env)
     code, out, err = run(["sweep", "--q", "7", "--xmax", "10"] + argv, capsys)
-    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --sieve-limit (or TOTPROG_SIEVE_LIMIT) must be at least 2\n")
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --sieve-limit must be at least 2\n")
 
 
 def test_winding_guard_failure_is_an_error(capsys, monkeypatch):
@@ -221,41 +215,18 @@ def test_figure_logf(capsys):
     assert {r["a"] for r in rows} == set(cli.reference_data.FIGURES["F7"]["residues"])
 
 
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("TOTPROG_PREC_BITS", "96")
-    args = cli.build_parser().parse_args(["constants", "--q", "3"])
-    assert args.prec_bits == 96
-
-
-@pytest.mark.parametrize("name", ["PREC_BITS", "SIEVE_LIMIT", "XMAX"])
-def test_bad_env_value_is_an_error(name, monkeypatch, capsys):
-    # a value that is not an integer used to fall back to the default silently
-    monkeypatch.setenv(f"TOTPROG_{name}", "abc")
-    code, out, err = run(["sweep", "--q", "7"], capsys)
-    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: TOTPROG_{name}='abc' is not an integer\n")
-
-
-def test_env_value_of_an_option_the_subcommand_does_not_take_is_not_read(monkeypatch, capsys):
-    # table takes neither --xmax nor --sieve-limit; it used to exit 1 here
+def test_the_environment_is_not_read(monkeypatch, capsys):
+    # values the TOTPROG_* variables, once read, refused with exit 1
+    monkeypatch.setenv("TOTPROG_PREC_BITS", "8")
+    monkeypatch.setenv("TOTPROG_SIEVE_LIMIT", "0")
     monkeypatch.setenv("TOTPROG_XMAX", "abc")
-    monkeypatch.setenv("TOTPROG_SIEVE_LIMIT", "abc")
-    code, out, err = run(["table", "T9"], capsys)
-    assert (code, out, err) == (cli.EXIT_OK, (GOLDEN / "table_T9.json").read_text(), "")
-    code, out, err = run(["sweep", "--q", "7"], capsys)
-    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: TOTPROG_SIEVE_LIMIT='abc' is not an integer\n")
-    monkeypatch.delenv("TOTPROG_SIEVE_LIMIT")
-    code, out, err = run(["sweep", "--q", "7"], capsys)
-    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: TOTPROG_XMAX='abc' is not an integer\n")
+    for argv, golden in ((["sweep", "--q", "7", "--xmax", "2000"], "sweep_q7_xmax2000.json"), (["table", "T9"], "table_T9.json")):
+        assert run(argv, capsys) == (cli.EXIT_OK, (GOLDEN / golden).read_text(), "")
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_precision_below_a_double_is_an_error(source, monkeypatch, capsys):
-    argv = ["sweep", "--q", "7"]
-    if source == "flag":
-        argv += ["--prec-bits", "52"]
-    else:
-        monkeypatch.setenv("TOTPROG_PREC_BITS", "8")
-    code, out, err = run(argv, capsys)
+@pytest.mark.parametrize("bits", ["52"], ids=["flag"])
+def test_precision_below_a_double_is_an_error(bits, capsys):
+    code, out, err = run(["sweep", "--q", "7", "--prec-bits", bits], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == "error: --prec-bits must be at least 53, the precision of the sweep's float tier\n"
 
@@ -323,20 +294,17 @@ def test_unwritable_out_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,env",
+    "argv",
     [
-        (["sweep", "--q", "7", "--xmax", "-5"], None),
-        (["sweep", "--q", "7", "--xmax", "0"], None),
-        (["figure", "F7", "--xmax", "0"], None),  # used to fall back to the figure's own x_max
-        (["sweep", "--q", "7"], "0"),
-        (["figure", "F7"], "-5"),
+        ["sweep", "--q", "7", "--xmax", "-5"],
+        ["sweep", "--q", "7", "--xmax", "0"],
+        ["figure", "F7", "--xmax", "0"],  # used to fall back to the figure's own x_max
     ],
+    ids=["argv0-None", "argv1-None", "argv2-None"],
 )
-def test_xmax_below_one_is_an_error(argv, env, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv("TOTPROG_XMAX", env)
+def test_xmax_below_one_is_an_error(argv, capsys):
     code, out, err = run(argv, capsys)
-    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --xmax (or TOTPROG_XMAX) must be a positive integer\n")
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --xmax must be a positive integer\n")
 
 
 def test_xmax_of_one_is_checked(capsys):

@@ -13,6 +13,7 @@ from oracles import (
     F_chi_via_LpL1,
     F_p_primecalc,
     F_q_via_divisors,
+    G_q_absolute,
     abs_zero_sum_half_mp,
     hurwitz_row_mp,
     index_data_bruteforce,
@@ -55,6 +56,13 @@ def test_index_R_closed_form_matches_bruteforce(q):
         brute = index_data_bruteforce(q, a)
         assert closed.m == brute.m
         assert closed.R == brute.R
+
+
+@given(q=st.integers(1, 500), i=st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_index_data_matches_bruteforce_at_random_moduli(q, i):
+    a = units(q)[i % totient(q)]
+    assert index_data(q, a) == index_data_bruteforce(q, a)
 
 
 def test_R_counts_solutions():
@@ -248,7 +256,9 @@ def test_per_character_sums_are_computed_once_per_key():
 
 
 _CACHED_CALLS = [
-    *((G_q, (14, prec, kmax, conv)) for prec in (53, 192) for kmax in (2000, 4000) for conv in ("published", "absolute")),
+    *((G_q, (14, prec)) for prec in (53, 192)),
+    # the half sum at 2 pi/3 that G_q(14) takes at p = 2, at kmax = 2000 and not
+    *((constants._abs_zero_sum_half, (2, Fraction(1, 3), kmax, prec)) for prec in (53, 192) for kmax in (2000, 4000)),
     *((mertens_C, (q, 1, prec)) for prec in (53, 192) for q in (7, 14)),
 ]
 
@@ -256,14 +266,13 @@ _CACHED_CALLS = [
 def _bits(call):
     fn, args = call
     r = fn(*args)
-    values = r if fn is G_q else (r.C.value, r.C.err, r.M.value, r.M.err, r.log_C)
+    values = r if isinstance(r, Approx) else (r.C.value, r.C.err, r.M.value, r.M.err, r.log_C)
     return [v._mpf_ for v in values]
 
 
 def test_cached_values_do_not_depend_on_call_order():
     """Every call sees the value it gets from cold caches, whichever calls at
-    other precisions, kmax or conventions came first: the keys hold all
-    three."""
+    other precisions or kmax came first: the keys hold both."""
     cold = []
     for call in _CACHED_CALLS:
         _clear()
@@ -409,10 +418,12 @@ def test_G_q_6_published_row_omits_principal(prec):
     assert full > mp.mpf("0.1177920")
 
 
-def test_G_q_kmax_doubling(prec):
+def test_G_q_kmax_doubling(prec, monkeypatch):
     for q in (6, 10, 12, 14):
-        a = G_q(q, prec, kmax=2000)
-        b = G_q(q, prec, kmax=4000)
+        a = G_q(q, prec)
+        with monkeypatch.context() as m:
+            m.setattr(constants, "_KMAX", 4000)
+            b = G_q(q, prec)
         assert abs(a.value - b.value) <= a.err + b.err
 
 
@@ -420,9 +431,7 @@ def test_G_q_conventions(prec):
     # absolute >= published: for zeros at i t, 2/(t sqrt(1+t^2)) >= 2/(1+t^2)
     # term by term, so the literal absolute sum dominates the signed one
     for q in (3, 6, 8, 9, 12):
-        assert G_q(q, prec, convention="absolute").value > G_q(q, prec).value
-    with pytest.raises(ValueError):
-        G_q(6, prec, convention="bogus")
+        assert G_q_absolute(q, prec) > G_q(q, prec).value
 
 
 def test_G_q_edge_moduli(prec):
@@ -462,19 +471,20 @@ def test_G_q_err_adds_each_half_sum_err(monkeypatch):
     number of half sums it took."""
     real, calls = constants._abs_zero_sum_half, []
     monkeypatch.setattr(constants, "_abs_zero_sum_half", lambda *args: calls.append(args) or Approx(real(*args).value, 1))
-    err = G_q(14, convention="absolute").err
-    assert len(calls) == 14 and err >= 14
+    err = G_q(14).err
+    assert len(calls) == 8 and err >= 8
 
 
 def test_G_q_evaluates_zeta_8_once(monkeypatch):
     """G_q bounds the asymptotic tail of every half sum with one
-    zeta(8, kmax + 1), however many angles it sums."""
+    zeta(8, _KMAX + 1), however many angles it sums, and none where it sums
+    none: q = 1 has no Euler factors and q = 3 only factors with theta = 0."""
     real, orders = mp.zeta, []
     monkeypatch.setattr(mp, "zeta", lambda s, *args: orders.append(s) or real(s, *args))
-    for q in (1, 3, 14):
+    for q, count in ((1, 0), (3, 0), (6, 1), (14, 1)):
         orders.clear()
-        G_q(q, convention="absolute")
-        assert orders.count(8) == (q > 1)
+        G_q(q)
+        assert orders.count(8) == count, q
 
 
 # -- criterion scan ----------------------------------------------------------

@@ -66,6 +66,14 @@ def test_rs_bound_positive_and_decreasing(prec):
     assert vals[0] > vals[1] > vals[2] > 0
 
 
+@pytest.mark.parametrize("x,s", [(0.5, 0.5), (1, 0.5), (10, 2), (10, 1)])
+def test_rs_bound_domain(x, s, prec):
+    # outside F_s's domain the closed form used to return a number, as
+    # -28.09 at (0.5, 0.5) and 7.05 at (10, 2)
+    with pytest.raises(ValueError):
+        cr.rs_bound(x, s, prec)
+
+
 # -- log f -------------------------------------------------------------------
 
 
@@ -286,6 +294,15 @@ def test_grh_bound_negative_beyond_threshold(prec):
         assert cr.grh_bound_check(q, 10**6, prec) < 0
     with pytest.raises(ValueError):
         cr.grh_bound_check(3, 100, prec)
+
+
+def test_grh_bound_needs_a_bundled_x_q(prec):
+    # with x_q(11) unknown the range check used to be skipped: 0.1085 at x = 10 < e^4
+    assert cr.bound_params(11, prec).x_q is None
+    with pytest.raises(ValueError):
+        cr.grh_bound_check(11, 10, prec)
+    with pytest.raises(ValueError):
+        cr.grh_bound_check(11, 10**6, prec)
 
 
 # -- x_q and the sweep -------------------------------------------------------

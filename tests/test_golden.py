@@ -1,15 +1,13 @@
 """CLI stdout, byte for byte, against outputs recorded in tests/golden/.
 
 The large figure outputs, F1-F8 at their defaults, are pinned by their
-sha256 digests in tests/golden/figures.sha256 instead of being stored.  Each command runs with
-every TOTPROG_* variable unset, so only the built-in defaults apply.  The
+sha256 digests in tests/golden/figures.sha256 instead of being stored.  The
 stdout digests in perfbench/expected.json, which the benchmark's correctness
 gate compares each run against, must match the golden of the same command.
 """
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -61,23 +59,20 @@ def _digests() -> dict:
     return {name: digest for digest, name in (line.split() for line in lines)}
 
 
-def _stdout(argv, capsys, monkeypatch) -> bytes:
-    for name in list(os.environ):
-        if name.startswith("TOTPROG_"):
-            monkeypatch.delenv(name)
+def _stdout(argv, capsys) -> bytes:
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_OK
     return capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize("name", list(STORED))
-def test_stdout_matches_golden_file(name, capsys, monkeypatch):
-    assert _stdout(STORED[name], capsys, monkeypatch) == (GOLDEN / name).read_bytes()
+def test_stdout_matches_golden_file(name, capsys):
+    assert _stdout(STORED[name], capsys) == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", list(DIGESTED))
-def test_stdout_matches_golden_digest(name, capsys, monkeypatch):
-    out = _stdout(DIGESTED[name], capsys, monkeypatch)
+def test_stdout_matches_golden_digest(name, capsys):
+    out = _stdout(DIGESTED[name], capsys)
     assert hashlib.sha256(out).hexdigest() == _digests()[name]
 
 

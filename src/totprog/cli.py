@@ -20,7 +20,8 @@ verdict, 3 table mismatch.  Numeric output is always rendered as decimal
 strings ('.' decimal separator) so runs are byte-for-byte reproducible.
 
 The precision must be at least 53 bits, the sieve limit at least 2 and
-x_max at least 1.
+x_max at least 1.  The sieve limit (default 2000000) is a cap: a command
+sieves only as far as the largest x it reads, and at least to 10^5.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import mpmath as mp
 
 from . import criterion, reference_data
 from .characters import totient
-from .constants import F_chi, F_q, gamma_p, index_data, mertens_C, nicolas_condition_scan
+from .constants import _BRANCH_LIMITS, F_chi, F_q, gamma_p, index_data, mertens_C, nicolas_condition_scan
 from .lvalues import DEFAULT_PREC, Lprime_over_L_at_1, b_sum_abs
 from .primes import DEFAULT_LIMIT, prime_table
 
@@ -57,10 +59,19 @@ def _check(args) -> None:
         raise ValueError("modulus must be a positive integer")
     if given.get("xmax") is not None and args.xmax < 1:
         raise ValueError("--xmax must be a positive integer")
-    if given.get("sieve_limit", 2) < 2:
+    if given.get("sieve_limit") is not None and args.sieve_limit < 2:
         raise ValueError("--sieve-limit must be at least 2")
     if args.prec_bits < criterion.MIN_PREC:
         raise ValueError(f"--prec-bits must be at least {criterion.MIN_PREC}, the precision of the sweep's float tier")
+
+
+def _primes_to(x, args):
+    """The PrimeTable to x, capped at --sieve-limit: a command sieves only as
+    far as it reads.  It sieves at least to the winding guard's first limit,
+    so that one cached table serves both; past the cap, the reader raises
+    "x exceeds sieve limit" as it would at any limit."""
+    cap = DEFAULT_LIMIT if args.sieve_limit is None else args.sieve_limit
+    return prime_table(min(cap, max(math.ceil(x), _BRANCH_LIMITS[0])))
 
 
 def fmt(x, digits: int = 12) -> str:
@@ -229,7 +240,7 @@ def cmd_figure(args) -> int:
     if meta is None:
         sys.stderr.write(f"unknown figure id {fid!r} (expected F1-F8)\n")
         return EXIT_USAGE
-    given = {"--xmax": args.xmax is not None, "--sieve-limit": args.sieve_limit != DEFAULT_LIMIT}
+    given = {"--xmax": args.xmax is not None, "--sieve-limit": args.sieve_limit is not None}
     unread = {"landau": ("--xmax", "--sieve-limit"), "smooth-ratio": ("--xmax",)}.get(meta["kind"], ())
     for flag in unread:
         if given[flag]:
@@ -247,8 +258,8 @@ def cmd_figure(args) -> int:
     if meta["kind"] == "smooth-ratio":
         from .primes import enumerate_smooth
 
-        q, a = meta["q"], meta["a"]
-        enum = enumerate_smooth(q, a, meta["range"][1], prime_table(args.sieve_limit))
+        q, a, X = meta["q"], meta["a"], meta["range"][1]
+        enum = enumerate_smooth(q, a, X, _primes_to(X, args))
         rows = []
         with mp.workprec(prec):
             inv_phi = mp.mpf(1) / totient(q)
@@ -262,7 +273,7 @@ def cmd_figure(args) -> int:
     q = meta["q"]
     xmax = meta["xmax"] if args.xmax is None else args.xmax
     rows = []
-    table = prime_table(args.sieve_limit)
+    table = _primes_to(xmax, args)
     for a in meta["residues"]:
         ev = criterion.log_f_series(q, a, xmax, prec, table)
         for k, p, val in ev.rows:
@@ -275,7 +286,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rep = criterion.sweep(args.q, args.a, args.prec_bits, prime_table(args.sieve_limit), x_max=args.xmax)
+    x_max = criterion.default_x_max(args.q) if args.xmax is None else args.xmax
+    rep = criterion.sweep(args.q, args.a, args.prec_bits, _primes_to(x_max, args), x_max=x_max)
     rows = [
         ("q", rep.q),
         ("a", rep.a),
@@ -308,7 +320,7 @@ def build_parser() -> _Parser:
         "--q": dict(type=int, required=True),
         "--a": dict(type=int, default=1),
         "--prec-bits": dict(type=int, default=DEFAULT_PREC),
-        "--sieve-limit": dict(type=int, default=DEFAULT_LIMIT),
+        "--sieve-limit": dict(type=int),
         "--xmax": dict(type=int),
         "--out": dict(type=str, default=None),
         "--format": dict(choices=("json", "csv"), default="json"),

@@ -28,7 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import mod, sub, truediv
 
 import mpmath as mp
 
@@ -225,16 +227,10 @@ def _branched_log_L1(chi: DirichletCharacter, prec: int) -> mp.mpc:
     limit of _BRANCH_LIMITS in turn, until the estimate lies within 0.25 of
     an integer, raising past the last.  The value itself comes from the
     exact L(1,chi)."""
-    q = chi.modulus
-    # chi(p) in doubles, once per residue class r = p mod q
-    rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
     with mp.workprec(prec):
         principal = mp.log(L_at_1(chi, prec))
     for limit in _BRANCH_LIMITS:
-        s0 = 0j
-        for p in primes_mod.prime_table(limit).primes:
-            if (z := rot.get(p % q)) is not None:
-                s0 -= cmath.log(1 - z / p)
+        s0 = _partial_euler_sum(chi, limit)
         try:
             k = _winding_number((s0.imag - float(mp.im(principal))) / (2 * math.pi))
             break
@@ -243,6 +239,19 @@ def _branched_log_L1(chi: DirichletCharacter, prec: int) -> mp.mpc:
                 raise
     with mp.workprec(prec):
         return principal + 2j * mp.pi * k
+
+
+def _partial_euler_sum(chi: DirichletCharacter, limit: int) -> complex:
+    """-sum log(1 - chi(p)/p) over the primes p <= limit in doubles, in
+    C-level passes: chi(p) from one double per residue class p mod q, and 0
+    for a prime dividing q, whose term log 1 = 0 changes nothing.  The terms
+    are subtracted from 0j in order, as a loop of s -= term would, so the
+    result does not depend on how sum() adds complex numbers."""
+    q = chi.modulus
+    rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
+    ps = primes_mod.prime_table(limit).primes
+    zs = map(rot.get, map(mod, ps, repeat(q)), repeat(0j))
+    return reduce(sub, map(cmath.log, map(sub, repeat(1 + 0j), map(truediv, zs, ps))), 0j)
 
 
 def _winding_number(turns: float) -> int:

@@ -11,12 +11,14 @@ holds on [pbar_k, pbar_{k+1}).  This module evaluates log f on progression
 primes (it is constant in between, so step points are exhaustive), the
 auxiliary integrals and explicit bounds (g, F_s, truncated K, J-hat, p_q),
 the threshold x_q, and the sweep that checks log f < 0 up to
-max(floor(x_q), ceil(e^10) = 22027): in doubles with a stated rounding bound
-at every step point, and in mpmath at the few that may hold the maximum.
-Every mp value of theta and of the log(1 - 1/p) sum comes from
-ProgressionStats.point_sums, one log per block of 64 primes, with its stated
-bound: log_f and the sweep's mp tier call it at single points, and
-log_f_series reads its values at every step point.
+max(floor(x_q), ceil(e^10) = 22027) (default_x_max): in doubles at every
+step point, in chunks of up to 1024 points that map and accumulate passes
+evaluate bit for bit as a per-point loop would, with one stated rounding
+bound per chunk that covers each of its points; and in mpmath at the few
+points that may hold the maximum.  Every mp value of theta and of the
+log(1 - 1/p) sum comes from ProgressionStats.point_sums, one log per block
+of 64 primes, with its stated bound: log_f and the sweep's mp tier call it
+at single points, and log_f_series reads its values at every step point.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, compress, islice, repeat
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 import mpmath as mp
@@ -51,6 +55,7 @@ __all__ = [
     "P_q",
     "x_q_threshold",
     "empirical_xq_check",
+    "default_x_max",
     "sweep",
     "grh_bound_check",
 ]
@@ -372,52 +377,86 @@ _U = 2.0**-MIN_PREC  # unit roundoff of a double
 _LIBM = 4 * _U
 
 
-def _rounding_bound(th_rel, lm_abs, phi, lam, g, log1m, log_C, u, a):
+def _rounding_bound(th_rel, lm_abs, phi, lam_lo, lam_hi, g, log1m, log_C, u, a):
     """Bound on |log f as computed - log f| at a step point, when the computed
     theta is within relative error th_rel of the exact sum and log1m within
     absolute error lm_abs, both logs of log log are within relative error a
     of the exact ones, and every other operation rounds with unit roundoff u;
-    lam is the computed log(phi theta), g = log(lam)/phi.  Sum of the
-    first-order terms (through log log and the two final additions), doubled
-    to cover the higher-order ones and the rounding of the bound itself.
-    None when lam is too near 0, i.e. phi theta too near 1, to bound log
-    log."""
-    lam_err = 2 * (th_rel + 2 * u) + 2 * a * lam  # |lam - log(phi theta)|
-    if lam <= 3 * lam_err:
+    the computed lam = log(phi theta) lies in [lam_lo, lam_hi] (a single
+    point passes its lam twice), g = log(lam)/phi.  Sum of the first-order
+    terms (through log log and the two final additions), doubled to cover
+    the higher-order ones and the rounding of the bound itself.  None when
+    lam_lo is too near 0, i.e. phi theta too near 1, to bound log log.
+
+    The bound is monotone: it does not fall when any of th_rel, lm_abs,
+    lam_hi, |g|, |log1m|, |log_C|, u or a rises or lam_lo falls, and it
+    only turns None then.  Proof: lam_err = 2 (th_rel + 2u) + 2 a lam_hi
+    rises with th_rel, u, a and lam_hi; while lam_lo > 3 lam_err,
+    sigma = lam_err / (lam_lo - lam_err) has a positive numerator that does
+    not fall and a positive denominator that does not rise, so sigma does
+    not fall; every other term is a product of nonnegative factors that do
+    not fall; and lam_lo <= 3 lam_err, the None case, stays true.  Each
+    rounded operation is monotone too, so this holds for the computed
+    bound, and on the hull of a run of points it bounds each point."""
+    lam_err = 2 * (th_rel + 2 * u) + 2 * a * lam_hi  # |lam - log(phi theta)|
+    if lam_lo <= 3 * lam_err:
         return None
-    sigma = lam_err / (lam - lam_err)  # relative error of lam, < 1/2
+    sigma = lam_err / (lam_lo - lam_err)  # relative error of lam, < 1/2
     g_err = 2 * sigma / phi + 2 * (a + u) * abs(g)
     return 2 * (g_err + lm_abs + 2 * u * (abs(g) + abs(log1m) + 2 * abs(log_C)))
 
 
-def _float_screen(st, x_max, log_C, prec):
-    """log f in doubles at each progression prime pbar_k <= x_max, streamed:
-    yields (k, pbar_k, f, E) with E >= |f - log f at prec bits|, as the
-    sweep's mp tier and log_f_series both take it from point_sums.  E is inf
-    where phi theta is too near 1 to bound, and log f may be undefined there
-    (f is then nan).
+_CHUNK = 1024  # the most points _float_screen bounds together
 
-    E's sums are running sums of k double logs, each within _LIBM, so their
-    relative error is k u + a to first order (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 4), doubled: c = 2 (k u + a).  u and a add the mp tier's
-    own rounding to the double's, u_p = 2^-prec and 4 u_p, so that term also
-    covers the relative part of point_sums' bound, (n + 3) 2^-32 u_p + u_p
-    with n = ceil(k/64) <= k.  The extra u_p on log1m covers its absolute
-    part, (n + 3) 2^-32 u_p."""
-    phi, log_C = st.phi, float(log_C)
+
+def _float_screen(st, x_max, log_C, prec):
+    """log f in doubles at the progression primes pbar_k <= x_max, in chunks
+    of consecutive points: yields (k0, ps, fs, E) where fs[i] is log f at
+    ps[i] = pbar_(k0+i) and E >= |fs[i] - log f at prec bits| at every
+    point of the chunk, as the sweep's mp tier and log_f_series both take
+    it from point_sums.  E is inf where phi theta is too near 1 to bound,
+    and log f may be undefined there (fs[i] is then nan).  Chunks hold
+    1, 1, 2, 4, ... points, up to _CHUNK, so a chunk's last k is at most
+    twice its first and the first points, where phi theta is near 1, are
+    bounded nearly one by one.
+
+    Each value is the per-point recurrence (theta += log p, log1m +=
+    log1p(-1/p), lam = log(phi theta), g = log(lam)/phi, f = g + log1m -
+    log C), bit for bit, done a chunk at a time in map and accumulate
+    passes.  A point's sums are running sums of k double logs, each within
+    _LIBM, so their relative error is k u + a to first order (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 4), doubled:
+    c = 2 (k u + a).  u and a add the mp tier's own rounding to the
+    double's, u_p = 2^-prec and 4 u_p, so that term also covers the
+    relative part of point_sums' bound, (n + 3) 2^-32 u_p + u_p with
+    n = ceil(k/64) <= k.  The extra u_p on log1m covers its absolute part,
+    (n + 3) 2^-32 u_p.  E is _rounding_bound on the chunk's hull: c and
+    |log1m| at its last point (both grow with k), the largest |g| and
+    lam's least and greatest values; it is monotone, so E is at least
+    each point's own bound."""
+    phi, log_C = float(st.phi), float(log_C)  # phi exact: products and quotients round as with the int
     u_p = 2.0**-prec
     u, a = _U + u_p, _LIBM + 4 * u_p  # the double and the mp rounding
+    n = st._count(x_max)
     theta = log1m = 0.0
-    for k, p in enumerate(st.pbar, 1):
-        if p > x_max:
-            return
-        theta += math.log(p)
-        log1m += math.log1p(-1.0 / p)
-        lam = math.log(phi * theta)
-        g = math.log(lam) / phi if lam > 0 else math.nan
-        c = 2 * (k * u + a)
-        err = _rounding_bound(c, c * abs(log1m) + u_p, phi, lam, g, log1m, log_C, u, a)
-        yield k, p, g + log1m - log_C, math.inf if err is None else err
+    k0 = 1
+    while k0 <= n:
+        size = min(max(k0 - 1, 1), _CHUNK)  # 1, 1, 2, 4, ..., _CHUNK
+        ps = st.pbar[k0 - 1 : min(k0 - 1 + size, n)]
+        thetas = list(islice(accumulate(map(math.log, ps), initial=theta), 1, None))
+        log1ms = list(islice(accumulate(map(math.log1p, map(truediv, repeat(-1.0), ps)), initial=log1m), 1, None))
+        theta, log1m = thetas[-1], log1ms[-1]
+        lams = list(map(math.log, map(mul, repeat(phi), thetas)))
+        if lams[0] > 0:
+            gs = list(map(truediv, map(math.log, lams), repeat(phi)))
+        else:  # log f is undefined while phi theta <= 1
+            gs = [math.log(lam) / phi if lam > 0 else math.nan for lam in lams]
+        fs = list(map(sub, map(add, gs, log1ms), repeat(log_C)))
+        c = 2 * ((k0 + len(ps) - 1) * u + a)
+        g_abs = max(map(abs, gs))
+        err = _rounding_bound(c, c * abs(log1m) + u_p, phi, min(lams), max(lams), g_abs, log1m, log_C, u, a)
+        yield k0, ps, fs, math.inf if err is None else err
+        k0 += len(ps)
 
 
 def _sweep_report(q, a, x_max, st, mc, prec, checked, best, escalated) -> SweepReport:
@@ -434,7 +473,7 @@ def _sweep_report(q, a, x_max, st, mc, prec, checked, best, escalated) -> SweepR
         th_err, lm_err = st.point_bound(k)
         lam = mp.log(st.phi * theta)
         u = mp.mpf(2) ** -prec  # and each mp log within 4u, as in _float_screen
-        err = _rounding_bound(th_err / theta, lm_err, st.phi, lam, mp.log(lam) / st.phi, log1m, mc.log_C, u, 4 * u)
+        err = _rounding_bound(th_err / theta, lm_err, st.phi, lam, lam, mp.log(lam) / st.phi, log1m, mc.log_C, u, 4 * u)
         budget += mp.inf if err is None else err
         if worst > budget:
             verdict = "violation"
@@ -445,14 +484,29 @@ def _sweep_report(q, a, x_max, st, mc, prec, checked, best, escalated) -> SweepR
         return SweepReport(q, a, x_max, checked, worst, p, budget, verdict, escalated)
 
 
+def default_x_max(q: int) -> int:
+    """The range of the paper's sweep for q: max(floor(x_q), printed
+    floor(x_q), 22027), each of the first two where it is bundled."""
+    c1 = reference_data.c1_of(q)
+    candidates = [E10_CEIL]
+    if c1 is not None:
+        candidates.append(x_q_threshold(q, c1))
+    printed = reference_data.printed_xq_floor(q)
+    if printed is not None:
+        candidates.append(printed)
+    return max(candidates)
+
+
 def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) -> SweepReport:
     """Check log f < 0 at every progression prime pbar_k <= x_max (default
-    max(floor(x_q), printed floor, 22027)) and report the worst margin.
+    default_x_max(q)) and report the worst margin.
 
-    Two tiers.  _float_screen bounds log f at every point in doubles; only
-    the points whose upper bound reaches the largest lower bound, which
-    include every point that can hold the maximum, and those where phi theta
-    is too near 1 to bound, are evaluated at prec from
+    Two tiers.  _float_screen bounds log f at every point in doubles, a
+    chunk of points at a time; a chunk whose largest value plus its bound E
+    falls below the largest lower bound so far (the floor) holds no
+    candidate.  Only the points whose upper bound reaches the floor, which
+    include every point that can hold the maximum, and those where phi
+    theta is too near 1 to bound, are evaluated at prec from
     ProgressionStats.point_sums, so theta_cum and log1m_cum are never
     extended.  The maximum (the first point on ties), its prime and the count
     of points where log f is defined are those of log_f_series' rows, bit for
@@ -460,14 +514,7 @@ def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) 
     if prec < MIN_PREC:
         raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
     if x_max is None:
-        c1 = reference_data.c1_of(q)
-        candidates = [E10_CEIL]
-        if c1 is not None:
-            candidates.append(x_q_threshold(q, c1))
-        printed = reference_data.printed_xq_floor(q)
-        if printed is not None:
-            candidates.append(printed)
-        x_max = max(candidates)
+        x_max = default_x_max(q)
     st = primes_mod.stats(q, a, table, prec)
     if x_max > st.table.limit:
         raise ValueError(f"xmax={x_max} exceeds sieve limit {st.table.limit}")
@@ -475,17 +522,21 @@ def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) 
     floor = -math.inf  # the largest f - E so far: log f's maximum is at least this
     heap = []  # (f + E, k, pbar_k) of the points that may reach the maximum
     checked = 0
-    for k, p, f, err in _float_screen(st, x_max, mc.log_C, prec):
+    for k0, ps, fs, err in _float_screen(st, x_max, mc.log_C, prec):
         if err == math.inf:
-            heapq.heappush(heap, (err, k, p))
+            for k, p in enumerate(ps, k0):
+                heapq.heappush(heap, (err, k, p))
             continue
-        checked += 1
-        if f + err >= floor:
-            heapq.heappush(heap, (f + err, k, p))
-            if f - err > floor:
-                floor = f - err
-                while heap[0][0] < floor:
-                    heapq.heappop(heap)
+        checked += len(fs)
+        top = max(fs)
+        if top + err < floor:
+            continue
+        floor = max(floor, top - err)
+        # the points whose upper bound f + E reaches the floor
+        for i in compress(range(len(fs)), map((floor - err).__le__, fs)):
+            heapq.heappush(heap, (fs[i] + err, k0 + i, ps[i]))
+        while heap[0][0] < floor:
+            heapq.heappop(heap)
     best = None
     with mp.workprec(prec):
         for upper, k, p in sorted(heap, key=lambda c: c[1]):

@@ -10,9 +10,12 @@ Readers of a single point (theta, log f at x, the sweep's few candidates
 for the maximum) call it; walkers of every step point (log f series, steps,
 primorials) read its values for each k from theta_cum and log1m_cum, which
 they fill as they walk.  The sweep screens every step point first in
-doubles (about 1e-13 where the smallest margin is 2.2e-4) and reads
-point_sums only where that bound cannot rule out the maximum
-(criterion.sweep).
+doubles, in chunks of up to 1024 points with one rounding bound each
+(about 1e-13 where the smallest margin is 2.2e-4), and reads point_sums
+only where that bound cannot rule out the maximum (criterion.sweep).
+A PrimeTable holds every prime to its limit, so callers size it to the
+largest x they read (cli sieves to min(--sieve-limit, max(x, 10^5)));
+10^5 is the winding guard's first limit, so one cached table serves both.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ __all__ = [
 ]
 
 _SEGMENT = 1 << 16
-_PI_1E6 = 78498  # pi(10^6), build-time sanity pin
+_PI_1E5 = 9592  # pi(10^5) and pi(10^6), build-time sanity pins
+_PI_1E6 = 78498
 BLOCK = 64  # progression primes per exact product in point_sums
 GUARD = 32  # bits point_sums works with beyond prec
 DEFAULT_LIMIT = 2_000_000  # sieve limit when the caller names none
@@ -54,10 +58,9 @@ class PrimeTable:
             limit = 2
         self.limit = int(limit)
         self.primes = _segmented_sieve(self.limit)
-        if self.limit >= 10**6:
-            n = bisect.bisect_right(self.primes, 10**6)
-            if n != _PI_1E6:
-                raise AssertionError(f"sieve self-check failed: pi(1e6) = {n}")
+        for e, pinned in ((5, _PI_1E5), (6, _PI_1E6)):
+            if self.limit >= 10**e and (n := bisect.bisect_right(self.primes, 10**e)) != pinned:
+                raise AssertionError(f"sieve self-check failed: pi(1e{e}) = {n}")
 
     def __len__(self):
         return len(self.primes)

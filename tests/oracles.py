@@ -21,8 +21,13 @@ The sums of log p and log(1 - 1/p) over the first k progression primes by two
 routes independent of the block sums of ProgressionStats.point_sums: one log
 of each exact product, built by a product tree, and running sums of one
 mp.log and one mp.log1p per prime.
+
+The sweep's float screen one point at a time, with each point's own rounding
+bound, for the chunked screen of totprog.criterion.  The winding guard's
+partial Euler sum by one cmath.log per prime, added in a loop.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -244,6 +249,39 @@ def running_sums_bound(k: int, theta, log1m, prec: int) -> tuple:
     either sum."""
     c = 2 * (k + 4) * mp.ldexp(1, -prec)
     return c * theta, c * abs(log1m)
+
+
+def float_screen_per_point(st, x_max, log_C, prec: int):
+    """(k, pbar_k, f, E) at each progression prime pbar_k <= x_max: log f in
+    doubles by the per-point recurrence, and E the point's own rounding
+    bound, criterion._rounding_bound at its own c, log1m, lam and g (inf
+    where that is None), as criterion._float_screen states them."""
+    phi, log_C = st.phi, float(log_C)
+    u_p = 2.0**-prec
+    u, a = criterion._U + u_p, criterion._LIBM + 4 * u_p
+    theta = log1m = 0.0
+    for k, p in enumerate(st.pbar, 1):
+        if p > x_max:
+            return
+        theta += math.log(p)
+        log1m += math.log1p(-1.0 / p)
+        lam = math.log(phi * theta)
+        g = math.log(lam) / phi if lam > 0 else math.nan
+        c = 2 * (k * u + a)
+        err = criterion._rounding_bound(c, c * abs(log1m) + u_p, phi, lam, lam, g, log1m, log_C, u, a)
+        yield k, p, g + log1m - log_C, math.inf if err is None else err
+
+
+def partial_euler_sum(chi: DirichletCharacter, limit: int) -> complex:
+    """-sum log(1 - chi(p)/p) over the primes p <= limit in doubles, one
+    prime at a time: the winding guard's estimate of log L(1, chi)."""
+    q = chi.modulus
+    rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
+    s0 = 0j
+    for p in primes_mod.prime_table(limit).primes:
+        if (z := rot.get(p % q)) is not None:
+            s0 -= cmath.log(1 - z / p)
+    return s0
 
 
 def abs_zero_sum_half_mp(p: int, theta_frac, kmax: int, prec: int) -> mp.mpf:

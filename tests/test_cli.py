@@ -122,6 +122,7 @@ def test_smooth_figure_past_the_sieve_is_refused(capsys):
 _UNREAD_FIGURE_OPTIONS = [
     (["figure", "F1", "--xmax", "5"], "--xmax"),
     (["figure", "F1", "--sieve-limit", "3"], "--sieve-limit"),
+    (["figure", "F1", "--sieve-limit", "2000000"], "--sieve-limit"),  # the default value, given
     (["figure", "F1", "--xmax", "5", "--sieve-limit", "3"], "--xmax"),
     (["figure", "F2", "--xmax", "100"], "--xmax"),
     (["figure", "F3", "--xmax", "100"], "--xmax"),
@@ -143,25 +144,69 @@ def test_a_class_prints_as_its_reduced_residue(argv, capsys):
     assert {r["name"]: r["value"] for r in json.loads(out)}["a"] == 1
 
 
+@pytest.fixture
+def sieved(monkeypatch):
+    """The limits of the PrimeTables built from here on, from an empty sieve
+    cache, so that every prime_table(limit) call sieves once."""
+    limits = []
+    real = primes.PrimeTable.__init__
+    monkeypatch.setattr(primes.PrimeTable, "__init__", lambda self, limit: limits.append(limit) or real(self, limit))
+    fresh = functools.lru_cache(maxsize=4)(primes.prime_table.__wrapped__)
+    monkeypatch.setattr(primes, "prime_table", fresh)
+    monkeypatch.setattr(cli, "prime_table", fresh)
+    return limits
+
+
 def test_sieve_self_check_failure_is_an_error(capsys, monkeypatch):
-    # a limit other than the default builds a new table, so the check runs
+    # a limit no other test sieves to builds a new table, so the check runs;
+    # the sweep reads to 1000001, so it sieves past 10^6
     monkeypatch.setattr(primes, "_PI_1E6", 0)
-    code, out, err = run(["sweep", "--q", "7", "--sieve-limit", "1000001"], capsys)
+    code, out, err = run(["sweep", "--q", "7", "--xmax", "1000001", "--sieve-limit", "1000001"], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == "error: sieve self-check failed: pi(1e6) = 78498\n"
 
 
-def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, monkeypatch):
-    limits = []
-    real = primes.PrimeTable.__init__
-    monkeypatch.setattr(primes.PrimeTable, "__init__", lambda self, limit: limits.append(limit) or real(self, limit))
-    # an empty cache, so that a call of prime_table(DEFAULT_LIMIT) would sieve
-    fresh = functools.lru_cache(maxsize=4)(primes.prime_table.__wrapped__)
-    monkeypatch.setattr(primes, "prime_table", fresh)
-    monkeypatch.setattr(cli, "prime_table", fresh)
+def test_sieve_self_check_runs_on_a_default_sweep(capsys, monkeypatch, sieved):
+    # a default sweep sieves to 10^5, where the other pin is checked
+    monkeypatch.setattr(primes, "_PI_1E5", 0)
+    code, out, err = run(["sweep", "--q", "7"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: sieve self-check failed: pi(1e5) = 9592\n"
+    assert sieved == [100_000]
+
+
+def test_sweep_sieves_once_for_itself_and_the_winding_guard(capsys, monkeypatch, sieved):
+    # compute C(7,1) afresh, so that the guard reads the primes too
+    monkeypatch.setattr(constants, "_mertens_cached", functools.lru_cache(constants._mertens_cached.__wrapped__))
+    read = []
+    real = constants._partial_euler_sum
+    monkeypatch.setattr(constants, "_partial_euler_sum", lambda chi, limit: read.append(limit) or real(chi, limit))
+    code, out, _ = run(["sweep", "--q", "7"], capsys)
+    assert (code, out) == (cli.EXIT_OK, (GOLDEN / "sweep_q7.json").read_text())
+    assert sieved == [100_000]
+    assert read == [100_000] * 5  # one per nonprincipal character mod 7
+
+
+def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, sieved):
     code, out, _ = run(["sweep", "--q", "3", "--xmax", "100", "--sieve-limit", "1000"], capsys)
     assert code == cli.EXIT_OK and json.loads(out)
-    assert limits[0] == 1000 and primes.DEFAULT_LIMIT not in limits
+    assert sieved[0] == 1000 and primes.DEFAULT_LIMIT not in sieved
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["sweep", "--q", "12"], 100_000),  # x_max 90,720
+        (["sweep", "--q", "8"], 109_133),
+        (["sweep", "--q", "7", "--xmax", "2000"], 100_000),
+        (["figure", "F2"], 100_000),  # the smooth set to 49,991
+        (["figure", "F7", "--xmax", "2000"], 100_000),
+        (["figure", "F7", "--xmax", "120000"], 120_000),
+    ],
+)
+def test_a_command_sieves_to_the_largest_x_it_reads(argv, limit, capsys, sieved):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert sieved[0] == limit and primes.DEFAULT_LIMIT not in sieved
 
 
 # the ids of the three range tests (sieve limit, precision, x_max) are those

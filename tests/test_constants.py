@@ -18,6 +18,7 @@ from oracles import (
     hurwitz_row_mp,
     index_data_bruteforce,
     mertens_C_naive,
+    partial_euler_sum,
 )
 from totprog import constants, lvalues, primes
 from totprog.characters import build_group, factorint, totient, units
@@ -159,6 +160,17 @@ def test_ambiguous_winding_estimate_retries_over_more_primes(monkeypatch):
     first, second = constants._BRANCH_LIMITS[:2]
     assert asked.count(second) == 2 and set(asked) == {first, second}
     assert got._mpf_ == want._mpf_
+
+
+def test_partial_euler_sum_is_the_loop_bit_for_bit():
+    """The winding guard's estimate in C-level passes equals the loop over
+    the primes to 10^5, sign of zero included, for every character mod
+    q <= 30."""
+    limit = constants._BRANCH_LIMITS[0]
+    for q in range(1, 31):
+        for chi in build_group(q):
+            got, want = constants._partial_euler_sum(chi, limit), partial_euler_sum(chi, limit)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (q, chi.label)
 
 
 # -- Hurwitz rows zeta(m, r/q) -----------------------------------------------

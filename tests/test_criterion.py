@@ -1,13 +1,14 @@
 """log f evaluation, auxiliary integrals/bounds, thresholds, sweeps."""
 
 import dataclasses
+import itertools
 import math
 import random
 
 import mpmath as mp
 import pytest
 
-from oracles import P_q_trisection_mp, p_q_mp, running_sums, running_sums_bound
+from oracles import P_q_trisection_mp, float_screen_per_point, p_q_mp, running_sums, running_sums_bound
 from totprog import criterion as cr
 from totprog.characters import totient, units
 from totprog.constants import mertens_C
@@ -453,7 +454,8 @@ def _point_bound(st_, k, log_C, prec):
     with mp.workprec(prec):
         u = mp.ldexp(1, -prec)
         lam = mp.log(st_.phi * theta)
-        return cr._rounding_bound(errs[0] / theta, errs[1], st_.phi, lam, mp.log(lam) / st_.phi, log1m, log_C, u, 4 * u)
+        g = mp.log(lam) / st_.phi
+        return cr._rounding_bound(errs[0] / theta, errs[1], st_.phi, lam, lam, g, log1m, log_C, u, 4 * u)
 
 
 @pytest.mark.parametrize("q,a,x_max", SWEEP_CASES)
@@ -482,7 +484,28 @@ def test_two_tier_sweep_matches_the_series(q, a, x_max, prec, table):
 
 
 # the escalated points of the sweeps above, and of the two fullrange ones
-ORACLE_CASES = SWEEP_CASES[:-2] + [(1, 1, 2_000_000), (7, 1, 2_000_000)]
+FULLRANGE = [(1, 1, 2_000_000), (7, 1, 2_000_000)]
+ORACLE_CASES = SWEEP_CASES[:-2] + FULLRANGE
+
+
+@pytest.mark.parametrize("q,a,x_max", SWEEP_CASES + FULLRANGE)
+def test_chunked_screen_is_the_per_point_screen(q, a, x_max, prec, table):
+    """Point by point, the chunked screen's value is the per-point
+    recurrence's bit for bit, and its chunk's bound E is at least the
+    point's own bound.  Chunks hold 1, 1, 2, 4, ... points, up to _CHUNK."""
+    x_max = x_max or cr.default_x_max(q)
+    st_, log_C = stats(q, a, table), mertens_C(q, a, prec).log_C
+    points = float_screen_per_point(st_, x_max, log_C, prec)
+    sizes = []
+    for k0, ps, fs, err in cr._float_screen(st_, x_max, log_C, prec):
+        sizes.append(len(ps))
+        for k, p, f in zip(itertools.count(k0), ps, fs):
+            want_k, want_p, want_f, own = next(points)
+            assert (k, p, f.hex()) == (want_k, want_p, want_f.hex())
+            assert own <= err, (k, own, err)
+    assert next(points, None) is None
+    assert sizes[:-1] == [min(max(k - 1, 1), cr._CHUNK) for k in itertools.accumulate(sizes[:-2], initial=1)]
+    assert 1 <= sizes[-1] <= cr._CHUNK
 
 
 @pytest.mark.parametrize("q,a,x_max", ORACLE_CASES)
@@ -525,13 +548,19 @@ def test_near_tie_goes_to_the_mp_tier(prec, table, monkeypatch):
     real = cr._float_screen
 
     def tied(st_, x_max, log_C, prec):
+        # the chunk holding k_max is yielded in three, k_max alone in the middle
         floor = -math.inf
-        for k, p, f, err in real(st_, x_max, log_C, prec):
-            if k == k_max:
-                low = min(f, floor) - err
-                f, err = low, err + abs(f - low)
-            floor = max(floor, f - err)
-            yield k, p, f, err
+        for k0, ps, fs, err in real(st_, x_max, log_C, prec):
+            i = k_max - k0
+            cuts = (0, i, i + 1, len(ps)) if 0 <= i < len(ps) else (0, len(ps))
+            for lo, hi in zip(cuts, cuts[1:]):
+                part, e = fs[lo:hi], err
+                if k0 + lo == k_max:
+                    low = min(part[0], floor) - e
+                    part, e = [low], e + abs(part[0] - low)
+                if part:
+                    floor = max(floor, max(part) - e)
+                    yield k0 + lo, ps[lo:hi], part, e
 
     monkeypatch.setattr(cr, "_float_screen", tied)
     rep = cr.sweep(7, 1, prec, table)
@@ -547,12 +576,13 @@ def test_float_screen_bounds_the_series(q, a, x_max, prec, table):
     rows = {k: val for k, _, val in cr.log_f_series(q, a, x_max, prec, table).rows}
     screened = 0
     with mp.workprec(prec):
-        for k, _, f, err in cr._float_screen(stats(q, a, table), x_max, mertens_C(q, a, prec).log_C, prec):
-            if k in rows:
-                assert abs(f - rows[k]) <= err, k
-                screened += 1
-            else:
-                assert err == math.inf
+        for k0, _, fs, err in cr._float_screen(stats(q, a, table), x_max, mertens_C(q, a, prec).log_C, prec):
+            for k, f in enumerate(fs, k0):
+                if k in rows:
+                    assert abs(f - rows[k]) <= err, k
+                    screened += 1
+                else:
+                    assert err == math.inf
     assert screened == len(rows)
 
 
@@ -561,8 +591,9 @@ def test_unbounded_points_go_to_the_mp_tier(prec, table, monkeypatch):
     counted where log f is defined, so the report does not change."""
     want = cr.sweep(1, 1, prec, table, 5000)
     real = cr._float_screen
+    # the chunks of k = 1, 2 and 3..4
     monkeypatch.setattr(
-        cr, "_float_screen", lambda *args: ((k, p, f, math.inf if k <= 4 else e) for k, p, f, e in real(*args))
+        cr, "_float_screen", lambda *args: ((k0, ps, fs, math.inf if k0 <= 4 else e) for k0, ps, fs, e in real(*args))
     )
     rep = cr.sweep(1, 1, prec, table, 5000)
     assert rep.escalated == want.escalated + 3  # k = 2, 3, 4; k = 1 has phi theta < 1

@@ -31,8 +31,16 @@ STORED = {
     "table_T5.json": ["table", "T5"],
     "table_T8.json": ["table", "T8"],
     "table_T9.json": ["table", "T9"],
+    "sweep_q1.json": ["sweep", "--q", "1"],
+    "sweep_q2.json": ["sweep", "--q", "2"],
     "sweep_q3.json": ["sweep", "--q", "3"],
+    "sweep_q4.json": ["sweep", "--q", "4"],
+    "sweep_q5.json": ["sweep", "--q", "5"],
+    "sweep_q6.json": ["sweep", "--q", "6"],
     "sweep_q7.json": ["sweep", "--q", "7"],
+    "sweep_q8.json": ["sweep", "--q", "8"],
+    "sweep_q9.json": ["sweep", "--q", "9"],
+    "sweep_q10.json": ["sweep", "--q", "10"],
     "sweep_q12.json": ["sweep", "--q", "12"],
     "sweep_q14.json": ["sweep", "--q", "14"],
     "sweep_q1_xmax2000000.json": ["sweep", "--q", "1", "--xmax", "2000000"],

@@ -6,7 +6,7 @@ Submodules:
     primes      -- sieve, theta/psi on progressions, primorials, smooth sets
     lvalues     -- L(1,chi), L'(1,chi), Laurent data of L'/L at s=0
     constants   -- C(q,a), M(q,a), Ind/R, F_q, G_q, gamma_p
-    criterion   -- log f, auxiliary bounds, p_q/P_q, x_q, sweeps
+    criterion   -- log f series, bound constants and P_q, x_q, sweeps
     cli         -- command-line front end
 """
 

@@ -31,7 +31,6 @@ __all__ = [
     "residue",
     "units",
     "totient",
-    "divisors",
     "factorint",
 ]
 
@@ -69,14 +68,6 @@ def residue(q: int, a: int) -> int:
 def totient(n: int) -> int:
     """Euler's phi(n), from the factorization of n; phi(1) = 1."""
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factorint(n).items())
-
-
-def divisors(q: int) -> list[int]:
-    """The positive divisors of q, ascending."""
-    divs = [1]
-    for p, e in factorint(q).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 @lru_cache(maxsize=None)

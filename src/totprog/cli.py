@@ -39,12 +39,13 @@ from . import criterion, reference_data
 from .characters import totient
 from .constants import _BRANCH_LIMITS, F_chi, F_q, gamma_p, index_data, mertens_C, nicolas_condition_scan
 from .lvalues import DEFAULT_PREC, Lprime_over_L_at_1, b_sum_abs
-from .primes import DEFAULT_LIMIT, prime_table
+from .primes import prime_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_MISMATCH = 3
+DEFAULT_LIMIT = 2_000_000  # --sieve-limit when none is given
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,7 +288,7 @@ def cmd_figure(args) -> int:
 
 def cmd_sweep(args) -> int:
     x_max = criterion.default_x_max(args.q) if args.xmax is None else args.xmax
-    rep = criterion.sweep(args.q, args.a, args.prec_bits, _primes_to(x_max, args), x_max=x_max)
+    rep = criterion.sweep(args.q, args.a, args.prec_bits, _primes_to(x_max, args), x_max)
     rows = [
         ("q", rep.q),
         ("a", rep.a),

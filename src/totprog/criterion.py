@@ -9,16 +9,19 @@ is negative exactly when the primorial inequality
 
 holds on [pbar_k, pbar_{k+1}).  This module evaluates log f on progression
 primes (it is constant in between, so step points are exhaustive), the
-auxiliary integrals and explicit bounds (g, F_s, truncated K, J-hat, p_q),
-the threshold x_q, and the sweep that checks log f < 0 up to
+constants of the conditional bound (F_q, G_q, R, B, M and the estimate P_q
+of max p_q), the threshold x_q, and the sweep that checks log f < 0 up to
 max(floor(x_q), ceil(e^10) = 22027) (default_x_max): in doubles at every
 step point, in chunks of up to 1024 points that map and accumulate passes
 evaluate bit for bit as a per-point loop would, with one stated rounding
 bound per chunk that covers each of its points; and in mpmath at the few
 points that may hold the maximum.  Every mp value of theta and of the
 log(1 - 1/p) sum comes from ProgressionStats.point_sums, one log per block
-of 64 primes, with its stated bound: log_f and the sweep's mp tier call it
-at single points, and log_f_series reads its values at every step point.
+of 64 primes, with its stated bound: the sweep's mp tier calls it at single
+points, and log_f_series reads its values at every step point.  Both read
+the PrimeTable their caller sized.  The lemmas of the proof (g, F_s, the
+truncated K integral, the J-hat bounds, p_q(x) and the conditional bound)
+are checked numerically in tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -30,84 +33,25 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import add, mul, sub, truediv
-from typing import NamedTuple
 
 import mpmath as mp
 
 from . import primes as primes_mod
 from . import reference_data
-from .characters import totient, units
+from .characters import totient
 from .constants import F_q, G_q, index_data, mertens_C
-from .lvalues import DEFAULT_PREC, b_sum_abs, b_sum_signed, eps, m0_sum
+from .lvalues import DEFAULT_PREC, b_sum_signed, eps, m0_sum
 
 __all__ = [
-    "g",
-    "F_s",
-    "rs_bound",
-    "log_f",
     "log_f_series",
-    "k_truncated",
-    "jhat_bound",
-    "jhat_signed_bound",
     "BoundParams",
     "bound_params",
-    "p_q_of_x",
-    "P_q",
     "x_q_threshold",
-    "empirical_xq_check",
     "default_x_max",
     "sweep",
-    "grh_bound_check",
 ]
 
 E10_CEIL = 22027  # ceil(e^10)
-
-
-def g(t) -> mp.mpf:
-    """g(t) = -d^2/dt^2 loglog t = (1 + log t)/(t^2 log^2 t), t > 1."""
-    if t <= 1:
-        raise ValueError("g is defined for t > 1")
-    t = mp.mpf(t)
-    lt = mp.log(t)
-    return (1 + lt) / (t * t * lt * lt)
-
-
-def _F_s_domain(x, s) -> tuple:
-    """(x, s) as mpmath numbers; raises unless x > 1 and Re(s) < 1, the
-    domain of F_s and of r_s."""
-    s, x = mp.mpc(s), mp.mpf(x)
-    if mp.re(s) >= 1:
-        raise ValueError("F_s and r_s require Re(s) < 1")
-    if x <= 1:
-        raise ValueError("F_s and r_s require x > 1")
-    return x, s
-
-
-def F_s(x, s, prec: int = DEFAULT_PREC):
-    """F_s(x) = int_x^inf t^s g(t) dt = -x^(s-1)/((s-1) log x) + r_s(x),
-    with r_s evaluated by quadrature of its integral form."""
-    with mp.workprec(prec):
-        x, s = _F_s_domain(x, s)
-        lead = -mp.power(x, s - 1) / ((s - 1) * mp.log(x))
-        integral = mp.quad(
-            lambda t: 2 * mp.power(t, s - 2) / ((s - 1) * mp.log(t) ** 3), [x, mp.inf]
-        )
-        r = -s / (1 - s) * (mp.power(x, s - 1) / ((1 - s) * mp.log(x) ** 2) + integral)
-        return lead + r
-
-
-def rs_bound(x, s, prec: int = DEFAULT_PREC) -> mp.mpf:
-    """Closed bound on |r_s(x)|:
-    |s/(1-s)^2| x^(Re s - 1)/log^2 x * (1 + 2/(|Re s - 1| log x))."""
-    with mp.workprec(prec):
-        x, s = _F_s_domain(x, s)
-        sig = mp.re(s)
-        return (
-            abs(s / (1 - s) ** 2)
-            * mp.power(x, sig - 1)
-            / mp.log(x) ** 2
-            * (1 + 2 / (abs(sig - 1) * mp.log(x)))
-        )
 
 
 # --------------------------------------------------------------------------
@@ -118,16 +62,6 @@ def _log_f(phi: int, theta, log1m, log_C) -> mp.mpf:
     return mp.log(mp.log(phi * theta)) / phi + log1m - log_C
 
 
-def log_f(x, q: int, a: int, prec: int = DEFAULT_PREC, table=None) -> mp.mpf:
-    st = primes_mod.stats(q, a, table, prec)
-    mc = mertens_C(q, a, prec)
-    th, log1m = st.point_sums(st._count(x))
-    with mp.workprec(prec):
-        if st.phi * th <= 1:
-            raise ValueError("log f undefined until phi(q) theta(x) > 1")
-        return _log_f(st.phi, th, log1m, mc.log_C)
-
-
 @dataclass(frozen=True)
 class FEvaluation:
     q: int
@@ -136,7 +70,7 @@ class FEvaluation:
     rows: tuple  # (k, pbar_k, log f(pbar_k))
 
 
-def log_f_series(q: int, a: int, xmax, prec: int = DEFAULT_PREC, table=None) -> FEvaluation:
+def log_f_series(q: int, a: int, xmax, prec: int, table) -> FEvaluation:
     """log f at every progression prime <= xmax (f is constant in between)."""
     st = primes_mod.stats(q, a, table, prec)
     if xmax > st.table.limit:
@@ -152,72 +86,6 @@ def log_f_series(q: int, a: int, xmax, prec: int = DEFAULT_PREC, table=None) -> 
     return FEvaluation(q, st.a, mc.log_C, tuple(rows))
 
 
-class KTruncated(NamedTuple):
-    value: mp.mpf
-    tail_estimate: mp.mpf  # heuristic: sup over sieved t>=T of |S| times 1/(T log T)
-
-
-def k_truncated(x, T, q: int, a: int, prec: int = DEFAULT_PREC, table=None) -> KTruncated:
-    """int_x^T S(t;q,a) g(t) dt, exactly over the step structure of theta:
-    on each segment theta is constant and both antiderivatives are explicit
-    (int g = -1/(t log t), int t g = loglog t - 1/log t)."""
-    st = primes_mod.stats(q, a, table, prec)
-    if not (T > x > 1):
-        raise ValueError("need T > x > 1")
-    with mp.workprec(prec):
-
-        def anti_g(t):
-            t = mp.mpf(t)
-            return -1 / (t * mp.log(t))
-
-        def anti_tg(t):
-            t = mp.mpf(t)
-            return mp.log(mp.log(t)) - 1 / mp.log(t)
-
-        total = mp.mpf(0)
-        for lo, hi, theta_val in st.steps(x, T):
-            total += theta_val * (anti_g(hi) - anti_g(lo))
-        total -= (anti_tg(T) - anti_tg(mp.mpf(x))) / st.phi
-        # heuristic tail estimate from the observed sup of |S| past T: S is
-        # linear between steps, so the sup sits on both sides of each
-        # progression prime >= floor(T), or at the sieve limit
-        sup_S = abs(st.theta(st.table.limit) - mp.mpf(st.table.limit) / st.phi)
-        for lo, hi, theta_val in st.steps(int(T) - 1, st.table.limit):
-            ends = (lo, hi) if lo >= int(T) else (hi,)
-            sup_S = max(sup_S, *(abs(theta_val - t / st.phi) for t in ends))
-        return KTruncated(total, sup_S / (mp.mpf(T) * mp.log(T)))
-
-
-# --------------------------------------------------------------------------
-# J-hat bounds and p_q
-
-
-def jhat_bound(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
-    """|J-hat(x;q,a)| <= (0.01 phi + B_q + M_q)/(phi x log x) + M_q/(phi x)
-    with the absolute-value aggregates (valid for x > e^4)."""
-    if x <= mp.e**4:
-        raise ValueError("bound requires x > e^4")
-    phi = totient(q)
-    with mp.workprec(prec):
-        B = b_sum_abs(q, prec).value
-        M = m0_sum(q)
-        x = mp.mpf(x)
-        return (mp.mpf("0.01") * phi + B + M) / (phi * x * mp.log(x)) + mp.mpf(M) / (phi * x)
-
-
-def jhat_signed_bound(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
-    """One-sided variant keeping signs:
-    J-hat(x;q,1) <= (0.01 phi - B_q - M_q)/(x log x) - M_q/x."""
-    if x <= mp.e**4:
-        raise ValueError("bound requires x > e^4")
-    phi = totient(q)
-    with mp.workprec(prec):
-        B = b_sum_signed(q, prec).value
-        M = m0_sum(q)
-        x = mp.mpf(x)
-        return (mp.mpf("0.01") * phi - B - M) / (x * mp.log(x)) - mp.mpf(M) / x
-
-
 @dataclass(frozen=True)
 class BoundParams:
     q: int
@@ -231,7 +99,7 @@ class BoundParams:
 
 
 @lru_cache(maxsize=None)
-def _bound_params_cached(q: int, prec: int) -> BoundParams:
+def bound_params(q: int, prec: int = DEFAULT_PREC) -> BoundParams:
     with mp.workprec(prec):
         F = F_q(q, prec).value
         G = G_q(q, prec).value
@@ -242,10 +110,6 @@ def _bound_params_cached(q: int, prec: int) -> BoundParams:
         xq = x_q_threshold(q, c1) if c1 is not None else None
         P = _P_q_from(q, F, G, R, B, M, prec)
         return BoundParams(q, F, G, R, B, M, xq, P)
-
-
-def bound_params(q: int, prec: int = DEFAULT_PREC) -> BoundParams:
-    return _bound_params_cached(q, prec)
 
 
 def _p_q_values(xs, phi, F, G, R, B, M, m=mp):
@@ -260,12 +124,6 @@ def _p_q_values(xs, phi, F, G, R, B, M, m=mp):
         lx = log(x)
         sx = sqrt(x)
         yield x, num_log / lx + (1 + 2 / lx) * G / sx + num_sqrt / sx - (M / x - phi / (2 * (x - 1))) * sx * lx
-
-
-def p_q_of_x(x, q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
-    bp = bound_params(q, prec)
-    with mp.workprec(prec):
-        return next(_p_q_values([mp.mpf(x)], totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M))[1]
 
 
 _P_GRID = 10_000  # intervals of the coarse log-x grid in _P_q_from
@@ -308,10 +166,6 @@ def _P_q_from(q, F, G, R, B, M, prec) -> mp.mpf:
         return max(value for _, value in _p_q_values(points, phi, F, G, R, B, M))
 
 
-def P_q(q: int, prec: int = DEFAULT_PREC) -> mp.mpf:
-    return bound_params(q, prec).P
-
-
 def x_q_threshold(q: int, c1) -> int:
     """floor((phi(q) c1 / 0.4)^4), computed in exact rational arithmetic."""
     c1 = Fraction(str(c1)) if not isinstance(c1, Fraction) else c1
@@ -321,39 +175,8 @@ def x_q_threshold(q: int, c1) -> int:
     return val.numerator // val.denominator
 
 
-@dataclass(frozen=True)
-class XqCheckReport:
-    q: int
-    x_q: int
-    X: int
-    holds: bool
-    first_violation: int | None
-
-
-def empirical_xq_check(q: int, X: int, prec: int = DEFAULT_PREC, table=None) -> XqCheckReport:
-    """Verify theta(sqrt(x);q,b)/sqrt(x) > 0.6/phi(q) for every unit b and
-    every x in (x_q, X], scanning the step points of theta."""
-    bp = bound_params(q, prec)
-    xq = bp.x_q if bp.x_q is not None else 0
-    if X <= xq:
-        return XqCheckReport(q, xq, X, True, None)
-    phi = totient(q)
-    worst = None
-    for b in units(q):
-        st = primes_mod.stats(q, b, table, prec)
-        # theta(sqrt x) = theta_val for y^2 <= x < nxt^2 (the ends are
-        # integers), and there it fails from x >= (theta_val phi / 0.6)^2 on
-        for y, nxt, theta_val in st.steps(math.isqrt(xq), math.isqrt(X) + 1):
-            man, exp = theta_val.man_exp  # theta_val = man * 2^exp exactly
-            bound = (Fraction(5 * man * phi, 3) * Fraction(2) ** exp) ** 2
-            xbad = max(xq + 1, int(y) ** 2, math.ceil(bound))
-            if xbad < int(nxt) ** 2 and xbad <= X and (worst is None or xbad < worst):
-                worst = xbad
-    return XqCheckReport(q, xq, X, worst is None, worst)
-
-
 # --------------------------------------------------------------------------
-# Sweeps and the conditional bound
+# Sweeps
 
 
 @dataclass(frozen=True)
@@ -497,9 +320,9 @@ def default_x_max(q: int) -> int:
     return max(candidates)
 
 
-def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) -> SweepReport:
-    """Check log f < 0 at every progression prime pbar_k <= x_max (default
-    default_x_max(q)) and report the worst margin.
+def sweep(q: int, a: int, prec: int, table, x_max) -> SweepReport:
+    """Check log f < 0 at every progression prime pbar_k <= x_max (the
+    paper's range is default_x_max(q)) and report the worst margin.
 
     Two tiers.  _float_screen bounds log f at every point in doubles, a
     chunk of points at a time; a chunk whose largest value plus its bound E
@@ -513,8 +336,6 @@ def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) 
     bit, since those read the same point_sums values."""
     if prec < MIN_PREC:
         raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
-    if x_max is None:
-        x_max = default_x_max(q)
     st = primes_mod.stats(q, a, table, prec)
     if x_max > st.table.limit:
         raise ValueError(f"xmax={x_max} exceeds sieve limit {st.table.limit}")
@@ -548,18 +369,3 @@ def sweep(q: int, a: int = 1, prec: int = DEFAULT_PREC, table=None, x_max=None) 
             if best is None or val > best[0]:
                 best = (val, k, p)
     return _sweep_report(q, st.a, int(x_max), st, mc, prec, checked, best, len(heap))
-
-
-def grh_bound_check(q: int, x, prec: int = DEFAULT_PREC) -> mp.mpf:
-    """(F_q - 1.2 R_{q,1} + p_q(x)) / (phi(q) sqrt(x) log x) -- the
-    conditional upper bound on log f(x;q,1) for x > max(x_q, e^4)."""
-    bp = bound_params(q, prec)
-    if bp.x_q is None:
-        raise ValueError(f"x_q is not bundled for q = {q}, so the bound's range is unknown")
-    with mp.workprec(prec):
-        x = mp.mpf(x)
-        if x <= max(bp.x_q, mp.e**4):
-            raise ValueError("bound valid for x > max(x_q, e^4)")
-        num = bp.F - mp.mpf("1.2") * bp.R + p_q_of_x(x, q, prec)
-        return num / (totient(q) * mp.sqrt(x) * mp.log(x))
-

@@ -1,21 +1,22 @@
 """Sieving and progression-restricted prime counting.
 
-Provides theta(x;q,a), psi(x;q,a) and the derived error terms S and R, the
-progression primorials N-bar_k, and enumeration of the multiplicative sets
-S_{q,a} = {n : p | n => p = a mod q}.  The sums of log pbar and of
-log(1 - 1/pbar) are taken in mpmath arbitrary precision by one route,
-ProgressionStats.point_sums, with one stated rounding bound: logs of exact
-integer products of up to BLOCK progression primes, added block by block.
-Readers of a single point (theta, log f at x, the sweep's few candidates
-for the maximum) call it; walkers of every step point (log f series, steps,
-primorials) read its values for each k from theta_cum and log1m_cum, which
-they fill as they walk.  The sweep screens every step point first in
-doubles, in chunks of up to 1024 points with one rounding bound each
-(about 1e-13 where the smallest margin is 2.2e-4), and reads point_sums
-only where that bound cannot rule out the maximum (criterion.sweep).
-A PrimeTable holds every prime to its limit, so callers size it to the
-largest x they read (cli sieves to min(--sieve-limit, max(x, 10^5)));
-10^5 is the winding guard's first limit, so one cached table serves both.
+Provides theta(x;q,a), psi(x;q,a), the progression primorials N-bar_k, and
+enumeration of the multiplicative sets S_{q,a} = {n : p | n => p = a mod q}.
+The sums of log pbar and of log(1 - 1/pbar) are taken in mpmath arbitrary
+precision by one route, ProgressionStats.point_sums, with one stated
+rounding bound: logs of exact integer products of up to BLOCK progression
+primes, added block by block.  Readers of a single point (theta, the
+sweep's few candidates for the maximum) call it; walkers of every step
+point (log f series, primorials) read its values for each k from theta_cum
+and log1m_cum, which they fill as they walk.  The sweep screens every step
+point first in doubles, in chunks of up to 1024 points with one rounding
+bound each (about 1e-13 where the smallest margin is 2.2e-4), and reads
+point_sums only where that bound cannot rule out the maximum
+(criterion.sweep).
+Every reader takes the PrimeTable its caller sized: a table holds every
+prime to its limit, and cli sieves to min(--sieve-limit, max(x, 10^5)) for
+the largest x a command reads; 10^5 is the winding guard's first limit, so
+one cached table serves both.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "PrimorialSeq",
     "prime_table",
     "SmoothSetEnumeration",
-    "primorials",
     "enumerate_smooth",
 ]
 
@@ -47,7 +47,6 @@ _PI_1E5 = 9592  # pi(10^5) and pi(10^6), build-time sanity pins
 _PI_1E6 = 78498
 BLOCK = 64  # progression primes per exact product in point_sums
 GUARD = 32  # bits point_sums works with beyond prec
-DEFAULT_LIMIT = 2_000_000  # sieve limit when the caller names none
 
 
 class PrimeTable:
@@ -64,11 +63,6 @@ class PrimeTable:
 
     def __len__(self):
         return len(self.primes)
-
-    def upto(self, x) -> list[int]:
-        if x > self.limit:
-            raise ValueError(f"x={x} exceeds sieve limit {self.limit}")
-        return self.primes[: bisect.bisect_right(self.primes, int(x))]
 
 
 def _segmented_sieve(limit: int) -> list[int]:
@@ -119,11 +113,10 @@ class ProgressionStats:
 
     Cumulative sums are mpf at `prec` bits.  The prime-power sums are built
     with the object.  theta and log(1 - 1/pbar) sums come from point_sums
-    alone: single-point readers (theta, log_one_minus, psi, S, R) call it,
-    and the walkers of every step point (steps, primorials) read theta_cum
-    and log1m_cum, whose k-th entries are point_sums(k), grown on demand to
-    the furthest point walked.  S(x) = theta(x) - x/phi(q) and
-    R(x) = psi(x) - x/phi(q) are derived on demand, never stored.
+    alone: single-point readers (theta, log_one_minus, psi) call it, and the
+    walkers of every step point (primorials, criterion.log_f_series) read
+    theta_cum and log1m_cum, whose k-th entries are point_sums(k), grown on
+    demand to the furthest point walked.
     """
 
     def __init__(self, q: int, a: int, table: PrimeTable, prec: int = DEFAULT_PREC):
@@ -278,25 +271,6 @@ class ProgressionStats:
         """Sum of log(1 - 1/pbar) over progression primes pbar <= x."""
         return self.point_sums(self._count(x))[1]
 
-    def steps(self, lo, hi):
-        """Yield (start, end, theta) for the intervals that tile [lo, hi] with
-        theta flat on each: the cuts are the progression primes in (lo, hi),
-        and theta is the value on [start, end).  Ends are mpf at the caller's
-        working precision."""
-        i, j = self._index(lo), self._index(hi)
-        start = mp.mpf(lo)
-        while start < hi:
-            end = mp.mpf(self.pbar[i]) if i < j else mp.mpf(hi)
-            yield start, end, self.theta_cum[i - 1] if i else mp.mpf(0)
-            start = end
-            i += 1
-
-    def S(self, x) -> mp.mpf:
-        return self.theta(x) - mp.mpf(x) / self.phi
-
-    def R(self, x) -> mp.mpf:
-        return self.psi(x) - mp.mpf(x) / self.phi
-
     # --- derived sequences ------------------------------------------------
 
     def primorials(self, k_max: int) -> PrimorialSeq:
@@ -311,9 +285,9 @@ class ProgressionStats:
         return PrimorialSeq(self.q, self.a, entries)
 
 
-def stats(q: int, a: int, table: PrimeTable | None = None, prec: int = DEFAULT_PREC) -> ProgressionStats:
+def stats(q: int, a: int, table: PrimeTable, prec: int = DEFAULT_PREC) -> ProgressionStats:
     """The ProgressionStats of the class a mod q, one per reduced residue."""
-    return _stats_cached(q, residue(q, a), table or prime_table(DEFAULT_LIMIT), prec)
+    return _stats_cached(q, residue(q, a), table, prec)
 
 
 @lru_cache(maxsize=64)
@@ -321,11 +295,7 @@ def _stats_cached(q, a, table, prec):
     return ProgressionStats(q, a, table, prec)
 
 
-def primorials(q: int, a: int, k_max: int, table: PrimeTable | None = None) -> PrimorialSeq:
-    return stats(q, a, table).primorials(k_max)
-
-
-def enumerate_smooth(q: int, a: int, X: int, table: PrimeTable | None = None) -> SmoothSetEnumeration:
+def enumerate_smooth(q: int, a: int, X: int, table: PrimeTable) -> SmoothSetEnumeration:
     """All n <= X whose prime factors are all = a mod q (excluding 1),
     by depth-first products over the progression primes; raises ValueError
     when X exceeds the sieve limit."""

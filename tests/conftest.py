@@ -1,7 +1,8 @@
 import pytest
 
 from totprog.lvalues import DEFAULT_PREC
-from totprog.primes import DEFAULT_LIMIT, prime_table
+from totprog.cli import DEFAULT_LIMIT
+from totprog.primes import prime_table
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,10 @@ mp.log and one mp.log1p per prime.
 The sweep's float screen one point at a time, with each point's own rounding
 bound, for the chunked screen of totprog.criterion.  The winding guard's
 partial Euler sum by one cmath.log per prime, added in a loop.
+
+log f(x;q,a) at a single point x, from point_sums at the count of
+progression primes <= x: the reference that criterion.log_f_series and the
+sweep are compared against.
 """
 
 import cmath
@@ -36,8 +40,8 @@ import mpmath as mp
 
 from totprog import constants, criterion
 from totprog import primes as primes_mod
-from totprog.characters import DirichletCharacter, build_group, divisors, totient, units
-from totprog.constants import F1, IndexData, gamma_p, index_data
+from totprog.characters import DirichletCharacter, build_group, factorint, totient, units
+from totprog.constants import F1, IndexData, gamma_p, index_data, mertens_C
 from totprog.lvalues import DEFAULT_PREC, L_at_1, Lprime_over_L_at_1
 
 
@@ -122,6 +126,14 @@ def laurent_fit(chi: DirichletCharacter, prec: int = DEFAULT_PREC, h: float = 1e
         return (4 * m_h2 - m_h) / 3, (4 * b_h2 - b_h) / 3
 
 
+def divisors(q: int) -> list[int]:
+    """The positive divisors of q, ascending."""
+    divs = [1]
+    for p, e in factorint(q).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 def conductor_bruteforce(chi: DirichletCharacter) -> tuple:
     """(conductor, primitive label) by search: the least d | q with chi
     trivial on the units = 1 mod d, then the character mod d that agrees
@@ -194,12 +206,22 @@ def index_data_bruteforce(q: int, a: int) -> IndexData:
     return IndexData(q, a % q, m, R)
 
 
-def mertens_C_naive(q: int, a: int, x, table=None, prec: int = DEFAULT_PREC) -> mp.mpf:
+def mertens_C_naive(q: int, a: int, x, table, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Truncated product prod_{p<=x, p=a mod q}(1-1/p) * (log x)^(1/phi);
     converges to C(q,a) like 1/log x -- consistency oracle only."""
     st = primes_mod.stats(q, a, table, prec)
     with mp.workprec(prec):
         return mp.e ** (st.log_one_minus(x) + mp.log(mp.log(x)) / st.phi)
+
+
+def log_f(x, q: int, a: int, prec: int, table) -> mp.mpf:
+    st = primes_mod.stats(q, a, table, prec)
+    mc = mertens_C(q, a, prec)
+    th, log1m = st.point_sums(st._count(x))
+    with mp.workprec(prec):
+        if st.phi * th <= 1:
+            raise ValueError("log f undefined until phi(q) theta(x) > 1")
+        return criterion._log_f(st.phi, th, log1m, mc.log_C)
 
 
 def _product(xs) -> int:

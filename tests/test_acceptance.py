@@ -15,7 +15,8 @@ import pytest
 
 import totprog.criterion as cr
 import totprog.reference_data as rd
-from oracles import F_p_primecalc, F_q_via_divisors, index_data_bruteforce, laurent_fit, mertens_C_naive
+from lemmas import F_s, rs_bound
+from oracles import F_p_primecalc, F_q_via_divisors, index_data_bruteforce, laurent_fit, log_f, mertens_C_naive
 from totprog.characters import build_group, totient, units
 from totprog.constants import (
     F_chi,
@@ -26,7 +27,7 @@ from totprog.constants import (
     mertens_C,
 )
 from totprog.lvalues import Lprime_over_L_at_1, structural_m0
-from totprog.primes import enumerate_smooth, primorials, stats
+from totprog.primes import enumerate_smooth, stats
 
 
 def close(got, expected: str, tol: str) -> bool:
@@ -144,7 +145,7 @@ def test_xq_floors_within_one():
 def test_sweep_all_moduli(prec, table):
     t0 = time.monotonic()
     for q in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14):
-        rep = cr.sweep(q, 1, prec, table)
+        rep = cr.sweep(q, 1, prec, table, cr.default_x_max(q))
         assert rep.verdict == "all negative", q
         assert rep.x_max >= max(rd.printed_xq_floor(q) or 0, 22027)
         # margin beats the propagated error of the Mertens-type constant
@@ -178,7 +179,7 @@ def test_smooth_figure_primorials_and_threshold(fid, prec, table):
     members = set(enum.members)
     for n in meta["primorials"]:
         assert n in members
-    seq = primorials(q, a, len(meta["primorials"]), table)
+    seq = stats(q, a, table).primorials(len(meta["primorials"]))
     assert [round(mp.e**logn) for _, _, logn, _ in seq.entries] == meta["primorials"]
     # the threshold line of the figure is the Mertens-type constant itself
     c = mertens_C(q, a, prec).C.value
@@ -283,20 +284,20 @@ def test_logf_piecewise_constant(prec, table):
             mid = (p + p_next) // 2
             if mid == p:
                 continue  # consecutive integers, no interior point
-            left = cr.log_f(p, q, a, prec, table)
-            assert left == cr.log_f(mid, q, a, prec, table)
-            assert left != cr.log_f(p_next, q, a, prec, table)
+            left = log_f(p, q, a, prec, table)
+            assert left == log_f(mid, q, a, prec, table)
+            assert left != log_f(p_next, q, a, prec, table)
 
 
 def test_totient_inequality_equivalent_to_logf_sign(prec, table):
     for q, a in ((5, 1), (5, 3)):
         mc = mertens_C(q, a, prec)
-        seq = primorials(q, a, 50, table)
+        seq = stats(q, a, table).primorials(50)
         with mp.workprec(prec):
             inv_c = 1 / mc.C.value
             for _k, p, logn, logphin in seq.entries:
                 ratio = mp.e ** (logn - logphin) / mp.log(4 * logn) ** (mp.mpf(1) / 4)
-                assert (cr.log_f(p, q, a, prec, table) < 0) == (ratio > inv_c)
+                assert (log_f(p, q, a, prec, table) < 0) == (ratio > inv_c)
 
 
 @pytest.mark.parametrize("x", [100, 10_000, 1_000_000])
@@ -304,7 +305,7 @@ def test_F_half_remainder_bound(x, prec):
     s = mp.mpf(1) / 2
     with mp.workprec(prec):
         lead = -mp.power(x, s - 1) / ((s - 1) * mp.log(x))
-        assert abs(cr.F_s(x, s, prec) - lead) <= cr.rs_bound(x, s, prec)
+        assert abs(F_s(x, s, prec) - lead) <= rs_bound(x, s, prec)
 
 
 def test_precision_doubling_of_published_constants():
@@ -316,4 +317,4 @@ def test_precision_doubling_of_published_constants():
     for p in (3, 139):
         assert abs(gamma_p(p, lo).value - gamma_p(p, hi).value) < 1e-20
     assert abs(mertens_C(5, 3, lo).C.value - mertens_C(5, 3, hi).C.value) < 1e-20
-    assert abs(cr.P_q(7, lo) - cr.P_q(7, hi)) < 1e-12
+    assert abs(cr.bound_params(7, lo).P - cr.bound_params(7, hi).P) < 1e-12

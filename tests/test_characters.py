@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import conductor_bruteforce
+from oracles import conductor_bruteforce, divisors
 from totprog.characters import (
     DirichletCharacter,
     build_group,
-    divisors,
     factorint,
     residue,
     totient,

@@ -190,7 +190,7 @@ def test_sweep_sieves_once_for_itself_and_the_winding_guard(capsys, monkeypatch,
 def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, sieved):
     code, out, _ = run(["sweep", "--q", "3", "--xmax", "100", "--sieve-limit", "1000"], capsys)
     assert code == cli.EXIT_OK and json.loads(out)
-    assert sieved[0] == 1000 and primes.DEFAULT_LIMIT not in sieved
+    assert sieved[0] == 1000 and cli.DEFAULT_LIMIT not in sieved
 
 
 @pytest.mark.parametrize(
@@ -206,7 +206,7 @@ def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, sieved):
 )
 def test_a_command_sieves_to_the_largest_x_it_reads(argv, limit, capsys, sieved):
     assert cli.main(argv) == cli.EXIT_OK
-    assert sieved[0] == limit and primes.DEFAULT_LIMIT not in sieved
+    assert sieved[0] == limit and cli.DEFAULT_LIMIT not in sieved
 
 
 # the ids of the three range tests (sieve limit, precision, x_max) are those

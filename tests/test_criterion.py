@@ -8,22 +8,35 @@ import random
 import mpmath as mp
 import pytest
 
-from oracles import P_q_trisection_mp, float_screen_per_point, p_q_mp, running_sums, running_sums_bound
+from lemmas import (
+    F_s,
+    S,
+    XqCheckReport,
+    empirical_xq_check,
+    g,
+    grh_bound_check,
+    jhat_bound,
+    jhat_signed_bound,
+    k_truncated,
+    p_q_of_x,
+    rs_bound,
+)
+from oracles import P_q_trisection_mp, float_screen_per_point, log_f, p_q_mp, running_sums, running_sums_bound
 from totprog import criterion as cr
 from totprog.characters import totient, units
 from totprog.constants import mertens_C
 from totprog.lvalues import Approx, eps
-from totprog.primes import PrimeTable, ProgressionStats, primorials, stats
+from totprog.primes import PrimeTable, ProgressionStats, stats
 
 
 # -- g and F_s ---------------------------------------------------------------
 
 
 def test_g_values():
-    assert abs(cr.g(mp.e) - 2 / mp.e**2) < 1e-15
-    assert abs(cr.g(mp.e**2) - 3 / (4 * mp.e**4)) < 1e-15
+    assert abs(g(mp.e) - 2 / mp.e**2) < 1e-15
+    assert abs(g(mp.e**2) - 3 / (4 * mp.e**4)) < 1e-15
     with pytest.raises(ValueError):
-        cr.g(1)
+        g(1)
 
 
 def test_F0_exact(prec):
@@ -31,22 +44,22 @@ def test_F0_exact(prec):
     for x in (10, 100, 5000):
         with mp.workprec(prec):
             want = 1 / (mp.mpf(x) * mp.log(x))
-        assert abs(cr.F_s(x, 0, prec) - want) < 1e-20
+        assert abs(F_s(x, 0, prec) - want) < 1e-20
 
 
 @pytest.mark.parametrize("s", [0.5, -1, 0.25, complex(0.5, 14.13)])
 def test_F_s_against_direct_quadrature(s, prec):
     x = 50
     with mp.workprec(prec):
-        direct = mp.quad(lambda t: mp.power(t, s) * cr.g(t), [x, mp.inf])
-    assert abs(cr.F_s(x, s, prec) - direct) < 1e-18
+        direct = mp.quad(lambda t: mp.power(t, s) * g(t), [x, mp.inf])
+    assert abs(F_s(x, s, prec) - direct) < 1e-18
 
 
 def test_F_s_domain(prec):
     with pytest.raises(ValueError):
-        cr.F_s(100, 1.5, prec)
+        F_s(100, 1.5, prec)
     with pytest.raises(ValueError):
-        cr.F_s(0.5, 0, prec)
+        F_s(0.5, 0, prec)
 
 
 @pytest.mark.parametrize("x", [100, 10_000, 1_000_000])
@@ -56,14 +69,14 @@ def test_F_half_remainder_within_bound(x, prec):
     s = mp.mpf(1) / 2
     with mp.workprec(prec):
         lead = -mp.power(x, s - 1) / ((s - 1) * mp.log(x))
-        r = cr.F_s(x, s, prec) - lead
-        assert abs(r) <= cr.rs_bound(x, s, prec)
+        r = F_s(x, s, prec) - lead
+        assert abs(r) <= rs_bound(x, s, prec)
         # the remainder is genuinely smaller than the leading term here
         assert abs(r) < abs(lead)
 
 
 def test_rs_bound_positive_and_decreasing(prec):
-    vals = [cr.rs_bound(x, 0.5, prec) for x in (100, 10_000, 1_000_000)]
+    vals = [rs_bound(x, 0.5, prec) for x in (100, 10_000, 1_000_000)]
     assert vals[0] > vals[1] > vals[2] > 0
 
 
@@ -72,7 +85,7 @@ def test_rs_bound_domain(x, s, prec):
     # outside F_s's domain the closed form used to return a number, as
     # -28.09 at (0.5, 0.5) and 7.05 at (10, 2)
     with pytest.raises(ValueError):
-        cr.rs_bound(x, s, prec)
+        rs_bound(x, s, prec)
 
 
 # -- log f -------------------------------------------------------------------
@@ -86,7 +99,7 @@ def test_log_f_hand_oracle_first_step(prec, table):
             + mp.log(mp.mpf(2) / 3)
             - mertens_C(5, 3, prec).log_C
         )
-        assert abs(cr.log_f(3, 5, 3, prec, table) - want) < eps(prec, 10)
+        assert abs(log_f(3, 5, 3, prec, table) - want) < eps(prec, 10)
 
 
 def test_log_f_piecewise_constant(prec, table):
@@ -99,19 +112,19 @@ def test_log_f_piecewise_constant(prec, table):
             mid = (p + nxt) // 2
             if mid == p:
                 continue
-            assert cr.log_f(mid, q, a, prec, table) == cr.log_f(p, q, a, prec, table)
+            assert log_f(mid, q, a, prec, table) == log_f(p, q, a, prec, table)
 
 
 def test_log_f_requires_a_prime_below(prec, table):
     with pytest.raises(ValueError):
-        cr.log_f(10, 5, 1, prec, table)  # first prime = 1 mod 5 is 11
+        log_f(10, 5, 1, prec, table)  # first prime = 1 mod 5 is 11
 
 
 def test_log_f_series_matches_pointwise(prec, table):
     ev = cr.log_f_series(7, 1, 5000, prec, table)
     assert ev.rows[0][1] == 29
     for k, p, val in ev.rows[:20]:
-        assert abs(val - cr.log_f(p, 7, 1, prec, table)) < 1e-40
+        assert abs(val - log_f(p, 7, 1, prec, table)) < 1e-40
 
 
 def test_log_f_negative_for_q1(prec, table):
@@ -120,7 +133,7 @@ def test_log_f_negative_for_q1(prec, table):
     assert ev.rows[0][1] == 3
     assert all(v < 0 for _, _, v in ev.rows)
     with pytest.raises(ValueError):
-        cr.log_f(2, 1, 1, prec, table)
+        log_f(2, 1, 1, prec, table)
 
 
 def test_log_f_positive_for_nonsquare_mod_7(prec, table):
@@ -135,12 +148,12 @@ def test_primorial_inequality_equivalence(prec, table):
     exceeds 1/C, on the first 50 primorials of (5,1) and (5,3)."""
     for q, a in ((5, 1), (5, 3)):
         mc = mertens_C(q, a, prec)
-        seq = primorials(q, a, 50, table)
+        seq = stats(q, a, table).primorials(50)
         with mp.workprec(prec):
             inv_c = 1 / mc.C.value
             for k, p, logn, logphin in seq.entries:
                 ratio = mp.e ** (logn - logphin) / mp.log(4 * logn) ** (mp.mpf(1) / 4)
-                lf = cr.log_f(p, q, a, prec, table)
+                lf = log_f(p, q, a, prec, table)
                 assert (lf < 0) == (ratio > inv_c)
                 # and the identity log f = log(1/C) - log(ratio-ish) holds:
                 assert abs(lf - (mp.log(inv_c) - mp.log(ratio))) < 1e-12
@@ -156,8 +169,8 @@ def test_k_truncated_against_quadrature(prec, table):
     st = stats(q, a, table)
     pts = [x] + [p for p in st.pbar if x < p <= T] + [T]
     with mp.workprec(prec):
-        direct = mp.quad(lambda t: st.S(t) * cr.g(t), pts)
-    val = cr.k_truncated(x, T, q, a, prec, table)
+        direct = mp.quad(lambda t: S(st, t) * g(t), pts)
+    val = k_truncated(x, T, q, a, prec, table)
     assert abs(val.value - direct) < 1e-12
     assert val.tail_estimate > 0
 
@@ -170,11 +183,11 @@ def test_k_truncated_mertens_identity(prec, table):
     mc = mertens_C(q, a, prec)
     x = 10_001
     T = 1_999_999
-    kt = cr.k_truncated(x, T, q, a, prec, table)
+    kt = k_truncated(x, T, q, a, prec, table)
     with mp.workprec(prec):
         recip = mp.fsum(mp.mpf(1) / p for p in st.pbar if p <= x)
         rhs = (
-            st.S(x) / (x * mp.log(x))
+            S(st, x) / (x * mp.log(x))
             + mp.log(mp.log(x)) / st.phi
             - (kt.value + 0)
             + mc.M.value
@@ -186,19 +199,19 @@ def test_k_truncated_tail_on_a_fresh_build(prec):
     """The tail estimate reads theta at the sieve limit, not the last prime
     logged so far, so a fresh lazily built table gives the full-build value."""
     small = PrimeTable(20_000)
-    fresh = cr.k_truncated(100, 1000, 3, 1, prec, small)
+    fresh = k_truncated(100, 1000, 3, 1, prec, small)
     st_ = stats(3, 1, small)
     st_.primorials(len(st_.pbar))  # log every progression prime
-    full = cr.k_truncated(100, 1000, 3, 1, prec, small)
+    full = k_truncated(100, 1000, 3, 1, prec, small)
     assert fresh.value._mpf_ == full.value._mpf_
     assert fresh.tail_estimate._mpf_ == full.tail_estimate._mpf_
 
 
 def test_k_truncated_validations(prec, table):
     with pytest.raises(ValueError):
-        cr.k_truncated(100, 50, 3, 1, prec, table)
+        k_truncated(100, 50, 3, 1, prec, table)
     with pytest.raises(ValueError):
-        cr.k_truncated(10, 10**9, 3, 1, prec, table)
+        k_truncated(10, 10**9, 3, 1, prec, table)
 
 
 # -- J-hat bounds and p_q ----------------------------------------------------
@@ -207,13 +220,13 @@ def test_k_truncated_validations(prec, table):
 def test_jhat_bounds(prec):
     # absolute-aggregate bound is positive; both shrink like 1/(x log x)
     for q in (3, 8, 14):
-        b1 = cr.jhat_bound(10**4, q, prec)
-        b2 = cr.jhat_bound(10**6, q, prec)
+        b1 = jhat_bound(10**4, q, prec)
+        b2 = jhat_bound(10**6, q, prec)
         assert b1 > b2 > 0
     with pytest.raises(ValueError):
-        cr.jhat_bound(10, 3, prec)
+        jhat_bound(10, 3, prec)
     # signed variant can be negative (it is an upper bound, not a magnitude)
-    assert cr.jhat_signed_bound(10**4, 3, prec) < cr.jhat_bound(10**4, 3, prec)
+    assert jhat_signed_bound(10**4, 3, prec) < jhat_bound(10**4, 3, prec)
 
 
 P_EXPECTED = {  # corrected values; print differs for 3, 6, 8, 12, 14
@@ -232,15 +245,15 @@ P_EXPECTED = {  # corrected values; print differs for 3, 6, 8, 12, 14
 
 @pytest.mark.parametrize("q", list(P_EXPECTED))
 def test_P_q(q, prec):
-    assert abs(cr.P_q(q, prec) - mp.mpf(P_EXPECTED[q])) < 1e-6
+    assert abs(cr.bound_params(q, prec).P - mp.mpf(P_EXPECTED[q])) < 1e-6
 
 
 def test_P_q_attained_at_left_endpoint(prec):
     # p_q decreases from e^10 on for these moduli
     for q in (3, 7, 14):
-        p_left = cr.p_q_of_x(mp.e**10, q, prec)
-        assert abs(cr.P_q(q, prec) - p_left) < 1e-12
-        assert cr.p_q_of_x(10**12, q, prec) < p_left
+        p_left = p_q_of_x(mp.e**10, q, prec)
+        assert abs(cr.bound_params(q, prec).P - p_left) < 1e-12
+        assert p_q_of_x(10**12, q, prec) < p_left
 
 
 @pytest.mark.parametrize("q", [3, 7, 14])
@@ -292,18 +305,18 @@ def test_final_column_negative(prec):
 
 def test_grh_bound_negative_beyond_threshold(prec):
     for q in (3, 7, 12):
-        assert cr.grh_bound_check(q, 10**6, prec) < 0
+        assert grh_bound_check(q, 10**6, prec) < 0
     with pytest.raises(ValueError):
-        cr.grh_bound_check(3, 100, prec)
+        grh_bound_check(3, 100, prec)
 
 
 def test_grh_bound_needs_a_bundled_x_q(prec):
     # with x_q(11) unknown the range check used to be skipped: 0.1085 at x = 10 < e^4
     assert cr.bound_params(11, prec).x_q is None
     with pytest.raises(ValueError):
-        cr.grh_bound_check(11, 10, prec)
+        grh_bound_check(11, 10, prec)
     with pytest.raises(ValueError):
-        cr.grh_bound_check(11, 10**6, prec)
+        grh_bound_check(11, 10**6, prec)
 
 
 # -- x_q and the sweep -------------------------------------------------------
@@ -332,9 +345,9 @@ def test_x_q_exact_rational():
 
 
 def test_empirical_xq_check(prec, table):
-    rep = cr.empirical_xq_check(3, 10**8, prec, table)
+    rep = empirical_xq_check(3, 10**8, prec, table)
     assert rep.holds and rep.first_violation is None
-    rep5 = cr.empirical_xq_check(5, 10**8, prec, table)
+    rep5 = empirical_xq_check(5, 10**8, prec, table)
     assert rep5.holds
 
 
@@ -369,8 +382,8 @@ def test_empirical_xq_check_reports_first_violation(q, x_q, first, prec, table, 
     real = cr.bound_params
     monkeypatch.setattr(cr, "bound_params", lambda q, c: dataclasses.replace(real(q, c), x_q=x_q))
     assert _first_failure_by_scan(q, x_q, 10**4, table) == first
-    rep = cr.empirical_xq_check(q, 10**4, prec, table)
-    assert rep == cr.XqCheckReport(q, x_q, 10**4, False, first)
+    rep = empirical_xq_check(q, 10**4, prec, table)
+    assert rep == XqCheckReport(q, x_q, 10**4, False, first)
 
 
 def test_log_f_series_refuses_xmax_past_the_sieve(prec):
@@ -380,7 +393,7 @@ def test_log_f_series_refuses_xmax_past_the_sieve(prec):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14])
 def test_sweep_all_negative(q, prec, table):
-    rep = cr.sweep(q, 1, prec, table)
+    rep = cr.sweep(q, 1, prec, table, cr.default_x_max(q))
     assert rep.verdict == "all negative"
     assert rep.max_log_f < 0
     assert -rep.max_log_f > rep.error_budget
@@ -400,11 +413,11 @@ def test_sweep_default_x_max_needs_no_bound_params(prec, table, monkeypatch):
         raise AssertionError("sweep called bound_params")
 
     monkeypatch.setattr(cr, "bound_params", refuse)
-    assert {q: cr.sweep(q, 1, prec, table).x_max for q in _DEFAULT_X_MAX} == _DEFAULT_X_MAX
+    assert {q: cr.sweep(q, 1, prec, table, cr.default_x_max(q)).x_max for q in _DEFAULT_X_MAX} == _DEFAULT_X_MAX
 
 
 def test_sweep_detects_violation(prec, table):
-    rep = cr.sweep(7, 3, prec, table)  # nonsquare residue: f exceeds 1
+    rep = cr.sweep(7, 3, prec, table, cr.default_x_max(7))  # nonsquare residue: f exceeds 1
     assert rep.verdict == "violation"
 
 
@@ -419,7 +432,7 @@ def test_sweep_verdict_weighs_the_budget(a, prec, table, monkeypatch):
         return dataclasses.replace(mc, C=Approx(mc.C.value, mc.C.value))
 
     monkeypatch.setattr(cr, "mertens_C", loose)
-    rep = cr.sweep(7, a, prec, table)
+    rep = cr.sweep(7, a, prec, table, cr.default_x_max(7))
     assert (rep.max_log_f > 0) == (a == 3)
     assert abs(rep.max_log_f) <= rep.error_budget
     assert rep.verdict == "inconclusive"
@@ -429,7 +442,7 @@ def test_sweep_verdict_weighs_the_budget(a, prec, table, monkeypatch):
 def test_sweep_budget_covers_the_mp_rounding(q, prec, table):
     """The budget adds the prec rounding of theta and log(1 - 1/p) at the
     maximum to the error of C, and covers the change at 64 more bits."""
-    rep = cr.sweep(q, 1, prec, table)
+    rep = cr.sweep(q, 1, prec, table, cr.default_x_max(q))
     finer = cr.sweep(q, 1, prec + 64, table, rep.x_max)
     assert finer.argmax_prime == rep.argmax_prime
     assert abs(rep.max_log_f - finer.max_log_f) <= rep.error_budget
@@ -464,7 +477,7 @@ def test_two_tier_sweep_matches_the_series(q, a, x_max, prec, table):
     their number, their maximum and its prime (the first on ties), the
     verdict and the budget, after evaluating at most 5 points at prec.
     A sweep at 64 more bits agrees within point_sums' stated bounds."""
-    rep = cr.sweep(q, a, prec, table, x_max)
+    rep = cr.sweep(q, a, prec, table, x_max or cr.default_x_max(q))
     assert 1 <= rep.escalated <= 5
     ev = cr.log_f_series(q, a, rep.x_max, prec, table)
     k, p, worst = max(ev.rows, key=lambda row: row[2])
@@ -515,7 +528,7 @@ def test_point_sums_match_the_running_sums_where_the_sweep_reads_them(q, a, x_ma
     read = set()
     real = ProgressionStats.point_sums
     monkeypatch.setattr(ProgressionStats, "point_sums", lambda self, k: read.add(k) or real(self, k))
-    rep = cr.sweep(q, a, prec, table, x_max)
+    rep = cr.sweep(q, a, prec, table, x_max or cr.default_x_max(q))
     assert len(read) == rep.escalated
     st_ = stats(q, a, table)
     theta, log1m = running_sums(st_.pbar[: max(read)], prec)
@@ -531,7 +544,7 @@ def test_point_sums_match_the_running_sums_where_the_sweep_reads_them(q, a, x_ma
 def test_sweep_leaves_the_running_sums_empty(prec):
     small = PrimeTable(200_000)
     rep = cr.sweep(1, 1, prec, small, 200_000)
-    cr.log_f(150_000, 1, 1, prec, small)
+    log_f(150_000, 1, 1, prec, small)
     st_ = stats(1, 1, small)
     assert rep.argmax_prime == st_.pbar[-1] and rep.verdict == "all negative"
     assert st_.theta_cum == st_.log1m_cum == []
@@ -542,7 +555,7 @@ def test_near_tie_goes_to_the_mp_tier(prec, table, monkeypatch):
     still holds the maximum when its bound E reaches it: the screen keeps
     it for the mp tier.  Here the float value at the true argmax is moved
     just below that floor, and E widened to cover the move."""
-    want = cr.sweep(7, 1, prec, table)
+    want = cr.sweep(7, 1, prec, table, cr.default_x_max(7))
     k_max = stats(7, 1, table).pbar.index(want.argmax_prime) + 1
     assert k_max > 1
     real = cr._float_screen
@@ -563,7 +576,7 @@ def test_near_tie_goes_to_the_mp_tier(prec, table, monkeypatch):
                     yield k0 + lo, ps[lo:hi], part, e
 
     monkeypatch.setattr(cr, "_float_screen", tied)
-    rep = cr.sweep(7, 1, prec, table)
+    rep = cr.sweep(7, 1, prec, table, cr.default_x_max(7))
     assert rep.escalated == want.escalated + 1  # the point that set the floor is kept too
     assert rep == dataclasses.replace(want, escalated=rep.escalated)
 
@@ -572,7 +585,7 @@ def test_near_tie_goes_to_the_mp_tier(prec, table, monkeypatch):
 def test_float_screen_bounds_the_series(q, a, x_max, prec, table):
     """At every point of log_f_series, the float tier's value is within its
     bound E of the mp value; where log f is undefined, E is inf."""
-    x_max = x_max or cr.sweep(q, a, prec, table).x_max
+    x_max = x_max or cr.default_x_max(q)
     rows = {k: val for k, _, val in cr.log_f_series(q, a, x_max, prec, table).rows}
     screened = 0
     with mp.workprec(prec):
@@ -605,7 +618,7 @@ def test_libm_logs_within_the_allowance(table):
     exact one, relative: log p and log(1 - 1/p) (with -1/p rounded) for every
     prime below 2e5 and every 10th one above, and log at sampled arguments
     of the ranges log log meets (phi theta up to 1e8, log(phi theta) > 0)."""
-    below = table.upto(200_000)
+    below = [p for p in table.primes if p <= 200_000]
     rng = random.Random(5)
     args = [math.exp(rng.uniform(0, 18.5)) for _ in range(2000)] + [1 + rng.random() for _ in range(2000)]
     with mp.workprec(113):
@@ -618,7 +631,7 @@ def test_libm_logs_within_the_allowance(table):
 
 def test_sweep_refuses_less_than_a_double(table):
     with pytest.raises(ValueError, match="at least 53 bits"):
-        cr.sweep(7, 1, 52, table)
+        cr.sweep(7, 1, 52, table, cr.default_x_max(7))
 
 
 def test_precision_doubling_stability(table):
@@ -628,4 +641,4 @@ def test_precision_doubling_stability(table):
         assert abs(a.P - b.P) < 1e-12
         assert abs(a.F - b.F) < 1e-25
         assert a.x_q == b.x_q
-    assert abs(cr.log_f(1000, 3, 1, lo, table) - cr.log_f(1000, 3, 1, hi, table)) < 1e-25
+    assert abs(log_f(1000, 3, 1, lo, table) - log_f(1000, 3, 1, hi, table)) < 1e-25

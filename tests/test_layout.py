@@ -1,0 +1,48 @@
+"""src/totprog holds what a command reads: every public name is used there.
+
+Each module's __all__ names its public API.  This parses every module of
+src/totprog with ast and checks that each name in an __all__ is read
+somewhere in the package: as a name (a call, an annotation, a base class) or
+as an attribute (module.name, obj.name).  The def or class statement that
+defines a name and the string in __all__ are not reads.  A name that no
+module reads belongs with the tests that check it (tests/lemmas.py,
+tests/oracles.py), not in src/.
+
+The check goes by name alone, so a public name slips past it when some
+other binding of the same name is read: a function g beside a local
+variable g, or a module function primorials beside a method
+ProgressionStats.primorials that is called.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "totprog"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _reads(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+READ = set().union(*map(_reads, MODULES.values()))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if _public(MODULES[m])])
+def test_every_public_name_is_read_in_src(module):
+    assert [name for name in _public(MODULES[module]) if name not in READ] == []

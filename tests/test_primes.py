@@ -9,26 +9,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import mpf_add, round_nearest
 
+from lemmas import R, S, steps
 from oracles import exact_product_sums, running_sums, running_sums_bound
+from totprog.cli import DEFAULT_LIMIT
 from totprog.primes import (
     BLOCK,
     PrimeTable,
     ProgressionStats,
-    DEFAULT_LIMIT,
     _SEGMENT,
     enumerate_smooth,
     prime_table,
-    primorials,
     stats,
 )
 
 
 def test_pi_of_1e6(table):
-    assert len(table.upto(10**6)) == 78498
+    assert len([p for p in table.primes if p <= 10**6]) == 78498
 
 
 def test_small_primes(table):
-    assert table.upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [p for p in table.primes if p <= 30] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 # isqrt is 443 here, so the third segment, which starts 443 + 1 + 2 _SEGMENT,
@@ -53,12 +53,12 @@ def test_segmented_matches_simple_sieve(limit):
 
 
 def _theta_brute(x, q, a, table):
-    return mp.fsum(mp.log(p) for p in table.upto(x) if p % max(q, 2) == a % max(q, 2) or q == 1)
+    return mp.fsum(mp.log(p) for p in table.primes if p <= x and (p % max(q, 2) == a % max(q, 2) or q == 1))
 
 
 def _psi_brute(x, q, a, table):
     total = mp.mpf(0)
-    for p in table.upto(int(x)):
+    for p in table.primes[: bisect.bisect_right(table.primes, int(x))]:
         pk = p
         while pk <= x:
             if q == 1 or pk % q == a % q:
@@ -97,7 +97,7 @@ def test_steps_tile_the_interval(qa, ends):
     primes strictly inside, and carries theta's value on each piece."""
     lo, hi = ends
     st_ = stats(*qa, SMALL)
-    pieces = list(st_.steps(lo, hi))
+    pieces = list(steps(st_, lo, hi))
     assert pieces[0][0] == lo and pieces[-1][1] == hi
     for (_, end, _), (start, _, _) in zip(pieces, pieces[1:]):
         assert end == start
@@ -113,7 +113,7 @@ def test_step_lookups_refuse_x_past_the_sieve():
         with pytest.raises(ValueError):
             lookup(SMALL.limit + 1)
     with pytest.raises(ValueError):
-        list(st_.steps(10, SMALL.limit + 1))
+        list(steps(st_, 10, SMALL.limit + 1))
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +174,7 @@ def test_lazy_build_matches_an_eager_build(qa, prec, reads):
             j = bisect.bisect_right(st_.power_points, arg)
             got, want = [st_.psi(arg)], [at(arg) + (st_.power_cum[j - 1] if j else 0)]
         elif kind == "steps":
-            pieces = list(st_.steps(*arg))
+            pieces = list(steps(st_, *arg))
             got, want = [v for _, _, v in pieces], [at(int(start)) for start, _, _ in pieces]
             needed = max(needed, bisect.bisect_right(pbar, arg[1]))
         elif arg > len(pbar):
@@ -225,16 +225,16 @@ def test_single_point_reads_after_a_walk_take_one_partial_block(table, monkeypat
         assert _mpfs(got) == w
 
 
-def test_stats_are_shared_by_every_representative_of_a_class():
-    assert stats(7, 8) is stats(7, 1) is stats(7, -6)
-    assert stats(1, 5) is stats(1, 1)
+def test_stats_are_shared_by_every_representative_of_a_class(table):
+    assert stats(7, 8, table) is stats(7, 1, table) is stats(7, -6, table)
+    assert stats(1, 5, table) is stats(1, 1, table)
 
 
-def test_primorials_add_at_the_working_precision():
+def test_primorials_add_at_the_working_precision(table):
     """log phi(Nbar_k) = theta + log1m is rounded to prec, as log Nbar_k is,
     not to the caller's precision."""
-    st_ = stats(5, 1)
-    for k, (_, _, th, lphi) in enumerate(primorials(5, 1, 40).entries):
+    st_ = stats(5, 1, table)
+    for k, (_, _, th, lphi) in enumerate(st_.primorials(40).entries):
         assert lphi._mpf_ == mpf_add(th._mpf_, st_.log1m_cum[k]._mpf_, st_.prec, round_nearest)
 
 
@@ -330,8 +330,8 @@ def test_theta_step_values(table):
 def test_S_and_R_are_derived(table):
     st_ = stats(3, 1, table)
     x = 997
-    assert abs(st_.S(x) - (st_.theta(x) - mp.mpf(x) / 2)) < 1e-12
-    assert abs(st_.R(x) - (st_.psi(x) - mp.mpf(x) / 2)) < 1e-12
+    assert abs(S(st_, x) - (st_.theta(x) - mp.mpf(x) / 2)) < 1e-12
+    assert abs(R(st_, x) - (st_.psi(x) - mp.mpf(x) / 2)) < 1e-12
 
 
 @given(x=st.integers(min_value=2, max_value=200_000))
@@ -346,9 +346,9 @@ def test_theta_monotone_and_bounded(x):
 
 
 def test_primorial_sequences(table):
-    seq = primorials(5, 1, 3, table)
+    seq = stats(5, 1, table).primorials(3)
     assert [e[1] for e in seq.entries] == [11, 31, 41]
-    seq3 = primorials(5, 3, 4, table)
+    seq3 = stats(5, 3, table).primorials(4)
     assert [e[1] for e in seq3.entries] == [3, 13, 23, 43]
     # log N: 11*31*41 = 13981
     assert abs(seq.entries[2][2] - mp.log(13981)) < 1e-12
@@ -364,7 +364,7 @@ def test_landau_primorial_ratio_tends_to_inverse_C(table):
     for q, a, inv_c_digits in ((5, 1, "0.8162"), (5, 3, "1.2407")):
         inv_c = 1 / mertens_C(q, a).C.value
         assert abs(inv_c - mp.mpf(inv_c_digits)) < 1e-4
-        seq = primorials(q, a, 40, table)
+        seq = stats(q, a, table).primorials(40)
         k, p, logn, logphin = seq.entries[-1]
         ratio = mp.e ** (logn - logphin) / mp.log(len([u for u in range(1, q) if math.gcd(u, q) == 1]) * logn) ** (mp.mpf(1) / 4)
         assert abs(ratio - inv_c) / inv_c < 0.02

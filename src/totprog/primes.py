@@ -14,9 +14,12 @@ bound each (about 1e-13 where the smallest margin is 2.2e-4), and reads
 point_sums only where that bound cannot rule out the maximum
 (criterion.sweep).
 Every reader takes the PrimeTable its caller sized: a table holds every
-prime to its limit, and cli sieves to min(--sieve-limit, max(x, 10^5)) for
-the largest x a command reads; 10^5 is the winding guard's first limit, so
-one cached table serves both.
+prime to its limit, packed as 4-byte words in an array("I") (so limits stop
+below 2^32), and cli sieves to min(--sieve-limit, max(x, 10^5)) for the
+largest x a command reads; 10^5 is the winding guard's first limit, so one
+cached table serves both.  A progression's share, ProgressionStats.pbar, is
+an array of the same kind, and for q = 1 the table's own.  Readers slice,
+bisect, map and index these arrays as they would lists, and get Python ints.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +47,7 @@ __all__ = [
 ]
 
 _SEGMENT = 1 << 16
+_WORD_LIMIT = 1 << 32  # array("I") holds primes below it
 _PI_1E5 = 9592  # pi(10^5) and pi(10^6), build-time sanity pins
 _PI_1E6 = 78498
 BLOCK = 64  # progression primes per exact product in point_sums
@@ -50,22 +55,22 @@ GUARD = 32  # bits point_sums works with beyond prec
 
 
 class PrimeTable:
-    """Sorted primes up to `limit`, produced by a segmented sieve."""
+    """Sorted primes up to `limit` in an array("I"), produced by a segmented
+    sieve; raises ValueError, before sieving, for a limit of 2^32 or more."""
 
     def __init__(self, limit: int):
         if limit < 2:
             limit = 2
+        if limit >= _WORD_LIMIT:
+            raise ValueError(f"sieve limit {limit} must be below 2^32, the most a packed prime table holds")
         self.limit = int(limit)
         self.primes = _segmented_sieve(self.limit)
         for e, pinned in ((5, _PI_1E5), (6, _PI_1E6)):
             if self.limit >= 10**e and (n := bisect.bisect_right(self.primes, 10**e)) != pinned:
                 raise AssertionError(f"sieve self-check failed: pi(1e{e}) = {n}")
 
-    def __len__(self):
-        return len(self.primes)
 
-
-def _segmented_sieve(limit: int) -> list[int]:
+def _segmented_sieve(limit: int) -> array:
     root = int(math.isqrt(limit))
     base = bytearray([1]) * (root + 1)
     base[0:2] = b"\x00\x00"
@@ -73,7 +78,7 @@ def _segmented_sieve(limit: int) -> list[int]:
         if base[i]:
             base[i * i :: i] = bytearray(len(range(i * i, root + 1, i)))
     base_primes = [i for i in range(2, root + 1) if base[i]]
-    primes = list(base_primes)
+    primes = array("I", base_primes)
     lo = root + 1
     while lo <= limit:
         hi = min(lo + _SEGMENT, limit + 1)
@@ -89,7 +94,7 @@ def _segmented_sieve(limit: int) -> list[int]:
 @lru_cache(maxsize=4)
 def prime_table(limit: int) -> PrimeTable:
     """The PrimeTable to `limit`, sieved once per limit.  Few are held: the
-    table to 10^7 alone holds 664,579 ints, about 33 MB."""
+    table to 10^7 alone holds 664,579 primes, about 2.7 MB."""
     return PrimeTable(limit)
 
 
@@ -124,7 +129,8 @@ class ProgressionStats:
         self.table = table
         self.prec = prec
         self.phi = totient(q)
-        self.pbar = [p for p in table.primes if (p - self.a) % q == 0]
+        # q = 1 keeps every prime, so its share is the table's own array
+        self.pbar = table.primes if q == 1 else array("I", (p for p in table.primes if (p - self.a) % q == 0))
         self.theta_cum = []  # point_sums(k)[0] at index k - 1, see _extend
         self.log1m_cum = []  # point_sums(k)[1] at index k - 1
         self._blocks = [(fzero, fzero)]  # point_sums' sums over each whole BLOCK prefix

@@ -118,6 +118,15 @@ def test_smooth_figure_past_the_sieve_is_refused(capsys):
     assert (code, out, err) == (cli.EXIT_USAGE, "", "error: x=49991 exceeds sieve limit 50\n")
 
 
+def test_sieve_limit_of_2_to_the_32_is_refused_before_sieving(capsys, monkeypatch):
+    # a packed table holds primes below 2^32; past it the sweep would sieve
+    # for minutes and then overflow
+    monkeypatch.setattr(primes, "_segmented_sieve", lambda limit: pytest.fail(f"sieved to {limit}"))
+    code, out, err = run(["sweep", "--q", "7", "--xmax", "4294967296", "--sieve-limit", "4294967296"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: sieve limit 4294967296 must be below 2^32, the most a packed prime table holds\n"
+
+
 # (a figure command, the first option in it that its figure does not read)
 _UNREAD_FIGURE_OPTIONS = [
     (["figure", "F1", "--xmax", "5"], "--xmax"),

@@ -622,7 +622,7 @@ def test_libm_logs_within_the_allowance(table):
     rng = random.Random(5)
     args = [math.exp(rng.uniform(0, 18.5)) for _ in range(2000)] + [1 + rng.random() for _ in range(2000)]
     with mp.workprec(113):
-        for p in below + table.primes[len(below) :: 10]:
+        for p in below + list(table.primes[len(below) :: 10]):
             for got, want in ((math.log(p), mp.log(p)), (math.log1p(-1.0 / p), mp.log1p(mp.mpf(-1) / p))):
                 assert abs(got - want) <= cr._LIBM * abs(want), p
         for y in args:

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 from functools import lru_cache
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from mpmath.libmp import mpf_add, round_nearest
 
 from lemmas import R, S, steps
 from oracles import exact_product_sums, running_sums, running_sums_bound
+from totprog import primes
 from totprog.cli import DEFAULT_LIMIT
 from totprog.primes import (
     BLOCK,
@@ -46,7 +48,33 @@ def test_segmented_matches_simple_sieve(limit):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     simple = [i for i in range(limit + 1) if flags[i]]
-    assert PrimeTable(limit).primes == simple
+    assert list(PrimeTable(limit).primes) == simple
+
+
+def test_sieved_primes_are_packed_words():
+    """The table holds each prime in at most 8 bytes (a list of ints takes
+    about 40), and the q = 1 share is the table's own array: no allocation
+    the q = 1 build adds is the size of a copy, 4 bytes a prime.  The (7, 1)
+    build first warms mpmath's caches, which the diff would otherwise hold."""
+    tracemalloc.start()
+    try:
+        tab = PrimeTable(_THREE_SEGMENTS + 1)
+        held = tracemalloc.get_traced_memory()[0]
+        built = [ProgressionStats(7, 1, tab)]  # held, so the snapshots see what each build keeps
+        before = tracemalloc.take_snapshot()
+        built.append(ProgressionStats(1, 1, tab))
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    n = len(tab.primes)
+    assert held <= 8 * n
+    assert max(d.size_diff for d in after.compare_to(before, "traceback")) < n
+
+
+def test_a_limit_of_2_to_the_32_is_refused_before_sieving(monkeypatch):
+    monkeypatch.setattr(primes, "_segmented_sieve", lambda limit: pytest.fail(f"sieved to {limit}"))
+    with pytest.raises(ValueError, match=r"must be below 2\^32"):
+        PrimeTable(2**32)
 
 
 # -- theta / psi -------------------------------------------------------------

@@ -232,7 +232,7 @@ class ProgressionStats:
 
         point_bound returns these.  They hold while (n + 3) u <= 1/2 and
         n < 2^31: at any prec of 53 bits or more (the sweep's least) and
-        any sieve held in memory."""
+        any sieve, which stops below 2^32."""
         if not 0 <= k <= len(self.pbar):
             raise ValueError(f"k={k} outside 0..{len(self.pbar)}, the progression primes of the sieve")
         m, r = divmod(k, BLOCK)

@@ -444,8 +444,15 @@ def G_q(q: int, prec: int = DEFAULT_PREC) -> Approx:
         if tail:
             # the first omitted asymptotic order, 5 t^-8/16 per term, bounds
             # each half's tail; zeta(8, _KMAX + 1) covers every shift
-            err += tail * mp.zeta(8, _KMAX + 1) * mp.mpf(5) / 8
+            err += tail * _zeta_8(_KMAX, prec) * mp.mpf(5) / 8
         return Approx(total, err + eps(prec, abs(total)))
+
+
+@lru_cache(maxsize=None)
+def _zeta_8(kmax: int, prec: int) -> mp.mpf:
+    """zeta(8, kmax + 1) at prec bits, G_q's tail factor."""
+    with mp.workprec(prec):
+        return mp.zeta(8, kmax + 1)
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,8 @@ step point, in chunks of up to 1024 points that map and accumulate passes
 evaluate bit for bit as a per-point loop would, with one stated rounding
 bound per chunk that covers each of its points; and in mpmath at the few
 points that may hold the maximum.  Every mp value of theta and of the
-log(1 - 1/p) sum comes from ProgressionStats.point_sums, one log per block
-of 64 primes, with its stated bound: the sweep's mp tier calls it at single
+log(1 - 1/p) sum comes from ProgressionStats.point_sums, two logs at any
+point, with its stated bound: the sweep's mp tier calls it at single
 points, and log_f_series reads its values at every step point.  Both read
 the PrimeTable their caller sized.  The lemmas of the proof (g, F_s, the
 truncated K integral, the J-hat bounds, p_q(x) and the conditional bound)
@@ -250,10 +250,12 @@ def _float_screen(st, x_max, log_C, prec):
     _LIBM, so their relative error is k u + a to first order (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 4), doubled:
     c = 2 (k u + a).  u and a add the mp tier's own rounding to the
-    double's, u_p = 2^-prec and 4 u_p, so that term also covers the
-    relative part of point_sums' bound, (n + 3) 2^-32 u_p + u_p with
-    n = ceil(k/64) <= k.  The extra u_p on log1m covers its absolute part,
-    (n + 3) 2^-32 u_p.  E is _rounding_bound on the chunk's hull: c and
+    double's, u_p = 2^-prec and 4 u_p, so that term also covers
+    point_sums' bound on theta over theta, at most
+    (2^-61 m + 3 2^-32 + 1) u_p with m = floor(k/64) <= k (theta >= log 2),
+    and the relative part of its bound on log1m, (3 2^-32 + 1) u_p.  The
+    extra u_p on log1m covers that bound's absolute part,
+    (2^-62 m + 3 2^-32) u_p.  E is _rounding_bound on the chunk's hull: c and
     |log1m| at its last point (both grow with k), the largest |g| and
     lam's least and greatest values; it is monotone, so E is at least
     each point's own bound."""

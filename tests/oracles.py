@@ -18,9 +18,10 @@ by term in mpf, and the trisection that refines max p_q in mpf.  The conductor a
 part of a character by searching the divisors of q and the group mod d.
 
 The sums of log p and log(1 - 1/p) over the first k progression primes by two
-routes independent of the block sums of ProgressionStats.point_sums: one log
-of each exact product, built by a product tree, and running sums of one
-mp.log and one mp.log1p per prime.
+routes independent of the block products of ProgressionStats.point_sums: one
+log of each exact product, built by a product tree, and running sums of one
+mp.log and one mp.log1p per prime.  The exact products over each whole-block
+prefix, which point_sums keeps floored.
 
 The sweep's float screen one point at a time, with each point's own rounding
 bound, for the chunked screen of totprog.criterion.  The winding guard's
@@ -241,6 +242,17 @@ def exact_product_sums(pbar, ks, prec: int) -> dict:
         done = k
         with mp.workprec(prec):
             out[k] = mp.log(_mpf(P)), mp.log(_mpf(Q) / _mpf(P))
+    return out
+
+
+def exact_prefix_products(pbar, block: int) -> list:
+    """(prod p, prod (p - 1)) over pbar[:j block] for j = 0, 1, ... up to the
+    last whole block: the exact values of ProgressionStats' checkpoints."""
+    out = [(1, 1)]
+    for lo in range(0, len(pbar) - block + 1, block):
+        P, Q = out[-1]
+        ps = pbar[lo : lo + block]
+        out.append((P * _product(ps), Q * _product([p - 1 for p in ps])))
     return out
 
 

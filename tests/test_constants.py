@@ -33,7 +33,7 @@ from totprog.constants import (
     mertens_C,
     nicolas_condition_scan,
 )
-from totprog.lvalues import Approx, b_sum_abs, b_sum_signed, eps
+from totprog.lvalues import DEFAULT_PREC, Approx, b_sum_abs, b_sum_signed, eps
 
 
 # -- index data (m, R) -------------------------------------------------------
@@ -489,14 +489,17 @@ def test_G_q_err_adds_each_half_sum_err(monkeypatch):
 
 def test_G_q_evaluates_zeta_8_once(monkeypatch):
     """G_q bounds the asymptotic tail of every half sum with one
-    zeta(8, _KMAX + 1), however many angles it sums, and none where it sums
-    none: q = 1 has no Euler factors and q = 3 only factors with theta = 0."""
+    zeta(8, _KMAX + 1), evaluated once per precision however many angles and
+    moduli it sums, and none where it sums none: q = 1 has no Euler factors
+    and q = 3 only factors with theta = 0."""
     real, orders = mp.zeta, []
     monkeypatch.setattr(mp, "zeta", lambda s, *args: orders.append(s) or real(s, *args))
-    for q, count in ((1, 0), (3, 0), (6, 1), (14, 1)):
+    constants._zeta_8.cache_clear()
+    P = DEFAULT_PREC
+    for q, prec, count in ((1, P, 0), (3, P, 0), (6, P, 1), (14, P, 0), (14, 53, 1)):
         orders.clear()
-        G_q(q)
-        assert orders.count(8) == count, q
+        G_q(q, prec)
+        assert orders.count(8) == count, (q, prec)
 
 
 # -- criterion scan ----------------------------------------------------------

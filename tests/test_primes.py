@@ -1,6 +1,7 @@
 """Sieve, progression step functions, primorials, smooth sets."""
 
 import bisect
+import itertools
 import math
 import tracemalloc
 from functools import lru_cache
@@ -8,14 +9,15 @@ from functools import lru_cache
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath.libmp import mpf_add, round_nearest
+from mpmath.libmp import mpf_add, mpf_log, round_nearest
 
 from lemmas import R, S, steps
-from oracles import exact_product_sums, running_sums, running_sums_bound
+from oracles import exact_prefix_products, exact_product_sums, running_sums, running_sums_bound
 from totprog import primes
 from totprog.cli import DEFAULT_LIMIT
 from totprog.primes import (
     BLOCK,
+    GUARD,
     PrimeTable,
     ProgressionStats,
     _SEGMENT,
@@ -33,22 +35,65 @@ def test_small_primes(table):
     assert [p for p in table.primes if p <= 30] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-# isqrt is 443 here, so the third segment, which starts 443 + 1 + 2 _SEGMENT,
-# ends exactly at this limit
 _THREE_SEGMENTS = 443 + 3 * _SEGMENT
 
 
-@pytest.mark.parametrize("limit", [10_000, _THREE_SEGMENTS - 1, _THREE_SEGMENTS, _THREE_SEGMENTS + 1, 5 * _SEGMENT])
-def test_segmented_matches_simple_sieve(limit):
-    if limit == _THREE_SEGMENTS:
-        assert limit - math.isqrt(limit) == 3 * _SEGMENT
+@lru_cache(maxsize=None)
+def _simple_sieve(limit):
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for i in range(2, int(limit**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    simple = [i for i in range(limit + 1) if flags[i]]
-    assert list(PrimeTable(limit).primes) == simple
+    return [i for i in range(limit + 1) if flags[i]]
+
+
+@pytest.mark.parametrize("limit", [10_000, _THREE_SEGMENTS - 1, _THREE_SEGMENTS, _THREE_SEGMENTS + 1, 5 * _SEGMENT])
+def test_segmented_matches_simple_sieve(limit):
+    assert list(PrimeTable(limit).primes) == _simple_sieve(limit)
+
+
+def _ends_segment(n):
+    """The odd limit that ends the n-th segment exactly: segments take the
+    odd integers from isqrt(limit) + 1 | 1 on, _SEGMENT at a time."""
+    limit = 2 * n * _SEGMENT
+    while (end := (math.isqrt(limit) + 1 | 1) + 2 * (n * _SEGMENT - 1)) != limit:
+        limit = end
+    return limit
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("step", [-1, 0, 1, 2])
+def test_sieve_segments_end_at_the_limit(n, step, monkeypatch):
+    """Limits that end the first or third segment exactly, and their
+    neighbours: the sieve passes the odd integers from isqrt(limit) + 1 | 1
+    to the limit in segments of _SEGMENT (the last one short, and one odd
+    integer past a full n-th segment starting one more), and finds the simple
+    sieve's primes."""
+    limit = _ends_segment(n) + step
+    compress, spans = itertools.compress, []
+    monkeypatch.setattr(itertools, "compress", lambda r, seg: spans.append(r) or compress(r, seg))
+    got = list(PrimeTable(limit).primes)
+    monkeypatch.undo()
+    odd = range(math.isqrt(limit) + 1 | 1, limit + 1, 2)
+    assert [x for r in spans for x in r] == list(odd)
+    assert [len(r) for r in spans] == [_SEGMENT] * (n - (step < 0)) + [_SEGMENT - 1] * (step < 0) + [1] * (step == 2)
+    assert got == _simple_sieve(limit)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 9, 25, 26, 49, 121])
+def test_segmented_matches_simple_sieve_at_small_limits(limit):
+    assert list(PrimeTable(limit).primes) == _simple_sieve(limit)
+
+
+_SIEVE_ORACLE = 300_000
+
+
+@given(limit=st.integers(2, _SIEVE_ORACLE))
+@settings(max_examples=60, deadline=None)
+def test_segmented_matches_simple_sieve_at_any_limit(limit):
+    primes_ = _simple_sieve(_SIEVE_ORACLE)
+    assert list(PrimeTable(limit).primes) == primes_[: bisect.bisect_right(primes_, limit)]
 
 
 def test_sieved_primes_are_packed_words():
@@ -251,6 +296,46 @@ def test_single_point_reads_after_a_walk_take_one_partial_block(table, monkeypat
             got.append(read(x))
             assert len(calls) <= 1
         assert _mpfs(got) == w
+
+
+def test_a_point_at_the_sieve_limit_takes_two_logs(table, monkeypatch):
+    """point_sums(k) takes one log of the product over the first k primes and
+    one of the quotient, however many blocks those span: the whole-block
+    products are kept as numbers, not as sums of block logs."""
+    st_ = ProgressionStats(1, 1, table)
+    calls = []
+    monkeypatch.setattr(primes, "mpf_log", lambda *a: calls.append(a) or mpf_log(*a))
+    st_.point_sums(len(st_.pbar))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("qa", [(1, 1), (7, 1)])
+def test_checkpoints_floor_the_exact_prefix_products(qa):
+    """_blocks[j] = (Pm, Pe, Qm, Qe) holds the products over the first j whole
+    blocks, each below the exact one by less than j floors to
+    w' = prec + GUARD + 32 bits can take: 0 <= exact - Pm 2^Pe <
+    j 2^(1 - w') exact; and each is its predecessor times the block's exact
+    product, floored once: below it by less than 2^(1 - w') of it."""
+    st_ = ProgressionStats(*qa, PrimeTable(200_000))
+    st_.point_sums(len(st_.pbar))
+    exact = exact_prefix_products(st_.pbar, BLOCK)
+    assert len(st_._blocks) == len(exact) > 40
+    w = st_.prec + GUARD + 32
+
+    def floored(x, m, e, floors):
+        """m 2^e < w bits is x itself, or x less at most `floors` floors to w
+        bits: 0 <= x - m 2^e < floors 2^(1 - w) x."""
+        low = x - (m << e)
+        within = low << (w - 1) < floors * x if floors else low == 0
+        return m.bit_length() <= w and e >= 0 and low >= 0 and within
+
+    for j, (P, Q) in enumerate(exact):
+        Pm, Pe, Qm, Qe = st_._blocks[j]
+        assert floored(P, Pm, Pe, j) and floored(Q, Qm, Qe, j), j
+        if j:
+            pm, pe, qm, qe = st_._blocks[j - 1]
+            bP, bQ = st_._products((j - 1) * BLOCK, j * BLOCK)
+            assert floored(pm * bP << pe, Pm, Pe, 1) and floored(qm * bQ << qe, Qm, Qe, 1), j
 
 
 def test_stats_are_shared_by_every_representative_of_a_class(table):

@@ -86,7 +86,7 @@ def _segmented_sieve(limit: int) -> array:
             base[i * i :: 2 * i] = bytes(len(range(i * i, root + 1, 2 * i)))
     base_primes = [i for i in range(3, root + 1, 2) if base[i]]
     primes = array("I", [2, *base_primes])
-    lo = root + 1 | 1
+    lo = (root + 1) | 1  # the first odd integer past root
     while lo <= limit:
         hi = min(lo + 2 * _SEGMENT, limit + 1)
         seg = bytearray([1]) * len(range(lo, hi, 2))

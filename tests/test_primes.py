@@ -57,7 +57,7 @@ def _ends_segment(n):
     """The odd limit that ends the n-th segment exactly: segments take the
     odd integers from isqrt(limit) + 1 | 1 on, _SEGMENT at a time."""
     limit = 2 * n * _SEGMENT
-    while (end := (math.isqrt(limit) + 1 | 1) + 2 * (n * _SEGMENT - 1)) != limit:
+    while (end := ((math.isqrt(limit) + 1) | 1) + 2 * (n * _SEGMENT - 1)) != limit:
         limit = end
     return limit
 
@@ -67,15 +67,15 @@ def _ends_segment(n):
 def test_sieve_segments_end_at_the_limit(n, step, monkeypatch):
     """Limits that end the first or third segment exactly, and their
     neighbours: the sieve passes the odd integers from isqrt(limit) + 1 | 1
-    to the limit in segments of _SEGMENT (the last one short, and one odd
-    integer past a full n-th segment starting one more), and finds the simple
-    sieve's primes."""
+    to the limit, _SEGMENT at a time (n full segments at that limit and the
+    one after it, the n-th one short by one below it, and one segment more,
+    of one, two past it), and finds the simple sieve's primes."""
     limit = _ends_segment(n) + step
     compress, spans = itertools.compress, []
     monkeypatch.setattr(itertools, "compress", lambda r, seg: spans.append(r) or compress(r, seg))
     got = list(PrimeTable(limit).primes)
     monkeypatch.undo()
-    odd = range(math.isqrt(limit) + 1 | 1, limit + 1, 2)
+    odd = range((math.isqrt(limit) + 1) | 1, limit + 1, 2)
     assert [x for r in spans for x in r] == list(odd)
     assert [len(r) for r in spans] == [_SEGMENT] * (n - (step < 0)) + [_SEGMENT - 1] * (step < 0) + [1] * (step == 2)
     assert got == _simple_sieve(limit)
@@ -312,10 +312,10 @@ def test_a_point_at_the_sieve_limit_takes_two_logs(table, monkeypatch):
 @pytest.mark.parametrize("qa", [(1, 1), (7, 1)])
 def test_checkpoints_floor_the_exact_prefix_products(qa):
     """_blocks[j] = (Pm, Pe, Qm, Qe) holds the products over the first j whole
-    blocks, each below the exact one by less than j floors to
-    w' = prec + GUARD + 32 bits can take: 0 <= exact - Pm 2^Pe <
-    j 2^(1 - w') exact; and each is its predecessor times the block's exact
-    product, floored once: below it by less than 2^(1 - w') of it."""
+    blocks, floored j times to w' = prec + GUARD + 32 bits:
+    0 <= exact - Pm 2^Pe < j 2^(1 - w') exact.  Each is its predecessor
+    times the block's exact product, floored once: below that by less than
+    2^(1 - w') of it."""
     st_ = ProgressionStats(*qa, PrimeTable(200_000))
     st_.point_sums(len(st_.pbar))
     exact = exact_prefix_products(st_.pbar, BLOCK)
@@ -323,8 +323,8 @@ def test_checkpoints_floor_the_exact_prefix_products(qa):
     w = st_.prec + GUARD + 32
 
     def floored(x, m, e, floors):
-        """m 2^e < w bits is x itself, or x less at most `floors` floors to w
-        bits: 0 <= x - m 2^e < floors 2^(1 - w) x."""
+        """m has at most w bits, and m 2^e is x itself (no floors) or below it
+        by less than floors 2^(1 - w) x."""
         low = x - (m << e)
         within = low << (w - 1) < floors * x if floors else low == 0
         return m.bit_length() <= w and e >= 0 and low >= 0 and within
@@ -334,7 +334,7 @@ def test_checkpoints_floor_the_exact_prefix_products(qa):
         assert floored(P, Pm, Pe, j) and floored(Q, Qm, Qe, j), j
         if j:
             pm, pe, qm, qe = st_._blocks[j - 1]
-            bP, bQ = st_._products((j - 1) * BLOCK, j * BLOCK)
+            bP, bQ = P // exact[j - 1][0], Q // exact[j - 1][1]
             assert floored(pm * bP << pe, Pm, Pe, 1) and floored(qm * bQ << qe, Qm, Qe, 1), j
 
 

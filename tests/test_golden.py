@@ -23,6 +23,7 @@ STORED = {
     "constants_q6_a5.json": ["constants", "--q", "6", "--a", "5"],
     "constants_q5_a3.json": ["constants", "--q", "5", "--a", "3"],
     "constants_q14_a3.json": ["constants", "--q", "14", "--a", "3"],
+    "constants_q101_a2.json": ["constants", "--q", "101", "--a", "2"],
     "table_T1.json": ["table", "T1"],
     "table_T1.csv": ["table", "T1", "--format", "csv"],
     "table_T2.json": ["table", "T2"],
@@ -43,10 +44,12 @@ STORED = {
     "sweep_q10.json": ["sweep", "--q", "10"],
     "sweep_q12.json": ["sweep", "--q", "12"],
     "sweep_q14.json": ["sweep", "--q", "14"],
+    "sweep_q101.json": ["sweep", "--q", "101"],
     "sweep_q1_xmax2000000.json": ["sweep", "--q", "1", "--xmax", "2000000"],
     "sweep_q7_xmax2000.json": ["sweep", "--q", "7", "--xmax", "2000"],
     "sweep_q7_xmax2000000.json": ["sweep", "--q", "7", "--xmax", "2000000"],
     "scan_q14.json": ["scan", "--q", "14"],
+    "scan_q60.json": ["scan", "--q", "60"],
     "figure_F7_xmax2000.json": ["figure", "F7", "--xmax", "2000"],
 }
 

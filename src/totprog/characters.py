@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -127,9 +127,9 @@ def _root_of_unity(num: int, den: int, prec: int) -> mp.mpc:
         return mp.expjpi(mp.mpf(2 * num) / den)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """The character chi_q(label, .) in Conrey numbering."""
+class DirichletCharacter(NamedTuple):
+    """The character chi_q(label, .) in Conrey numbering; equal and hashed
+    by (modulus, label)."""
 
     modulus: int
     label: int
@@ -172,7 +172,7 @@ class DirichletCharacter:
 
     @property
     def conductor(self) -> int:
-        return self._conductor_and_primitive[0]
+        return _conductor_and_primitive(self)[0]
 
     @property
     def is_primitive(self) -> bool:
@@ -180,49 +180,58 @@ class DirichletCharacter:
 
     def primitive(self) -> "DirichletCharacter":
         """The primitive character chi' inducing chi."""
-        return self._conductor_and_primitive[1]
+        return _conductor_and_primitive(self)[1]
 
-    @cached_property
+    @property
     def euler_factors(self) -> tuple:
         """(p, t) for each prime p | q with p not dividing the conductor, where
         chi'(p) = e(t) for the primitive chi' inducing chi, in ascending p:
         L(s, chi) = L(s, chi') prod (1 - chi'(p) p^-s) over these p, and each
         factor adds the zeros s = i(2 pi (t + k))/log p, k in Z."""
-        prim = self.primitive()
-        return tuple((p, prim.exponent(p)) for p in factorint(self.modulus) if prim.modulus % p)
-
-    @cached_property
-    def _conductor_and_primitive(self):
-        # Read off the label's logs (eps, a) one p^e || q at a time.  The local
-        # character is trivial on the units = 1 mod p^c iff p^(e-c) | a, so
-        # c = e - v_p(a) for a != 0; the sign alone (p = 2, a = 0, eps = 1)
-        # needs c = 2.  The inducing character mod p^c has logs (eps, a /
-        # p^(e-c)), so its label is (-1)^eps g^(a / p^(e-c)) mod p^c; the
-        # local labels combine by CRT.  (Not label mod d: chi_27(8, .) is
-        # induced by chi_9(2, .).)
-        d, label = 1, 0
-        for p, e in factorint(self.modulus).items():
-            g, _, logs = _local_logs(p, e)
-            eps, a = logs[self.label % p**e]
-            c = e
-            while c and a % p ** (e - c + 1) == 0:
-                c -= 1
-            c = max(c, 2 * eps)
-            pc = p**c
-            local = (-1) ** eps * pow(g, a // p ** (e - c), pc)
-            label += d * ((local - label) * pow(d, -1, pc) % pc)
-            d *= pc
-        if d == self.modulus:
-            return d, self
-        return d, build_group(d).by_label(label)
+        return _euler_factors(self)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _euler_factors(chi: DirichletCharacter) -> tuple:
+    """DirichletCharacter.euler_factors, cached per character."""
+    prim = chi.primitive()
+    return tuple((p, prim.exponent(p)) for p in factorint(chi.modulus) if prim.modulus % p)
+
+
+@lru_cache(maxsize=None)
+def _conductor_and_primitive(chi: DirichletCharacter) -> tuple:
+    """(conductor, primitive character inducing chi), cached per character."""
+    # Read off the label's logs (eps, a) one p^e || q at a time.  The local
+    # character is trivial on the units = 1 mod p^c iff p^(e-c) | a, so
+    # c = e - v_p(a) for a != 0; the sign alone (p = 2, a = 0, eps = 1)
+    # needs c = 2.  The inducing character mod p^c has logs (eps, a /
+    # p^(e-c)), so its label is (-1)^eps g^(a / p^(e-c)) mod p^c; the
+    # local labels combine by CRT.  (Not label mod d: chi_27(8, .) is
+    # induced by chi_9(2, .).)
+    d, label = 1, 0
+    for p, e in factorint(chi.modulus).items():
+        g, _, logs = _local_logs(p, e)
+        eps, a = logs[chi.label % p**e]
+        c = e
+        while c and a % p ** (e - c + 1) == 0:
+            c -= 1
+        c = max(c, 2 * eps)
+        pc = p**c
+        local = (-1) ** eps * pow(g, a // p ** (e - c), pc)
+        label += d * ((local - label) * pow(d, -1, pc) % pc)
+        d *= pc
+    if d == chi.modulus:
+        return d, chi
+    return d, build_group(d).by_label(label)
+
+
 class CharacterGroup:
     """All phi(q) Dirichlet characters mod q, principal character first."""
 
-    modulus: int
-    characters: tuple
+    def __init__(self, modulus: int, characters: tuple):
+        self.modulus = modulus
+        self.characters = characters
+        self._label_map = {chi.label: chi for chi in characters}
 
     def __iter__(self):
         return iter(self.characters)
@@ -239,10 +248,6 @@ class CharacterGroup:
 
     def by_label(self, l: int) -> DirichletCharacter:
         return self._label_map[l % self.modulus if self.modulus > 1 else 1]
-
-    @cached_property
-    def _label_map(self):
-        return {chi.label: chi for chi in self.characters}
 
 
 @lru_cache(maxsize=None)

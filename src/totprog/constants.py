@@ -25,17 +25,19 @@ Highlights:
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import repeat
-from operator import mod, sub, truediv
+from array import array
+from functools import lru_cache
+from operator import mul
+from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
-from .characters import DirichletCharacter, build_group, factorint, residue, totient, units
-from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sum, eps, laurent_at_zero
+from .characters import DirichletCharacter, _log_table, build_group, factorint, residue, totient, units
+from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sums, _mpc, eps, laurent_at_zero
 from . import primes as primes_mod
 
 __all__ = [
@@ -56,8 +58,7 @@ __all__ = [
 # Ind_q(a) and R_{q,a}
 
 
-@dataclass(frozen=True)
-class IndexData:
+class IndexData(NamedTuple):
     q: int
     a: int
     m: int  # Ind_q(a): least n > 1 with a an n-th power mod q
@@ -96,8 +97,7 @@ def index_data(q: int, a: int) -> IndexData:
 # Mertens constants on progressions
 
 
-@dataclass(frozen=True)
-class MertensConstant:
+class MertensConstant(NamedTuple):
     q: int
     a: int
     C: Approx
@@ -134,8 +134,8 @@ def _hurwitz_terms(m: int, u: int, q: int, w: int) -> int:
 
 @lru_cache(maxsize=None)
 def _hurwitz_row(q: int, m: int, prec: int) -> dict:
-    """r -> zeta(m, r/q) over the units r mod q, for integer m >= 2, at prec
-    bits, in fixed point at W = prec + 40 bits from _zeta_table alone.
+    """r -> zeta(m, r/q) over the units r mod q, for integer m >= 2, as
+    integers at scale 2^-W, W = prec + 40, from _zeta_table alone.
 
     For 2r <= q take zeta(m, a) = a^-m + zeta(m, a + 1) and y = -r/q, else
     y = (q - r)/q; so |y| <= 1/2, and with a' = 1 - y (DLMF 25.11.10)
@@ -143,68 +143,113 @@ def _hurwitz_row(q: int, m: int, prec: int) -> dict:
         zeta(m, a) = [a^-m] + a'^-m + sum_{n>=0} C(m+n-1, n) (zeta(m+n) - 1) y^n.
 
     The sum is an integer Horner loop over coefficients c_n shared by the
-    row; it stops before the n = N that _hurwitz_terms returns, and every
-    c_n past the table is zero.  Bound, in units of 2^-W: the two powers are
-    floored (< 2); each c_n carries its table entry's error times
-    C(m+n-1, n), < 1.01 (1 - |y|)^-m in all; each Horner step floors once,
-    and step n is damped by |y|^n (< 2); the omitted terms n >= N, with
-    zeta(k) - 1 <= 2^(1-k) for k >= 3, are below 4 t_N < 1/4.  Since
-    zeta(m, a) >= (1 - |y|)^-m >= 1, the fixed
-    point value is zeta(m, a) (1 + delta) with |delta| < 6 * 2^-W, before
-    its rounding to prec bits."""
+    row; it stops before the n = N that _hurwitz_terms returns, once per
+    |y| (r and q - r share it), and every c_n past the table is zero.
+    Bound, in units of 2^-W: the two powers are floored (< 2); each c_n
+    carries its table entry's error times C(m+n-1, n), < 1.01 (1 - |y|)^-m
+    in all; each Horner step floors once, and step n is damped by |y|^n
+    (< 2); the omitted terms n >= N, with zeta(k) - 1 <= 2^(1-k) for k >= 3,
+    are below 4 t_N < 1/4.  Since zeta(m, a) >= (1 - |y|)^-m >= 1, the
+    integer is zeta(m, a) (1 + delta) 2^W with |delta| < 6 * 2^-W."""
     w = prec + 40
     zeta = _zeta_table(prec)
     coeffs = []
+    terms = {}
     row = {}
     for r in units(q):
         u = -r if 2 * r <= q else q - r  # y = u/q
         total = (q**m << w) // (q - u) ** m
         if u < 0:
             total += (q**m << w) // r**m
-        n_terms = max(0, min(_hurwitz_terms(m, abs(u), q, w), len(zeta) - m))
+        if (n_terms := terms.get(abs(u))) is None:
+            n_terms = terms[abs(u)] = max(0, min(_hurwitz_terms(m, abs(u), q, w), len(zeta) - m))
         while (n := len(coeffs)) < n_terms:
             coeffs.append(math.comb(m + n - 1, n) * zeta[m + n])
         acc = 0
         for c in reversed(coeffs[:n_terms]):
             acc = c + acc * u // q
         row[r] = total + acc
-    with mp.workprec(prec):
-        return {r: mp.mpf((v, -w)) for r, v in row.items()}
+    return row
 
 
 @lru_cache(maxsize=None)
-def _log_L_int(chi: DirichletCharacter, m: int, prec: int) -> mp.mpc:
-    """log L(m, chi) for integer m >= 2 (imprimitive L-series mod q).
-    The principal branch agrees with the Euler-sum branch since
-    sum_p |arg local factor| < sum_p p^-m / (1 - p^-m) < pi.  Cached on
-    (chi, m, prec): a character hashes on (modulus, label)."""
-    q = chi.modulus
-    with mp.workprec(prec):
-        return mp.log(_char_sum(chi, _hurwitz_row(q, m, prec), prec) / mp.mpf(q) ** m)
+def _log_L(q: int, m: int, prec: int) -> dict:
+    """label -> log L(m, chi) for every chi mod q and integer m >= 2
+    (imprimitive L-series mod q), as Gaussian integers at scale 2^-w,
+    w = prec + 40.  L(m, chi) = q^-m sum_r chi(r) zeta(m, r/q), from one
+    _char_sums of the Hurwitz row; its log is taken at prec + 8 bits and
+    floored to w bits, and conj chi takes the conjugate.  The principal
+    branch agrees with the Euler-sum branch since
+    sum_p |arg local factor| < sum_p p^-m / (1 - p^-m) < pi.
+
+    Each entry is within 2^-(prec + 6) of its value: the sum is within
+    7.01 q^m zeta(2) + 1 units (_char_sums with the row's 6 * 2^-W relative
+    bound), so L(m, chi) after the floored division by q^m within 14 units,
+    and |L(m, chi)| >= zeta(4)/zeta(2) > 0.65; the rest is the rounding to
+    prec + 8 bits before and after the log."""
+    w = prec + 40
+    qm = q**m
+    logs = {}
+    with mp.workprec(prec + 8):
+        for label, (re, im) in _char_sums(_hurwitz_row(q, m, prec), q, w).items():
+            if (conj := pow(label, -1, q) if q > 1 else label) in logs:
+                x, y = logs[conj]
+                logs[label] = (x, -y)
+                continue
+            z = mp.log(mp.mpc(mp.mpf((re // qm, -w)), mp.mpf((im // qm, -w))))
+            logs[label] = (to_fixed(z.real._mpf_, w), to_fixed(z.imag._mpf_, w))
+    return logs
 
 
 # The prime-zeta sums sum_k P(k, chi)/k are cut after k = _PZ_BITS (and each
 # P(k, chi) after its Moebius terms j k - 1 > _PZ_BITS).  Their terms decay
 # like 2^-k, so the cut leaves less than 4 * 2^-_PZ_BITS per character:
 # _mertens_cached adds 2^(2 - _PZ_BITS) (phi + 1) to the error of log C.
-# Its cache and _prime_zeta's leave _PZ_BITS out of the key: clear both after
-# changing it.
+# Its cache and _prime_zeta_sums' leave _PZ_BITS out of the key: clear both
+# after changing it.
 _PZ_BITS = 48
 
 
 @lru_cache(maxsize=None)
-def _prime_zeta(chi: DirichletCharacter, k: int, prec: int) -> mp.mpc:
-    """P(k, chi) = sum_p chi(p)/p^k via Moebius inversion of log L, cached on
-    (chi, k, prec)."""
-    with mp.workprec(prec):
-        total = mp.mpc(0)
-        j = 1
-        while (j * k - 1) <= _PZ_BITS:
-            mu = _mobius(j)
-            if mu:
-                total += mp.mpf(mu) / j * _log_L_int(chi.power(j), j * k, prec)
-            j += 1
-        return total
+def _prime_zeta_sums(q: int, prec: int) -> dict:
+    """label -> (h, K) for every chi mod q, Gaussian integers at scale 2^-w,
+    w = prec + 40, with P(k, chi) = sum_p chi(p) p^-k:
+
+        h = sum_k P(k, chi)/k,   K = log K(chi) = sum_k (P(k, chi^k) - P(k, chi))/k
+
+    over k = 2 ... _PZ_BITS.  P(k, chi) is the Moebius inversion
+    sum_j mu(j)/j log L(jk, chi^j) of _log_L over the j with jk - 1 <=
+    _PZ_BITS; mu(j)/j and 1/k are floor divisions.
+
+    Bound: h weighs the _log_L entries (each within 2^-(prec + 6)) by
+    sum 1/(jk) < 7.1 and log K by less than 14.1, and they add 123 and 199
+    floors of one unit of 2^-w; so both are within 2^-(prec + 2)."""
+    top = _PZ_BITS + 1
+
+    def label(l, j):  # the label of chi^j
+        return pow(l, j, q) if q > 1 else 1
+
+    P = {}
+    for k in range(2, top):
+        for l, (re, im) in _log_L(q, k, prec).items():
+            for j in range(2, top // k + 1):
+                if mu := _mobius(j):
+                    x, y = _log_L(q, j * k, prec)[label(l, j)]
+                    re += mu * (x // j)
+                    im += mu * (y // j)
+            P[k, l] = (re, im)
+    sums = {}
+    for l in units(q):
+        hr = hi = kr = ki = 0
+        for k in range(2, top):
+            re, im = P[k, l]
+            x, y = P[k, label(l, k)]
+            hr += re // k
+            hi += im // k
+            kr += (x - re) // k
+            ki += (y - im) // k
+        sums[l] = ((hr, hi), (kr, ki))
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +275,7 @@ def _branched_log_L1(chi: DirichletCharacter, prec: int) -> mp.mpc:
     with mp.workprec(prec):
         principal = mp.log(L_at_1(chi, prec))
     for limit in _BRANCH_LIMITS:
-        s0 = _partial_euler_sum(chi, limit)
+        s0 = _partial_euler_sums(chi.modulus, limit)[chi.label]
         try:
             k = _winding_number((s0.imag - float(mp.im(principal))) / (2 * math.pi))
             break
@@ -241,17 +286,53 @@ def _branched_log_L1(chi: DirichletCharacter, prec: int) -> mp.mpc:
         return principal + 2j * mp.pi * k
 
 
-def _partial_euler_sum(chi: DirichletCharacter, limit: int) -> complex:
-    """-sum log(1 - chi(p)/p) over the primes p <= limit in doubles, in
-    C-level passes: chi(p) from one double per residue class p mod q, and 0
-    for a prime dividing q, whose term log 1 = 0 changes nothing.  The terms
-    are subtracted from 0j in order, as a loop of s -= term would, so the
-    result does not depend on how sum() adds complex numbers."""
-    q = chi.modulus
-    rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
-    ps = primes_mod.prime_table(limit).primes
-    zs = map(rot.get, map(mod, ps, repeat(q)), repeat(0j))
-    return reduce(sub, map(cmath.log, map(sub, repeat(1 + 0j), map(truediv, zs, ps))), 0j)
+# The partial Euler sums take the primes up to _LOG_CUT one log at a time and
+# the rest through their class power sums up to p^-_POWERS.
+_LOG_CUT = 1000
+_POWERS = 4
+
+
+@lru_cache(maxsize=None)
+def _partial_euler_sums(q: int, limit: int) -> dict:
+    """label -> -sum log(1 - chi(p)/p) over the primes p <= limit in doubles,
+    for every chi mod q, from one pass over prime_table(limit) that sorts
+    the primes into one array per unit class r mod q (a prime dividing q
+    has chi(p) = 0 and adds nothing).  A prime p <= _LOG_CUT adds one
+    cmath.log per character.  The rest add, through S_k(r) = sum p^-k over
+    their class, sum_{k <= K} (1/k) sum_r chi(r)^k S_k(r) with K = _POWERS:
+    the series of -log(1 - z/p) cut after z^K/K.  The omitted terms come to
+    at most sum_{k > K} (1/k) sum_{n > 1000} n^-k < 1000^-K / (K (K + 1) (1 -
+    1/1000)) = 5.1e-14 in absolute value, below 10^-14 turns."""
+    logs, scaled, exps = _log_table(q)
+    n = len(exps)
+    classes = {r: array("I") for r in scaled}
+    for p in primes_mod.prime_table(limit).primes:
+        if (bucket := classes.get(p % q)) is not None:
+            bucket.append(p)
+    roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    parts = []  # (scaled logs of r, primes p <= _LOG_CUT, S_1(r), ..., S_K(r))
+    for r, bucket in classes.items():
+        i = bisect.bisect_right(bucket, _LOG_CUT)
+        inv = [1.0 / p for p in bucket[i:]]
+        power, powers = inv, []
+        for _ in range(_POWERS):
+            powers.append(sum(power))
+            power = list(map(mul, power, inv))
+        parts.append((scaled[r], bucket[:i], powers))
+    sums = {}
+    for label in units(q):
+        a = logs[label % q]
+        s0 = 0j
+        for s, small, powers in parts:
+            z = roots[sum(map(mul, a, s)) % n]
+            for p in small:
+                s0 -= cmath.log(1 - z / p)
+            zk = z
+            for k, S in enumerate(powers, 1):
+                s0 += zk * S / k
+                zk *= z
+        sums[label] = s0
+    return sums
 
 
 def _winding_number(turns: float) -> int:
@@ -276,16 +357,13 @@ def _mertens_cached(q: int, a: int, prec: int) -> MertensConstant:
         for p in factorint(q):
             acc -= mp.log(1 - mp.mpf(1) / p)
         mean_h = mp.mpc(0)  # (1/phi) sum_chi conj(chi(a)) sum_{k>=2} P(k,chi)/k
+        w, sums = prec + 40, _prime_zeta_sums(q, prec)
         for chi in group:
             coef = mp.conj(chi.value(a, prec))
-            pz = sum(_prime_zeta(chi, k, prec) / k for k in range(2, _PZ_BITS + 1))
-            mean_h += coef * pz
+            h, logK = sums[chi.label]
+            mean_h += coef * _mpc(h, w)
             if not chi.is_principal:
-                logK = sum(
-                    (_prime_zeta(chi.power(k), k, prec) - _prime_zeta(chi, k, prec)) / k
-                    for k in range(2, _PZ_BITS + 1)
-                )
-                acc += coef * (-_branched_log_L1(chi, prec) + logK)
+                acc += coef * (-_branched_log_L1(chi, prec) + _mpc(logK, w))
         log_C = mp.re(acc) / phi
         tail = mp.mpf(2) ** (2 - _PZ_BITS) * (phi + 1)  # see _PZ_BITS
         C = mp.e**log_C

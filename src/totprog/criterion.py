@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import add, mul, sub, truediv
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -62,8 +62,7 @@ def _log_f(phi: int, theta, log1m, log_C) -> mp.mpf:
     return mp.log(mp.log(phi * theta)) / phi + log1m - log_C
 
 
-@dataclass(frozen=True)
-class FEvaluation:
+class FEvaluation(NamedTuple):
     q: int
     a: int
     log_C: mp.mpf
@@ -86,8 +85,7 @@ def log_f_series(q: int, a: int, xmax, prec: int, table) -> FEvaluation:
     return FEvaluation(q, st.a, mc.log_C, tuple(rows))
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     q: int
     F: mp.mpf
     G: mp.mpf
@@ -179,8 +177,7 @@ def x_q_threshold(q: int, c1) -> int:
 # Sweeps
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     q: int
     a: int
     x_max: int

@@ -29,11 +29,13 @@ the nominal error allowance at prec bits.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
-from .characters import DirichletCharacter, build_group, factorint, units
+from .characters import DirichletCharacter, _log_table, build_group, factorint, units
 
 __all__ = [
     "DEFAULT_PREC",
@@ -64,17 +66,75 @@ class Approx(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _row(f, d: int, prec: int, *args, **kwargs) -> dict:
-    """r -> f(*args, r/d, **kwargs) over the units r mod d, at prec bits.
-    Callers pass the mpmath kernel f as looked up at the call."""
-    with mp.workprec(prec):
-        return {r: f(*args, mp.mpf(r) / d, **kwargs) for r in units(d)}
+def _roots(n: int, w: int) -> tuple:
+    """(cos, sin): floor(cos(2 pi k/n) 2^w) and floor(sin(2 pi k/n) 2^w) for
+    k < n, from mpmath at w + 20 bits, so each is within 1.01 units of its
+    value."""
+    with mp.workprec(w + 20):
+        arg = [mp.mpf(2 * k) / n for k in range(n)]
+        return tuple(tuple(to_fixed(f(x)._mpf_, w) for x in arg) for f in (mp.cospi, mp.sinpi))
 
 
-def _char_sum(chi: DirichletCharacter, row, prec: int) -> mp.mpc:
-    """sum_r chi(r) row[r] over the units r mod chi.modulus, at prec bits."""
+def _char_sums(row: dict, q: int, w: int) -> dict:
+    """label -> (re, im) of Z(chi) = sum_r chi(r) row[r] for every chi mod q,
+    with row a map from the units r mod q to integers at scale 2^-w, and Z
+    at the same scale.  chi_q(l, r) = e(k/N) with k = sum_i a_i s_i mod N
+    over the logs a of l and the scaled logs s of r (characters._log_table),
+    and each component sums row[r] times the root floored to w bits
+    (_roots), then floors once.  The row is real, so the sums of conj chi
+    are the conjugates of those of chi: the imaginary part is negated, not
+    floored.
+
+    Bound, in units of 2^-w and per component: 1.01 sum_r |row[r]| 2^-w for
+    the roots, plus 1 for the final floor, plus phi(q) B when each row[r] is
+    within B units of the value it stands for (|chi(r)| = 1)."""
+    logs, scaled, exps = _log_table(q)
+    n = len(exps)
+    cos, sin = _roots(n, w)
+    items = [(scaled[r % q], v) for r, v in row.items()]
+    sums = {}
+    for label in units(q):
+        if (conj := pow(label, -1, q) if q > 1 else label) in sums:
+            re, im = sums[conj]  # the row is real, so Z(conj chi) = conj Z(chi)
+            sums[label] = (re, -im)
+            continue
+        a = logs[label % q]
+        re = im = 0
+        for s, v in items:
+            k = sum(map(mul, a, s)) % n
+            re += v * cos[k]
+            im += v * sin[k]
+        sums[label] = (re >> w, im >> w)
+    return sums
+
+
+def _mpc(z: tuple, w: int) -> mp.mpc:
+    """The Gaussian integer z = (re, im) at scale 2^-w, rounded to the
+    working precision."""
+    return mp.mpc(mp.mpf((z[0], -w)), mp.mpf((z[1], -w)))
+
+
+@lru_cache(maxsize=None)
+def _row_sums(f, d: int, prec: int, *args, **kwargs) -> tuple:
+    """(w, _char_sums of the row r -> f(*args, r/d, **kwargs) over the units r
+    mod d): the row from the mpmath kernel f at prec bits, as looked up at
+    the call, floored to w = prec + 40 bits; f = None gives the row r -> r.
+    Each row value is exact at w bits unless it is below 2^-40, so B <= 1."""
+    w = prec + 40
     with mp.workprec(prec):
-        return sum(chi.value(r, prec) * row[r] for r in units(chi.modulus))
+        if f is None:
+            row = {r: r << w for r in units(d)}
+        else:
+            row = {r: to_fixed(f(*args, mp.mpf(r) / d, **kwargs)._mpf_, w) for r in units(d)}
+    return w, _char_sums(row, d, w)
+
+
+def _row_sum(chi: DirichletCharacter, prec: int, f, *args, **kwargs) -> mp.mpc:
+    """sum_r chi(r) f(*args, r/d, **kwargs) over the units r mod d =
+    chi.modulus, read from _row_sums and rounded to prec bits."""
+    w, sums = _row_sums(f, chi.modulus, prec, *args, **kwargs)
+    with mp.workprec(prec):
+        return _mpc(sums[chi.label], w)
 
 
 def L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
@@ -82,7 +142,7 @@ def L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     q = chi.modulus
     with mp.workprec(prec):
-        return -_char_sum(chi, _row(mp.digamma, q, prec), prec) / q
+        return -_row_sum(chi, prec, mp.digamma) / q
 
 
 @lru_cache(maxsize=None)
@@ -91,11 +151,11 @@ def _b_primitive(psi: DirichletCharacter, prec: int) -> mp.mpc:
     (the Lerch / Deninger sums of the module docstring)."""
     d = psi.modulus
     with mp.workprec(prec):
-        z1 = _char_sum(psi, _row(mp.loggamma, d, prec), prec)
+        z1 = _row_sum(psi, prec, mp.loggamma)
         if psi.parity:
-            z0 = -_char_sum(psi, {r: r for r in units(d)}, prec) / d
+            z0 = -_row_sum(psi, prec, None) / d
             return -mp.log(d) + z1 / z0
-        return -mp.log(d) + _char_sum(psi, _row(mp.zeta, d, prec, 0, derivative=2), prec) / (2 * z1)
+        return -mp.log(d) + _row_sum(psi, prec, mp.zeta, 0, derivative=2) / (2 * z1)
 
 
 def Lprime_over_L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:

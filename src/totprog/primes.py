@@ -31,8 +31,8 @@ import bisect
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_log, mpf_pos, round_nearest as _RND
@@ -107,15 +107,13 @@ def prime_table(limit: int) -> PrimeTable:
     return PrimeTable(limit)
 
 
-@dataclass(frozen=True)
-class PrimorialSeq:
+class PrimorialSeq(NamedTuple):
     q: int
     a: int
     entries: tuple  # (k, pbar_k, log Nbar_k, log phi(Nbar_k))
 
 
-@dataclass(frozen=True)
-class SmoothSetEnumeration:
+class SmoothSetEnumeration(NamedTuple):
     q: int
     a: int
     bound: int

@@ -9,7 +9,8 @@ equation that totprog.lvalues reflects L'/L(1, chi) from:
 The Laurent data of L'/L at s = 0 fitted from Hurwitz zeta values near
 s = 0; F(chi) through L'/L(1, conj chi') rather than b(chi'); F_q regrouped
 over the divisors of q, and F_p for prime p from the Euler-Kronecker
-constant gamma_p; R_{q,a} by counting m-th roots;
+constant gamma_p; R_{q,a} by counting m-th roots; a character sum over a row
+one character value at a time;
 and C(q,a) as the truncated Mertens product.  The Hurwitz rows zeta(m, r/q)
 by one mpmath call per value, and the Euler-factor half sums of G_q by one
 mpf division and square root per term.  The literal sum of 1/|rho(1-rho)|
@@ -68,6 +69,13 @@ def stieltjes_gamma1(x, prec: int = DEFAULT_PREC) -> mp.mpf:
         raise ValueError("gamma_1 argument must be positive")
     with mp.workprec(prec):
         return mp.stieltjes(1, _as_mpf(x))
+
+
+def char_sum(chi: DirichletCharacter, row, prec: int) -> mp.mpc:
+    """sum_r chi(r) row[r] over the units r mod chi.modulus, at prec bits, one
+    character value at a time (the route lvalues._char_sums replaced)."""
+    with mp.workprec(prec):
+        return sum(chi.value(r, prec) * row[r] for r in units(chi.modulus))
 
 
 def hurwitz_row_mp(q: int, m: int, prec: int, rs=None) -> dict:

@@ -1,6 +1,5 @@
 """Exit codes, determinism and output formats of the console entry point."""
 
-import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -188,12 +187,14 @@ def test_sweep_sieves_once_for_itself_and_the_winding_guard(capsys, monkeypatch,
     # compute C(7,1) afresh, so that the guard reads the primes too
     monkeypatch.setattr(constants, "_mertens_cached", functools.lru_cache(constants._mertens_cached.__wrapped__))
     read = []
-    real = constants._partial_euler_sum
-    monkeypatch.setattr(constants, "_partial_euler_sum", lambda chi, limit: read.append(limit) or real(chi, limit))
+    real = constants._partial_euler_sums.__wrapped__
+    monkeypatch.setattr(
+        constants, "_partial_euler_sums", functools.lru_cache(lambda q, limit: read.append(limit) or real(q, limit))
+    )
     code, out, _ = run(["sweep", "--q", "7"], capsys)
     assert (code, out) == (cli.EXIT_OK, (GOLDEN / "sweep_q7.json").read_text())
     assert sieved == [100_000]
-    assert read == [100_000] * 5  # one per nonprincipal character mod 7
+    assert read == [100_000]  # one pass for the five nonprincipal characters mod 7
 
 
 def test_sieve_limit_other_than_the_default_sieves_only_to_it(capsys, sieved):
@@ -330,7 +331,7 @@ def test_sweep_within_the_budget_is_inconclusive(capsys, monkeypatch):
 
     def loose(q, a, prec):
         mc = real(q, a, prec)
-        return dataclasses.replace(mc, C=Approx(mc.C.value, mc.C.value))
+        return mc._replace(C=Approx(mc.C.value, mc.C.value))
 
     monkeypatch.setattr(criterion, "mertens_C", loose)
     code, out, _ = run(["sweep", "--q", "7", "--a", "3"], capsys)

@@ -141,7 +141,8 @@ def test_winding_number_clean_estimate(turns, k):
 def test_ambiguous_winding_estimate_retries_over_more_primes(monkeypatch):
     """A first prime list whose partial Euler sum winds too far (2 six times:
     0.41 turns off for the complex characters mod 5) is retried over the
-    primes up to the next limit, once, and log C comes out unchanged."""
+    primes up to the next limit, asked for once for the group, and log C
+    comes out unchanged."""
     real = primes.prime_table
     asked = []
 
@@ -149,28 +150,33 @@ def test_ambiguous_winding_estimate_retries_over_more_primes(monkeypatch):
         asked.append(limit)
         return SimpleNamespace(primes=[2] * 6) if limit == constants._BRANCH_LIMITS[0] else real(limit)
 
-    _clear("_mertens_cached")
+    _clear("_mertens_cached", "_partial_euler_sums")
     want = mertens_C(5, 2).log_C
-    _clear("_mertens_cached")
+    _clear("_mertens_cached", "_partial_euler_sums")
     monkeypatch.setattr(primes, "prime_table", prime_table)
     try:
         got = mertens_C(5, 2).log_C
     finally:
-        _clear("_mertens_cached")
+        _clear("_mertens_cached", "_partial_euler_sums")
     first, second = constants._BRANCH_LIMITS[:2]
-    assert asked.count(second) == 2 and set(asked) == {first, second}
+    assert asked.count(second) == 1 and set(asked) == {first, second}
     assert got._mpf_ == want._mpf_
 
 
-def test_partial_euler_sum_is_the_loop_bit_for_bit():
-    """The winding guard's estimate in C-level passes equals the loop over
-    the primes to 10^5, sign of zero included, for every character mod
-    q <= 30."""
+@pytest.mark.parametrize("q", [*range(1, 31), 101])
+def test_partial_euler_sums_match_the_loop(q):
+    """The winding guard's group pass over the primes to 10^5 gives every
+    character mod q the loop's winding number, and an estimate within 10^-9
+    turns of the loop's."""
     limit = constants._BRANCH_LIMITS[0]
-    for q in range(1, 31):
-        for chi in build_group(q):
-            got, want = constants._partial_euler_sum(chi, limit), partial_euler_sum(chi, limit)
-            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (q, chi.label)
+    got = constants._partial_euler_sums(q, limit)
+    for chi in build_group(q):
+        want = partial_euler_sum(chi, limit)
+        assert abs(got[chi.label] - want) / (2 * math.pi) < 1e-9, (q, chi.label)
+        if not chi.is_principal:
+            arg = float(mp.im(mp.log(lvalues.L_at_1(chi, 53))))
+            turns = [(s.imag - arg) / (2 * math.pi) for s in (got[chi.label], want)]
+            assert _winding_number(turns[0]) == _winding_number(turns[1]), (q, chi.label)
 
 
 # -- Hurwitz rows zeta(m, r/q) -----------------------------------------------
@@ -181,6 +187,13 @@ def _half_ulp(v, prec):
     _hurwitz_row's bound before its rounding to prec bits is 6 * 2^-40 ulp,
     and a reference at prec + 40 bits is off by a few 2^-40 ulp at most."""
     return mp.ldexp(1 + mp.ldexp(1, -29), mp.mag(v) - prec - 1)
+
+
+def _hurwitz_row(q, m, prec):
+    """constants._hurwitz_row, each integer at scale 2^-(prec + 40) rounded
+    to prec bits."""
+    with mp.workprec(prec):
+        return {r: mp.mpf((v, -(prec + 40))) for r, v in constants._hurwitz_row(q, m, prec).items()}
 
 
 def _correctly_rounded(row, q, m, prec, rs):
@@ -196,7 +209,7 @@ def _correctly_rounded(row, q, m, prec, rs):
 @pytest.mark.parametrize("q", [*range(1, 11), 12, 14])
 def test_hurwitz_rows_against_mpmath(q, prec):
     for m in range(2, 66):
-        _correctly_rounded(constants._hurwitz_row(q, m, prec), q, m, prec, units(q))
+        _correctly_rounded(_hurwitz_row(q, m, prec), q, m, prec, units(q))
 
 
 @pytest.mark.parametrize("prec", [53, 192])
@@ -206,7 +219,7 @@ def test_hurwitz_rows_against_mpmath_sampled(q, prec):
     rng = random.Random(q * prec)
     for m in (2, *rng.sample(range(3, 66), 3)):
         rs = {1, q - 1, q // 2, q // 2 + 1, *rng.sample(units(q), 6)}
-        _correctly_rounded(constants._hurwitz_row(q, m, prec), q, m, prec, rs)
+        _correctly_rounded(_hurwitz_row(q, m, prec), q, m, prec, rs)
 
 
 @pytest.mark.parametrize("prec", [53, 192])
@@ -214,7 +227,7 @@ def test_hurwitz_row_at_one_half(prec):
     """zeta(m, 1/2) = (2^m - 1) zeta(m): the q = 2 row, against zeta at an
     integer alone."""
     for m in range(2, 66):
-        v = constants._hurwitz_row(2, m, prec)[1]
+        v = _hurwitz_row(2, m, prec)[1]
         with mp.workprec(prec + 40):
             assert abs(v - (2**m - 1) * mp.zeta(m)) <= _half_ulp(v, prec)
 
@@ -225,7 +238,7 @@ def test_hurwitz_row_sums_to_principal_L(q, m):
     """sum_r zeta(m, r/q) over the units r = q^m zeta(m) prod_{p|q}(1 - p^-m),
     which is q^m L(m, chi_0): no Hurwitz kernel on this side.  The row is
     within _half_ulp per value at 53 bits."""
-    row = constants._hurwitz_row(q, m, 53)
+    row = _hurwitz_row(q, m, 53)
     with mp.workprec(200):
         want = mp.mpf(q) ** m * mp.zeta(m)
         for p in factorint(q):
@@ -237,11 +250,13 @@ def test_hurwitz_row_sums_to_principal_L(q, m):
 # -- per-character caches ----------------------------------------------------
 
 # the caches whose values depend on _PZ_BITS, which their keys leave out
-_CUT_CACHES = ("_mertens_cached", "_prime_zeta")
+_CUT_CACHES = ("_mertens_cached", "_prime_zeta_sums")
 
 
 def _clear(*names):
-    for name in names or _CUT_CACHES + ("_log_L_int", "_hurwitz_row", "_zeta_table", "_abs_zero_sum_half"):
+    for name in names or _CUT_CACHES + (
+        "_log_L", "_hurwitz_row", "_zeta_table", "_abs_zero_sum_half", "_partial_euler_sums"
+    ):
         getattr(constants, name).cache_clear()
 
 
@@ -250,15 +265,16 @@ def _module_caches():
 
 
 def test_per_character_sums_are_computed_once_per_key():
-    """C(14, 1) asks 752 times for P(k, psi) and G_q(14) eight times for an
-    Euler-factor half sum.  Each is computed once per distinct key, at most
-    282 and exactly 2, and so is each log L(m, psi) under the P(k, psi), at
-    most 288 (1,968 uncached).  Those read at most 48 Hurwitz rows mod 14,
-    m = 2...49, from one zeta(k) table per precision."""
+    """C(14, 1) reads P(k, chi) for every chi mod 14 from one table of
+    integer Moebius sums, and G_q(14) asks eight times for an Euler-factor
+    half sum, computed once per distinct key, exactly 2.  The Moebius sums
+    read at most 48 rows of log L(m, chi), m = 2...49, each for every
+    character at once, from at most 48 Hurwitz rows mod 14 and one zeta(k)
+    table per precision."""
     _clear()
     mertens_C(14, 1)
-    assert constants._log_L_int.cache_info().misses <= 288
-    assert constants._prime_zeta.cache_info().misses <= 282
+    assert constants._prime_zeta_sums.cache_info().misses == 1
+    assert constants._log_L.cache_info().misses <= 48
     assert constants._hurwitz_row.cache_info().misses <= 48
     assert constants._zeta_table.cache_info().misses == 1
     mertens_C(14, 1, 53)

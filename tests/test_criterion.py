@@ -1,6 +1,5 @@
 """log f evaluation, auxiliary integrals/bounds, thresholds, sweeps."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -380,7 +379,7 @@ def test_empirical_xq_check_reports_first_violation(q, x_q, first, prec, table, 
     """Below the true threshold theta(sqrt x)/sqrt x > 0.6/phi fails early;
     the report names the least failing x, as a scan over every x finds."""
     real = cr.bound_params
-    monkeypatch.setattr(cr, "bound_params", lambda q, c: dataclasses.replace(real(q, c), x_q=x_q))
+    monkeypatch.setattr(cr, "bound_params", lambda q, c: real(q, c)._replace(x_q=x_q))
     assert _first_failure_by_scan(q, x_q, 10**4, table) == first
     rep = empirical_xq_check(q, 10**4, prec, table)
     assert rep == XqCheckReport(q, x_q, 10**4, False, first)
@@ -429,7 +428,7 @@ def test_sweep_verdict_weighs_the_budget(a, prec, table, monkeypatch):
 
     def loose(q, a, c):
         mc = real(q, a, c)
-        return dataclasses.replace(mc, C=Approx(mc.C.value, mc.C.value))
+        return mc._replace(C=Approx(mc.C.value, mc.C.value))
 
     monkeypatch.setattr(cr, "mertens_C", loose)
     rep = cr.sweep(7, a, prec, table, cr.default_x_max(7))
@@ -578,7 +577,7 @@ def test_near_tie_goes_to_the_mp_tier(prec, table, monkeypatch):
     monkeypatch.setattr(cr, "_float_screen", tied)
     rep = cr.sweep(7, 1, prec, table, cr.default_x_max(7))
     assert rep.escalated == want.escalated + 1  # the point that set the floor is kept too
-    assert rep == dataclasses.replace(want, escalated=rep.escalated)
+    assert rep == want._replace(escalated=rep.escalated)
 
 
 @pytest.mark.parametrize("q,a,x_max", SWEEP_CASES)
@@ -610,7 +609,7 @@ def test_unbounded_points_go_to_the_mp_tier(prec, table, monkeypatch):
     )
     rep = cr.sweep(1, 1, prec, table, 5000)
     assert rep.escalated == want.escalated + 3  # k = 2, 3, 4; k = 1 has phi theta < 1
-    assert rep == dataclasses.replace(want, escalated=rep.escalated)
+    assert rep == want._replace(escalated=rep.escalated)
 
 
 def test_libm_logs_within_the_allowance(table):

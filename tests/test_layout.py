@@ -1,4 +1,5 @@
-"""src/totprog holds what a command reads: every public name is used there.
+"""src/totprog holds what a command reads: every public name is used there,
+and a command imports no module it does not need.
 
 Each module's __all__ names its public API.  This parses every module of
 src/totprog with ast and checks that each name in an __all__ is read
@@ -15,6 +16,9 @@ ProgressionStats.primorials that is called.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,13 @@ READ = set().union(*map(_reads, MODULES.values()))
 @pytest.mark.parametrize("module", [m for m in MODULES if _public(MODULES[m])])
 def test_every_public_name_is_read_in_src(module):
     assert [name for name in _public(MODULES[module]) if name not in READ] == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """dataclasses pulls in inspect, ast, dis and tokenize, which every cold
+    command would pay for; the records are NamedTuples instead."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    code = "import sys, totprog.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -2,8 +2,10 @@
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_fixed
 
-from totprog.characters import build_group, factorint
+from totprog import constants, lvalues
+from totprog.characters import build_group, factorint, units
 from totprog.lvalues import (
     L_at_1,
     Lprime_over_L_at_1,
@@ -14,7 +16,7 @@ from totprog.lvalues import (
     m0_sum,
     structural_m0,
 )
-from oracles import Lprime_at_1, digamma, laurent_fit, stieltjes_gamma1
+from oracles import Lprime_at_1, char_sum, digamma, laurent_fit, stieltjes_gamma1
 
 
 def test_digamma_special_values(prec):
@@ -62,6 +64,37 @@ def test_gamma1_distribution_relation(prec):
 
 
 # -- L(1, chi) ---------------------------------------------------------------
+
+
+def _rows(q, prec):
+    """The psi and log Gamma rows as _row_sums builds them, and the Hurwitz
+    rows m = 2 and 49, as integers at scale 2^-(prec + 40)."""
+    w = prec + 40
+    with mp.workprec(prec):
+        for f in (mp.digamma, mp.loggamma):
+            yield {r: to_fixed(f(mp.mpf(r) / q)._mpf_, w) for r in units(q)}
+    for m in (2, 49):
+        yield constants._hurwitz_row(q, m, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 192])
+@pytest.mark.parametrize("q", [*range(1, 61), 101, 149])
+def test_char_sums_against_one_character_at_a_time(q, prec):
+    """Every chi mod q, on four rows: _char_sums is within its docstring bound
+    of the sum taken one character value at a time at 40 bits more, in each
+    component.  The rows are exact, so the bound is 1.01 sum |row| + 1 units
+    of 2^-w; 2^-20 sum |row| more covers the reference's own rounding."""
+    w = prec + 40
+    for row in _rows(q, prec):
+        got = lvalues._char_sums(row, q, w)
+        with mp.workprec(w + 40):
+            values = {r: mp.ldexp(v, -w) for r, v in row.items()}
+            size = mp.fsum(abs(v) for v in values.values())
+            bound = mp.ldexp(mp.mpf("1.01") * size + 1 + mp.ldexp(size, -20), -w)
+            for chi in build_group(q):
+                want = char_sum(chi, values, w + 40)
+                re, im = (mp.ldexp(x, -w) for x in got[chi.label])
+                assert abs(re - want.real) <= bound and abs(im - want.imag) <= bound, (q, chi.label, prec)
 
 
 def test_L1_closed_forms(prec):

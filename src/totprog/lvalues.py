@@ -14,6 +14,13 @@ the primitive chi' mod d,
     L'/L(1,chi) = -log(d/pi) + gamma + log 2 - b(conj chi')
                   + sum_{p | q, p not| d} chi'(p) log p / (p - chi'(p)).
 
+Every character sum goes through one seam, _char_sums(row, q, w): a row of
+integers at scale 2^-w against every chi mod q at once, summed over the
+exponents of characters._log_table with roots floored to w bits, under a
+stated bound.  The kernel rows (psi, log Gamma, zeta''(0) at r/d, and r)
+are floored to w = prec + 40 bits and summed once per (kernel, d, prec);
+constants sums its Hurwitz rows through the same seam.
+
 b(psi) is cached once per (psi, prec); L'/L(1, chi), F(chi) and the Laurent
 data at s = 0 all read it.  The Laurent data (structural_m0, laurent_at_zero)
 add the Euler factors of chi mod q to b(chi'); a numerical Laurent fit
@@ -115,26 +122,26 @@ def _mpc(z: tuple, w: int) -> mp.mpc:
 
 
 @lru_cache(maxsize=None)
-def _row_sums(f, d: int, prec: int, *args, **kwargs) -> tuple:
-    """(w, _char_sums of the row r -> f(*args, r/d, **kwargs) over the units r
-    mod d): the row from the mpmath kernel f at prec bits, as looked up at
-    the call, floored to w = prec + 40 bits; f = None gives the row r -> r.
-    Each row value is exact at w bits unless it is below 2^-40, so B <= 1."""
+def _row_sums(f, d: int, prec: int, *args, **kwargs) -> dict:
+    """_char_sums of the row r -> f(*args, r/d, **kwargs) over the units r
+    mod d, with f the mpmath kernel as looked up at the call (f = None gives
+    the row r -> r), its values at prec bits floored to w = prec + 40 bits:
+    exactly, unless below 2^-40, so B <= 1 in _char_sums' bound."""
     w = prec + 40
     with mp.workprec(prec):
         if f is None:
             row = {r: r << w for r in units(d)}
         else:
             row = {r: to_fixed(f(*args, mp.mpf(r) / d, **kwargs)._mpf_, w) for r in units(d)}
-    return w, _char_sums(row, d, w)
+    return _char_sums(row, d, w)
 
 
 def _row_sum(chi: DirichletCharacter, prec: int, f, *args, **kwargs) -> mp.mpc:
     """sum_r chi(r) f(*args, r/d, **kwargs) over the units r mod d =
     chi.modulus, read from _row_sums and rounded to prec bits."""
-    w, sums = _row_sums(f, chi.modulus, prec, *args, **kwargs)
+    sums = _row_sums(f, chi.modulus, prec, *args, **kwargs)
     with mp.workprec(prec):
-        return _mpc(sums[chi.label], w)
+        return _mpc(sums[chi.label], prec + 40)
 
 
 def L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:

@@ -71,10 +71,8 @@ def _rows(q, prec):
     rows m = 2 and 49, as integers at scale 2^-(prec + 40)."""
     w = prec + 40
     with mp.workprec(prec):
-        for f in (mp.digamma, mp.loggamma):
-            yield {r: to_fixed(f(mp.mpf(r) / q)._mpf_, w) for r in units(q)}
-    for m in (2, 49):
-        yield constants._hurwitz_row(q, m, prec)
+        rows = [{r: to_fixed(f(mp.mpf(r) / q)._mpf_, w) for r in units(q)} for f in (mp.digamma, mp.loggamma)]
+    return rows + [constants._hurwitz_row(q, m, prec) for m in (2, 49)]
 
 
 @pytest.mark.parametrize("prec", [53, 192])

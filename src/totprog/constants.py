@@ -10,8 +10,9 @@ Highlights:
   M(q,a) = sum_{p=a} {log(1-1/p)+1/p} - log C uses the same machinery.
   The corrections read log L(m, chi) at integers m >= 2, as character sums
   of Hurwitz rows zeta(m, r/q); ``_hurwitz_row`` evaluates those in fixed
-  point from one table of zeta(k) - 1 at the integers per precision (the
-  expansion about a = 1, DLMF 25.11.10), with a stated error bound.  The
+  point from lvalues' integer table of zeta(k) - 1 at the integers, one per
+  precision (the expansion about a = 1, DLMF 25.11.10), with a stated error
+  bound.  The
   whole path runs in Gaussian fixed point at W = prec + 40 bits for every
   character at once: lvalues._char_sums of each row, one log per L(m, chi)
   (``_log_L``), and the Moebius sums P(k, chi), log K(chi) and their
@@ -43,7 +44,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .characters import DirichletCharacter, _log_table, build_group, factorint, residue, totient, units
-from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sums, _mpc, eps, laurent_at_zero
+from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sums, _mpc, _zeta_ints, eps, laurent_at_zero
 from . import primes as primes_mod
 
 __all__ = [
@@ -111,20 +112,6 @@ class MertensConstant(NamedTuple):
     log_C: mp.mpf
 
 
-@lru_cache(maxsize=None)
-def _zeta_table(prec: int) -> tuple:
-    """floor((zeta(k) - 1) 2^W) for k = 0, 1, 2, ... at W = prec + 40, from
-    mp.zeta(k) at W + 20 bits, so each entry is within 1.01 units of its
-    value.  The table ends before its first zero entry: zeta(k) - 1 falls
-    with k, so every later entry is zero too.  Entries 0 and 1 are unused."""
-    w = prec + 40
-    table = [0, 0]
-    with mp.workprec(w + 20):
-        while z := int(mp.floor(mp.ldexp(mp.zeta(len(table)) - 1, w))):
-            table.append(z)
-    return tuple(table)
-
-
 def _hurwitz_terms(m: int, u: int, q: int, w: int) -> int:
     """The first n with t_n = C(m+n-1, n) 2^-(m+n) (u/q)^n below 2^-(w+4)
     and t_{n+1}/t_n = (m+n) u / (2 (n+1) q) <= 1/2, which then holds for
@@ -141,7 +128,8 @@ def _hurwitz_terms(m: int, u: int, q: int, w: int) -> int:
 @lru_cache(maxsize=None)
 def _hurwitz_row(q: int, m: int, prec: int) -> dict:
     """r -> zeta(m, r/q) over the units r mod q, for integer m >= 2, as
-    integers at scale 2^-W, W = prec + 40, from _zeta_table alone.
+    integers at scale 2^-W, W = prec + 40, from the zeta(k) - 1 list of
+    lvalues._zeta_ints alone.
 
     For 2r <= q take zeta(m, a) = a^-m + zeta(m, a + 1) and y = -r/q, else
     y = (q - r)/q; so |y| <= 1/2, and with a' = 1 - y (DLMF 25.11.10)
@@ -158,7 +146,7 @@ def _hurwitz_row(q: int, m: int, prec: int) -> dict:
     are below 4 t_N < 1/4.  Since zeta(m, a) >= (1 - |y|)^-m >= 1, the
     integer is zeta(m, a) (1 + delta) 2^W with |delta| < 6 * 2^-W."""
     w = prec + 40
-    zeta = _zeta_table(prec)
+    zeta = _zeta_ints(prec)[0]
     coeffs = []
     terms = {}
     row = {}

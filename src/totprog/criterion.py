@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
@@ -112,16 +113,20 @@ def bound_params(q: int, prec: int = DEFAULT_PREC) -> BoundParams:
 
 def _p_q_values(xs, phi, F, G, R, B, M, m=mp):
     """(x, p_q(x)) for each x of xs: in doubles when m is math (F, G and B
-    floats too), else in mpf at the working precision.  The two numerators
-    that do not depend on x are computed once."""
+    floats too), else in mpf at the working precision."""
+    log, sqrt = m.log, m.sqrt
+    return _p_q_rows(((x, log(x), sqrt(x), 2 * (x - 1)) for x in xs), phi, F, G, R, B, M, m)
+
+
+def _p_q_rows(points, phi, F, G, R, B, M, m):
+    """(x, p_q(x)) for each (x, log x, sqrt x, 2 (x - 1)) of points, the one
+    evaluation of the p_q formula.  The two numerators that do not depend on
+    x are computed once."""
     c12, c001 = (1.2, 0.01) if m is math else (mp.mpf("1.2"), mp.mpf("0.01"))
     num_log = 3 * F + c12 * R
     num_sqrt = c001 * phi - B - M
-    log, sqrt = m.log, m.sqrt
-    for x in xs:
-        lx = log(x)
-        sx = sqrt(x)
-        yield x, num_log / lx + (1 + 2 / lx) * G / sx + num_sqrt / sx - (M / x - phi / (2 * (x - 1))) * sx * lx
+    for x, lx, sx, twice in points:
+        yield x, num_log / lx + (1 + 2 / lx) * G / sx + num_sqrt / sx - (M / x - phi / twice) * sx * lx
 
 
 _P_GRID = 10_000  # intervals of the coarse log-x grid in _P_q_from
@@ -129,9 +134,17 @@ _P_LO = 10.0  # its first point, log e^10; its last is log 1e16
 _P_STEP = (math.log(1e16) - _P_LO) / _P_GRID
 
 
+@lru_cache(maxsize=None)
+def _p_q_columns() -> tuple:
+    """x = e^(_P_LO + i _P_STEP), i = 0 ... _P_GRID, and log x, sqrt x and
+    2 (x - 1) at each, as array("d") columns: they do not depend on q."""
+    xs = array("d", (math.exp(_P_LO + i * _P_STEP) for i in range(_P_GRID + 1)))
+    return xs, array("d", map(math.log, xs)), array("d", map(math.sqrt, xs)), array("d", (2 * (x - 1) for x in xs))
+
+
 def _p_q_grid(phi, F, G, R, B, M):
-    """(x, p_q(x)) in doubles at x = e^(_P_LO + i _P_STEP), i = 0..._P_GRID."""
-    return _p_q_values((math.exp(_P_LO + i * _P_STEP) for i in range(_P_GRID + 1)), phi, F, G, R, B, M, math)
+    """(x, p_q(x)) in doubles at the points of _p_q_columns."""
+    return _p_q_rows(zip(*_p_q_columns()), phi, F, G, R, B, M, math)
 
 
 def _P_q_from(q, F, G, R, B, M, prec) -> mp.mpf:

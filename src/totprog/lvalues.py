@@ -18,8 +18,12 @@ Every character sum goes through one seam, _char_sums(row, q, w): a row of
 integers at scale 2^-w against every chi mod q at once, summed over the
 exponents of characters._log_table with roots floored to w bits, under a
 stated bound.  The kernel rows (psi, log Gamma, zeta''(0) at r/d, and r)
-are floored to w = prec + 40 bits and summed once per (kernel, d, prec);
-constants sums its Hurwitz rows through the same seam.
+are integers at w = prec + 40 bits, summed once per (kernel, d, prec), and
+computed with no mpmath special function: each is an integer Horner sum of
+the series about a = 1 (DLMF 5.7, 25.11), whose coefficients come from one
+integer table of zeta(k) - 1 and -zeta'(k) per precision (_zeta_ints), plus
+a shift for r/d <= 1/2 that takes at most one log.  constants reads the same
+table for its Hurwitz rows and sums them through the same seam.
 
 b(psi) is cached once per (psi, prec); L'/L(1, chi), F(chi) and the Laurent
 data at s = 0 all read it.  The Laurent data (structural_m0, laurent_at_zero)
@@ -35,6 +39,8 @@ the nominal error allowance at prec bits.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -121,25 +127,195 @@ def _mpc(z: tuple, w: int) -> mp.mpc:
     return mp.mpc(mp.mpf((z[0], -w)), mp.mpf((z[1], -w)))
 
 
+# The zeta table sums n^-k directly for n below N = (W + _ZG) // 4 and adds
+# the Euler-Maclaurin tail at N, at W + _ZG bits.
+_ZG = 24
+
+
+def _bernoulli_ratios(count: int) -> list:
+    """(a, b) with a/b = B_2j/(2j)! for j = 1 ... count, from the tangent
+    numbers T_1, T_3, T_5, ... (integers only; Brent and Harvey, "Fast
+    computation of Bernoulli, tangent and secant numbers", 2013):
+    B_2j/(2j)! = (-1)^(j-1) T_(2j-1) / (4^j (4^j - 1) (2j - 1)!)."""
+    t = [math.factorial(i) for i in range(count)]
+    for i in range(1, count):
+        for j in range(i, count):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return [
+        (t[j - 1] if j % 2 else -t[j - 1], 4**j * (4**j - 1) * math.factorial(2 * j - 1))
+        for j in range(1, count + 1)
+    ]
+
+
 @lru_cache(maxsize=None)
-def _row_sums(f, d: int, prec: int, *args, **kwargs) -> dict:
-    """_char_sums of the row r -> f(*args, r/d, **kwargs) over the units r
-    mod d, with f the mpmath kernel as looked up at the call (f = None gives
-    the row r -> r), its values at prec bits floored to w = prec + 40 bits:
-    exactly, unless below 2^-40, so B <= 1 in _char_sums' bound."""
-    w = prec + 40
-    with mp.workprec(prec):
-        if f is None:
-            row = {r: r << w for r in units(d)}
+def _zeta_ints(prec: int) -> tuple:
+    """(zeta, dzeta): floor((zeta(k) - 1) 2^W) and floor(-zeta'(k) 2^W) at
+    W = prec + 40, indexed by k = 0, 1, 2, ... (entries 0 and 1 unused).  Both
+    lists end where both entries are zero; each later value is below the last
+    one, so it is zero too within the bound.
+
+    At S = W + _ZG bits, with N = S // 4: the terms n^-k and log n n^-k for
+    2 <= n < N are floor(2^S / n^k) and floor(l_n / n^k), l_n = floor(log n
+    2^S), by repeated floor division (the only mp calls are the N - 1 logs,
+    n = 2 ... N), and the tails over n >= N are Euler-Maclaurin sums
+    (DLMF 2.10.1) for f(x) = x^-k and for g(x) = log x x^-k = -df/dk:
+
+        N^(1-k)/(k-1) + N^-k/2 + sum_j (a_j/b_j) (k)_(2j-1) N^(-k-2j+1),
+
+    and minus its derivative in k, with (k)_m the rising factorial and a_j/b_j
+    = B_2j/(2j)! (_bernoulli_ratios), one floor per term.  Terms are added
+    while the f or the g term is at least one unit of 2^-S.  Every derivative
+    of even order of f is positive, and so is g's of order m when log x >
+    sum_(i<m) 1/(k+i); so when the loop stops before term j with log N >
+    H_(2j+3) - 1, each remainder lies between 0 and the first omitted term
+    (Graham, Knuth and Patashnik, Concrete Mathematics, 9.5), below one unit.
+    Past the last j allowed, the loop raises; N = S // 4 leaves room for
+    about 3N/2 more bits than needed.
+
+    Bound, in units of 2^-S, over J added terms: the direct floors, < N - 2
+    for zeta and < 2 (N - 2) for dzeta (l_n is within 1.01 units); the tail
+    terms' floors, < J + 2 and < J + 3; the remainders, < 1 each; and l_N's
+    error, times the f tail, < 0.1.  So both sums are within 3N + 5 < S units
+    of 2^-S, and each entry, floored once, within 1 + S 2^-_ZG < 1.01 units
+    of 2^-W."""
+    s = prec + 40 + _ZG
+    cut, one = s // 4, 1 << s
+    # the loop may stop before term j while log N > H_(2j+3) - 1
+    bern = _bernoulli_ratios(max(j for j in range(1, cut) if sum(1 / i for i in range(2, 2 * j + 4)) < math.log(cut)))
+    with mp.workprec(s + 20):
+        logs = [to_fixed(mp.log(n)._mpf_, s) for n in range(2, cut + 1)]
+    l_cut = logs.pop()
+    direct = [[n, one // n, l // n] for n, l in zip(range(2, cut), logs)]  # [n, n^-k, log n n^-k] at k = 1
+    zeta, dzeta = [0, 0], [0, 0]
+    k, cut_k = 2, cut  # cut_k = N^(k-1)
+    while True:
+        z = dz = 0
+        for t in direct:
+            t[1] //= t[0]
+            t[2] //= t[0]
+            z += t[1]
+            dz += t[2]
+        direct = [t for t in direct if t[1] or t[2]]
+        den, half = (k - 1) * cut_k, 2 * cut_k * cut
+        z += one // den + one // half
+        dz += l_cut // den + one // ((k - 1) * den) + l_cut // half
+        rise, drise, power = k, 1, cut_k * cut * cut  # (k)_(2j-1), its derivative in k, N^(k+2j-1)
+        for j, (a, b) in enumerate(bern, 1):
+            den = b * power
+            f_num, g_num = a * rise * one, a * (rise * l_cut - drise * one)
+            if abs(f_num) < den and abs(g_num) < den:
+                break
+            z += f_num // den
+            dz += g_num // den
+            for i in (2 * j - 1, 2 * j):
+                drise = drise * (k + i) + rise
+                rise *= k + i
+            power *= cut * cut
         else:
-            row = {r: to_fixed(f(*args, mp.mpf(r) / d, **kwargs)._mpf_, w) for r in units(d)}
-    return _char_sums(row, d, w)
+            raise ArithmeticError(f"zeta table: the Euler-Maclaurin terms at k = {k} stay above 2^-{s}")
+        z >>= _ZG
+        dz >>= _ZG
+        if not (z or dz):
+            return tuple(zeta), tuple(dzeta)
+        zeta.append(z)
+        dzeta.append(dz)
+        k, cut_k = k + 1, cut_k * cut
 
 
-def _row_sum(chi: DirichletCharacter, prec: int, f, *args, **kwargs) -> mp.mpc:
-    """sum_r chi(r) f(*args, r/d, **kwargs) over the units r mod d =
-    chi.modulus, read from _row_sums and rounded to prec bits."""
-    sums = _row_sums(f, chi.modulus, prec, *args, **kwargs)
+@lru_cache(maxsize=None)
+def _coefficients(kernel: str, prec: int) -> tuple:
+    """c_n, n = 0 ... W + 4, at scale 2^-W, W = prec + 40, of the kernel's
+    series about a = 1 in y = 1 - a (DLMF 5.7.4, 5.7.3, 25.11.10):
+
+        psi(1 - y)     = -gamma - sum_{n>=1} zeta(n+1) y^n
+        log Gamma(1 - y) = gamma y + sum_{n>=2} zeta(n) y^n / n
+        zeta2(1 - y)   = sum_{n>=2} (2/n) (H_(n-1) zeta(n) + zeta'(n)) y^n
+
+    with zeta2(a) = zeta''(0, a) - zeta''(0) - 2 gamma_1 (1 - a), the second
+    derivative in s of the expansion of zeta(s, a) about a = 1 at s = 0.
+    From _zeta_ints and gamma floored at W + 20 bits; past the table, zeta(n)
+    = 1 and zeta'(n) = 0, within its 1.01 units.  Each c_n is one floor of an
+    exact expression in table entries, within 1.01 + 1 units (psi), 1.01/n +
+    1 (log Gamma) and (2/n)(H_(n-1) + 1) 1.01 + 1 <= 3.02 (zeta2) of its
+    value; and |c_n| < 1.65 in all three series."""
+    w = prec + 40
+    zeta, dzeta = _zeta_ints(prec)
+    with mp.workprec(w + 20):
+        gamma = to_fixed(mp.euler._mpf_, w)
+    top = w + 5
+    z = [(1 << w) + (zeta[n] if n < len(zeta) else 0) for n in range(top + 1)]  # zeta(n) 2^W
+    if kernel == "psi":
+        return (-gamma, *(-z[n + 1] for n in range(1, top)))
+    if kernel == "loggamma":
+        return (0, gamma, *(z[n] // n for n in range(2, top)))
+    c, h = [0, 0], Fraction(1)  # h = H_(n-1)
+    for n in range(2, top):
+        dz = dzeta[n] if n < len(dzeta) else 0
+        c.append(2 * (h.numerator * z[n] - h.denominator * dz) // (h.denominator * n))
+        h += Fraction(1, n)
+    return tuple(c)
+
+
+def _row(kernel: str, d: int, prec: int) -> dict:
+    """r -> the kernel at a = r/d over the units r mod d, as integers at
+    scale 2^-w, w = prec + 40, each within B units of its value:
+
+        "psi"       psi(r/d)                                        B = 6
+        "loggamma"  log Gamma(r/d)                                  B = 5
+        "zeta2"     zeta''(0, r/d) - zeta''(0) + 2 gamma_1 y        B = 5
+        "r"         r                                               B = 0
+
+    For 2r <= d, a + 1 = 1 - y with y = -r/d, and psi(a) = psi(a + 1) - 1/a,
+    log Gamma(a) = log Gamma(a + 1) - log a and zeta''(0, a) = zeta''(0, a + 1)
+    + log^2 a; else y = (d - r)/d.  So |y| <= 1/2, and each value is the
+    integer Horner sum of _coefficients in y = u/d, cut at the first n with
+    |y|^n < 2^-(w+4), computed once per |u| (r and d - r share it), plus the
+    shift, one floor (psi) or one mp log at w + 20 bits (log Gamma, zeta2).
+
+    The zeta2 row drops zeta''(0) - 2 gamma_1 y, which sums to zero against
+    every even nonprincipal psi mod d: the constant does, and y is -r/d +
+    [2r > d], where sum psi(r) r = (d/2) sum psi(r) = 0 and psi(r) = psi(d - r)
+    splits sum psi(r) = 0 in equal halves.  Those are the only characters
+    _b_primitive sums it against, so neither zeta''(0) nor gamma_1 is needed.
+
+    Bound: each Horner step floors once, damped by |y|^n (< 2 in all); the
+    coefficients' errors, damped likewise (< 2.01 psi, 1.26 log Gamma, 1.51
+    zeta2); the terms past the cut, < 1.65 |y|^n / (1 - |y|) (< 0.21); and
+    the shift's floor (< 1, and < 1.01 for the log and its square while
+    2.1 log d < 2^10)."""
+    w = prec + 40
+    if kernel == "r":
+        return {r: r << w for r in units(d)}
+    coeffs = _coefficients(kernel, prec)
+    terms, row = {}, {}
+    with mp.workprec(w + 30):
+        for r in units(d):
+            u = -r if 2 * r <= d else d - r  # y = u/d
+            if (n := terms.get(abs(u))) is None:
+                n = terms[abs(u)] = math.ceil((w + 5) / math.log2(d / abs(u))) if u else 1
+            acc = 0
+            for c in reversed(coeffs[:n]):
+                acc = c + acc * u // d
+            if u < 0:
+                if kernel == "psi":
+                    acc -= (d << w) // r
+                else:
+                    log_a = to_fixed(mp.log(mp.mpf(r) / d)._mpf_, w + 20)
+                    acc += -(log_a >> 20) if kernel == "loggamma" else (log_a * log_a) >> (w + 40)
+            row[r] = acc
+    return row
+
+
+@lru_cache(maxsize=None)
+def _row_sums(kernel: str, d: int, prec: int) -> dict:
+    """_char_sums of _row(kernel, d, prec), at w = prec + 40 bits."""
+    return _char_sums(_row(kernel, d, prec), d, prec + 40)
+
+
+def _row_sum(chi: DirichletCharacter, prec: int, kernel: str) -> mp.mpc:
+    """sum_r chi(r) k(r/d) over the units r mod d = chi.modulus, for the
+    kernel k of _row, read from _row_sums and rounded to prec bits."""
+    sums = _row_sums(kernel, chi.modulus, prec)
     with mp.workprec(prec):
         return _mpc(sums[chi.label], prec + 40)
 
@@ -149,7 +325,7 @@ def L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     q = chi.modulus
     with mp.workprec(prec):
-        return -_row_sum(chi, prec, mp.digamma) / q
+        return -_row_sum(chi, prec, "psi") / q
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +334,11 @@ def _b_primitive(psi: DirichletCharacter, prec: int) -> mp.mpc:
     (the Lerch / Deninger sums of the module docstring)."""
     d = psi.modulus
     with mp.workprec(prec):
-        z1 = _row_sum(psi, prec, mp.loggamma)
+        z1 = _row_sum(psi, prec, "loggamma")
         if psi.parity:
-            z0 = -_row_sum(psi, prec, None) / d
+            z0 = -_row_sum(psi, prec, "r") / d
             return -mp.log(d) + z1 / z0
-        return -mp.log(d) + _row_sum(psi, prec, mp.zeta, 0, derivative=2) / (2 * z1)
+        return -mp.log(d) + _row_sum(psi, prec, "zeta2") / (2 * z1)
 
 
 def Lprime_over_L_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:

@@ -11,7 +11,9 @@ s = 0; F(chi) through L'/L(1, conj chi') rather than b(chi'); F_q regrouped
 over the divisors of q, and F_p for prime p from the Euler-Kronecker
 constant gamma_p; R_{q,a} by counting m-th roots; a character sum over a row
 one character value at a time;
-and C(q,a) as the truncated Mertens product.  The Hurwitz rows zeta(m, r/q)
+and C(q,a) as the truncated Mertens product.  The psi, log Gamma and
+zeta''(0, r/d) rows by one mpmath call per value, and the table of
+zeta(k) - 1 by one mp.zeta(k) per entry.  The Hurwitz rows zeta(m, r/q)
 by one mpmath call per value, and the Euler-factor half sums of G_q by one
 mpf division and square root per term.  The literal sum of 1/|rho(1-rho)|
 over G_q's zeros, with no signed closed form at chi'(p) = 1.  p_q(x) term
@@ -69,6 +71,30 @@ def stieltjes_gamma1(x, prec: int = DEFAULT_PREC) -> mp.mpf:
         raise ValueError("gamma_1 argument must be positive")
     with mp.workprec(prec):
         return mp.stieltjes(1, _as_mpf(x))
+
+
+def kernel_row_mp(kernel: str, d: int, prec: int) -> dict:
+    """r -> psi(r/d), log Gamma(r/d) or zeta''(0, r/d) over the units r mod
+    d, for kernel "psi", "loggamma" or "zeta2", one mpmath call per value at
+    prec bits (the routes lvalues._row replaced).  The "zeta2" values are
+    zeta''(0, r/d) itself, with the terms zeta''(0) - 2 gamma_1 y that _row
+    drops."""
+    f = {"psi": mp.digamma, "loggamma": mp.loggamma, "zeta2": lambda a: mp.zeta(0, a, 2)}[kernel]
+    with mp.workprec(prec):
+        return {r: f(mp.mpf(r) / d) for r in units(d)}
+
+
+def zeta_table_mp(prec: int) -> tuple:
+    """floor((zeta(k) - 1) 2^W) for k = 0, 1, 2, ... at W = prec + 40, from
+    mp.zeta(k) at W + 20 bits, ending before its first zero entry, with
+    entries 0 and 1 unused (the route the zeta list of lvalues._zeta_ints
+    replaced)."""
+    w = prec + 40
+    table = [0, 0]
+    with mp.workprec(w + 20):
+        while z := int(mp.floor(mp.ldexp(mp.zeta(len(table)) - 1, w))):
+            table.append(z)
+    return tuple(table)
 
 
 def char_sum(chi: DirichletCharacter, row, prec: int) -> mp.mpc:

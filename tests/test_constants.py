@@ -254,10 +254,12 @@ _CUT_CACHES = ("_mertens_cached", "_prime_zeta_sums")
 
 
 def _clear(*names):
-    for name in names or _CUT_CACHES + (
-        "_log_L", "_hurwitz_row", "_zeta_table", "_abs_zero_sum_half", "_partial_euler_sums"
-    ):
+    """Clear the named caches of constants, or with no names _CUT_CACHES, the
+    row caches, the half sums, the winding pass and the lvalues zeta table."""
+    for name in names or _CUT_CACHES + ("_log_L", "_hurwitz_row", "_abs_zero_sum_half", "_partial_euler_sums"):
         getattr(constants, name).cache_clear()
+    if not names:
+        lvalues._zeta_ints.cache_clear()
 
 
 def _module_caches():
@@ -269,16 +271,16 @@ def test_per_character_sums_are_computed_once_per_key():
     integer Moebius sums, and G_q(14) asks eight times for an Euler-factor
     half sum, computed once per distinct key, exactly 2.  The Moebius sums
     read at most 48 rows of log L(m, chi), m = 2...49, each for every
-    character at once, from at most 48 Hurwitz rows mod 14 and one zeta(k)
-    table per precision."""
+    character at once, from at most 48 Hurwitz rows mod 14 and one integer
+    zeta(k) table per precision (lvalues._zeta_ints)."""
     _clear()
     mertens_C(14, 1)
     assert constants._prime_zeta_sums.cache_info().misses == 1
     assert constants._log_L.cache_info().misses <= 48
     assert constants._hurwitz_row.cache_info().misses <= 48
-    assert constants._zeta_table.cache_info().misses == 1
+    assert lvalues._zeta_ints.cache_info().misses == 1
     mertens_C(14, 1, 53)
-    assert constants._zeta_table.cache_info().misses == 2
+    assert lvalues._zeta_ints.cache_info().misses == 2
     G_q(14)
     assert constants._abs_zero_sum_half.cache_info().misses == 2
 

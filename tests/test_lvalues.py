@@ -1,11 +1,14 @@
-"""Digamma helper, the Stieltjes oracle, L(1), L'/L(1), and the Laurent data at s=0."""
+"""Digamma helper, the Stieltjes oracle, the integer kernels, L(1), L'/L(1), and the Laurent data at s=0."""
+
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import to_fixed
 
 from totprog import constants, lvalues
-from totprog.characters import build_group, factorint, units
+from totprog.characters import build_group, factorint
+from totprog.constants import F_q, mertens_C
 from totprog.lvalues import (
     L_at_1,
     Lprime_over_L_at_1,
@@ -16,7 +19,7 @@ from totprog.lvalues import (
     m0_sum,
     structural_m0,
 )
-from oracles import Lprime_at_1, char_sum, digamma, laurent_fit, stieltjes_gamma1
+from oracles import Lprime_at_1, char_sum, digamma, kernel_row_mp, laurent_fit, stieltjes_gamma1, zeta_table_mp
 
 
 def test_digamma_special_values(prec):
@@ -67,12 +70,9 @@ def test_gamma1_distribution_relation(prec):
 
 
 def _rows(q, prec):
-    """The psi and log Gamma rows as _row_sums builds them, and the Hurwitz
-    rows m = 2 and 49, as integers at scale 2^-(prec + 40)."""
-    w = prec + 40
-    with mp.workprec(prec):
-        rows = [{r: to_fixed(f(mp.mpf(r) / q)._mpf_, w) for r in units(q)} for f in (mp.digamma, mp.loggamma)]
-    return rows + [constants._hurwitz_row(q, m, prec) for m in (2, 49)]
+    """The psi and log Gamma rows that _row_sums sums, and the Hurwitz rows
+    m = 2 and 49, as integers at scale 2^-(prec + 40)."""
+    return [lvalues._row(k, q, prec) for k in ("psi", "loggamma")] + [constants._hurwitz_row(q, m, prec) for m in (2, 49)]
 
 
 @pytest.mark.parametrize("prec", [53, 192])
@@ -93,6 +93,111 @@ def test_char_sums_against_one_character_at_a_time(q, prec):
                 want = char_sum(chi, values, w + 40)
                 re, im = (mp.ldexp(x, -w) for x in got[chi.label])
                 assert abs(re - want.real) <= bound and abs(im - want.imag) <= bound, (q, chi.label, prec)
+
+
+# -- the integer kernels ------------------------------------------------------
+
+
+@pytest.mark.parametrize("prec", [53, 192, 256])
+def test_zeta_ints_against_mpmath(prec):
+    """The zeta(k) - 1 list is the mp.zeta route's entry for entry, length
+    included; both lists are within their 1.01 units of 2^-W of mp.zeta(k) - 1
+    and -mp.zeta(k, 1, 1) at W + 30 bits, and the first omitted k is below
+    1.01 units in both."""
+    w = prec + 40
+    zeta, dzeta = lvalues._zeta_ints(prec)
+    assert zeta == zeta_table_mp(prec) and len(dzeta) == len(zeta)
+    with mp.workprec(w + 30):
+        for k in range(2, len(zeta) + 1):
+            z, dz = (mp.ldexp(v, w) for v in (mp.zeta(k) - 1, -mp.zeta(k, 1, 1)))
+            if k == len(zeta):
+                assert z < mp.mpf("1.01") and dz < mp.mpf("1.01")
+            else:
+                assert abs(zeta[k] - z) < mp.mpf("1.01") and abs(dzeta[k] - dz) < mp.mpf("1.01"), k
+
+
+def test_bernoulli_ratios_from_tangent_numbers():
+    """B_2j/(2j)! for j = 1 ... 40 against mpmath's exact Bernoulli numbers."""
+    for j, (a, b) in enumerate(lvalues._bernoulli_ratios(40), 1):
+        assert Fraction(a, b) == Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j), j
+
+
+# the docstring bound B of lvalues._row, in units of 2^-(prec + 40)
+ROW_BOUND = {"psi": 6, "loggamma": 5}
+ROW_MODULI = [range(1, 51), range(51, 101), range(101, 151), range(151, 201), [1009]]
+
+
+@pytest.mark.parametrize("moduli", ROW_MODULI, ids=lambda ds: f"{ds[0]}-{ds[-1]}")
+@pytest.mark.parametrize("kernel", ["psi", "loggamma"])
+@pytest.mark.parametrize("prec", [53, 192])
+def test_psi_and_loggamma_rows_value_by_value(prec, kernel, moduli):
+    """Every value of the psi and log Gamma rows mod d, for every d <= 200
+    and d = 1009, is within its stated B of mpmath's value at 20 bits more."""
+    w = prec + 40
+    bound = ROW_BOUND[kernel]
+    for d in moduli:
+        want = kernel_row_mp(kernel, d, w + 20)
+        with mp.workprec(w + 20):
+            for r, v in lvalues._row(kernel, d, prec).items():
+                assert abs(v - mp.ldexp(want[r], w)) <= bound, (d, r)
+
+
+@pytest.mark.parametrize("prec", [53, 192])
+@pytest.mark.parametrize("d", [*range(3, 61), 149])
+def test_zeta2_sums_match_the_mpmath_row(d, prec):
+    """For every even primitive psi mod d, the zeta2 row's sum is the sum of
+    zeta''(0, r/d) itself, within _char_sums' bound with the row's B = 5 (the
+    terms the row drops sum to zero), plus 2^-20 sum |row| for the oracle's
+    own rounding at 40 bits more."""
+    w = prec + 40
+    evens = [chi for chi in build_group(d) if chi.is_primitive and not chi.parity and not chi.is_principal]
+    if not evens:
+        return
+    row = lvalues._row("zeta2", d, prec)
+    sums = lvalues._row_sums("zeta2", d, prec)
+    values = kernel_row_mp("zeta2", d, w + 40)
+    with mp.workprec(w + 40):
+        size = mp.fsum(abs(mp.ldexp(v, -w)) for v in row.values())
+        bound = mp.ldexp(mp.mpf("1.01") * size + 1 + 5 * len(row) + mp.ldexp(size, -20), -w)
+        for chi in evens:
+            want = char_sum(chi, values, w + 40)
+            re, im = (mp.ldexp(x, -w) for x in sums[chi.label])
+            assert abs(re - want.real) <= bound and abs(im - want.imag) <= bound, (d, chi.label)
+
+
+def test_kernels_need_no_mpmath_special_function(monkeypatch):
+    """With mp.digamma, mp.loggamma, mp.zeta and mp.stieltjes raising and
+    every cache of lvalues and constants cleared, F_q(13), L'/L(1) mod 12,
+    L(1) mod 7 and C(14, 1) still come out, bit for bit as before."""
+
+    def calls():
+        values = [
+            F_q(13).value,
+            *(Lprime_over_L_at_1(chi) for chi in build_group(12).nonprincipal()),
+            *(L_at_1(chi) for chi in build_group(7).nonprincipal()),
+            mertens_C(14, 1).log_C,
+        ]
+        return [(x.real._mpf_, x.imag._mpf_) for x in map(mp.mpc, values)]
+
+    def clear():
+        for module in (lvalues, constants):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear") and f.__module__ == module.__name__:
+                    f.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath special function was called")
+
+    before = calls()
+    clear()
+    with monkeypatch.context() as m:
+        for name in ("digamma", "loggamma", "zeta", "stieltjes"):
+            m.setattr(mp, name, refuse)
+        try:
+            after = calls()
+        finally:
+            clear()
+    assert after == before
 
 
 def test_L1_closed_forms(prec):

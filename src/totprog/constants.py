@@ -12,12 +12,11 @@ Highlights:
   of Hurwitz rows zeta(m, r/q); ``_hurwitz_row`` evaluates those in fixed
   point from lvalues' integer table of zeta(k) - 1 at the integers, one per
   precision (the expansion about a = 1, DLMF 25.11.10), with a stated error
-  bound.  The
-  whole path runs in Gaussian fixed point at W = prec + 40 bits for every
-  character at once: lvalues._char_sums of each row, one log per L(m, chi)
-  (``_log_L``), and the Moebius sums P(k, chi), log K(chi) and their
-  mean (``_prime_zeta_sums``) as integer sums, converted to mpf once per
-  character.  The winding number of log L(1, chi) comes from one pass over
+  bound.  The whole path runs in Gaussian fixed point at W = prec + 40 bits
+  for every character at once: lvalues._char_sums of each row, one log per
+  L(m, chi) (``_log_L``), and the Moebius sums P(k, chi), log K(chi) and
+  their mean (``_prime_zeta_sums``) as integer sums, converted to mpf once
+  per character.  The winding number of log L(1, chi) comes from one pass over
   the primes per (q, limit) for the whole group (``_partial_euler_sums``).
 
 * ``F_q`` sums 1/(rho(1-rho)) over nontrivial zeros of the primitive

@@ -169,8 +169,8 @@ def _zeta_ints(prec: int) -> tuple:
     sum_(i<m) 1/(k+i); so when the loop stops before term j with log N >
     H_(2j+3) - 1, each remainder lies between 0 and the first omitted term
     (Graham, Knuth and Patashnik, Concrete Mathematics, 9.5), below one unit.
-    Past the last j allowed, the loop raises; N = S // 4 leaves room for
-    about 3N/2 more bits than needed.
+    Past the last j allowed, the loop raises; with N = S // 4 it stops by
+    two thirds of the way at 53 to 1024 bits.
 
     Bound, in units of 2^-S, over J added terms: the direct floors, < N - 2
     for zeta and < 2 (N - 2) for dzeta (l_n is within 1.01 units); the tail
@@ -225,19 +225,20 @@ def _zeta_ints(prec: int) -> tuple:
 @lru_cache(maxsize=None)
 def _coefficients(kernel: str, prec: int) -> tuple:
     """c_n, n = 0 ... W + 4, at scale 2^-W, W = prec + 40, of the kernel's
-    series about a = 1 in y = 1 - a (DLMF 5.7.4, 5.7.3, 25.11.10):
+    series about a = 1 in y = 1 - a (DLMF 5.7, and 25.11.10 for zeta2):
 
-        psi(1 - y)     = -gamma - sum_{n>=1} zeta(n+1) y^n
+        psi(1 - y)       = -gamma - sum_{n>=1} zeta(n+1) y^n
         log Gamma(1 - y) = gamma y + sum_{n>=2} zeta(n) y^n / n
-        zeta2(1 - y)   = sum_{n>=2} (2/n) (H_(n-1) zeta(n) + zeta'(n)) y^n
+        zeta2(1 - y)     = sum_{n>=2} (2/n) (H_(n-1) zeta(n) + zeta'(n)) y^n
 
-    with zeta2(a) = zeta''(0, a) - zeta''(0) - 2 gamma_1 (1 - a), the second
-    derivative in s of the expansion of zeta(s, a) about a = 1 at s = 0.
-    From _zeta_ints and gamma floored at W + 20 bits; past the table, zeta(n)
-    = 1 and zeta'(n) = 0, within its 1.01 units.  Each c_n is one floor of an
-    exact expression in table entries, within 1.01 + 1 units (psi), 1.01/n +
-    1 (log Gamma) and (2/n)(H_(n-1) + 1) 1.01 + 1 <= 3.02 (zeta2) of its
-    value; and |c_n| < 1.65 in all three series."""
+    with zeta2(1 - y) = zeta''(0, 1 - y) - zeta''(0) + 2 gamma_1 y: the second
+    derivative in s at s = 0 of the terms n >= 2 of zeta(s, 1 - y) =
+    sum_n (s)_n/n! zeta(s + n) y^n.  From _zeta_ints and gamma floored at
+    W + 20 bits; past the table, zeta(n) = 1 and zeta'(n) = 0, within its
+    1.01 units.  Each c_n is exact in table entries or one floor of such an
+    expression, within 1.01 units (psi), 1.01/n + 1 (log Gamma) and
+    (2/n)(H_(n-1) + 1) 1.01 + 1 <= 3.02 (zeta2) of its value; and
+    |c_n| < 1.65 in all three series."""
     w = prec + 40
     zeta, dzeta = _zeta_ints(prec)
     with mp.workprec(w + 20):
@@ -268,9 +269,10 @@ def _row(kernel: str, d: int, prec: int) -> dict:
     For 2r <= d, a + 1 = 1 - y with y = -r/d, and psi(a) = psi(a + 1) - 1/a,
     log Gamma(a) = log Gamma(a + 1) - log a and zeta''(0, a) = zeta''(0, a + 1)
     + log^2 a; else y = (d - r)/d.  So |y| <= 1/2, and each value is the
-    integer Horner sum of _coefficients in y = u/d, cut at the first n with
-    |y|^n < 2^-(w+4), computed once per |u| (r and d - r share it), plus the
-    shift, one floor (psi) or one mp log at w + 20 bits (log Gamma, zeta2).
+    integer Horner sum of _coefficients in y = u/d over n < ceil((w + 5) /
+    log2(1/|y|)), so that |y|^n < 2^-(w+4) at the cut, computed once per |u|
+    (r and d - r share it), plus the shift: one floor (psi) or one mp log
+    floored to w + 20 bits (log Gamma, zeta2).
 
     The zeta2 row drops zeta''(0) - 2 gamma_1 y, which sums to zero against
     every even nonprincipal psi mod d: the constant does, and y is -r/d +
@@ -279,16 +281,16 @@ def _row(kernel: str, d: int, prec: int) -> dict:
     _b_primitive sums it against, so neither zeta''(0) nor gamma_1 is needed.
 
     Bound: each Horner step floors once, damped by |y|^n (< 2 in all); the
-    coefficients' errors, damped likewise (< 2.01 psi, 1.26 log Gamma, 1.51
+    coefficients' errors, damped likewise (< 2.02 psi, 1.26 log Gamma, 1.51
     zeta2); the terms past the cut, < 1.65 |y|^n / (1 - |y|) (< 0.21); and
-    the shift's floor (< 1, and < 1.01 for the log and its square while
-    2.1 log d < 2^10)."""
+    the shift's floor (< 1, and < 1.01 for the log, taken at w + 40 bits,
+    and for its square while log d < 4000)."""
     w = prec + 40
     if kernel == "r":
         return {r: r << w for r in units(d)}
     coeffs = _coefficients(kernel, prec)
     terms, row = {}, {}
-    with mp.workprec(w + 30):
+    with mp.workprec(w + 40):
         for r in units(d):
             u = -r if 2 * r <= d else d - r  # y = u/d
             if (n := terms.get(abs(u))) is None:

@@ -9,14 +9,14 @@ Highlights:
   oracle (tests/oracles.py).  The companion constant
   M(q,a) = sum_{p=a} {log(1-1/p)+1/p} - log C uses the same machinery.
   The corrections read log L(m, chi) at integers m >= 2, as character sums
-  of Hurwitz rows zeta(m, r/q); ``_hurwitz_row`` evaluates those in fixed
-  point from lvalues' integer table of zeta(k) - 1 at the integers, one per
-  precision (the expansion about a = 1, DLMF 25.11.10), with a stated error
-  bound.  The whole path runs in Gaussian fixed point at W = prec + 40 bits
-  for every character at once: lvalues._char_sums of each row, one log per
-  L(m, chi) (``_log_L``), and the Moebius sums P(k, chi), log K(chi) and
-  their mean (``_prime_zeta_sums``) as integer sums, converted to mpf once
-  per character.  The winding number of log L(1, chi) comes from one pass over
+  of Hurwitz rows zeta(m, r/q): the ("hurwitz", m) family of lvalues' one
+  series-row kernel ``_row``, in fixed point from its integer table of
+  zeta(k) - 1 (DLMF 25.11.10), with a stated error bound.  The whole path
+  runs in Gaussian fixed point at W = prec + 40 bits for every character at
+  once: lvalues._char_sums of each row, one log per L(m, chi) (``_log_L``),
+  and the Moebius sums P(k, chi), log K(chi) and their mean
+  (``_prime_zeta_sums``) as integer sums, converted to mpf once per
+  character.  The winding number of log L(1, chi) comes from one pass over
   the primes per (q, limit) for the whole group (``_partial_euler_sums``).
 
 * ``F_q`` sums 1/(rho(1-rho)) over nontrivial zeros of the primitive
@@ -43,7 +43,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .characters import DirichletCharacter, _log_table, build_group, factorint, residue, totient, units
-from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sums, _mpc, _zeta_ints, eps, laurent_at_zero
+from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sums, _mpc, _row, eps, laurent_at_zero
 from . import primes as primes_mod
 
 __all__ = [
@@ -111,80 +111,26 @@ class MertensConstant(NamedTuple):
     log_C: mp.mpf
 
 
-def _hurwitz_terms(m: int, u: int, q: int, w: int) -> int:
-    """The first n with t_n = C(m+n-1, n) 2^-(m+n) (u/q)^n below 2^-(w+4)
-    and t_{n+1}/t_n = (m+n) u / (2 (n+1) q) <= 1/2, which then holds for
-    every later n too; for 0 <= u <= q/2."""
-    n, binom, num, den = 0, 1, 1 << (w + 4), 1 << m
-    while (m + n) * u > (n + 1) * q or binom * num >= den:
-        binom = binom * (m + n) // (n + 1)
-        n += 1
-        num *= u
-        den *= 2 * q
-    return n
-
-
-@lru_cache(maxsize=None)
-def _hurwitz_row(q: int, m: int, prec: int) -> dict:
-    """r -> zeta(m, r/q) over the units r mod q, for integer m >= 2, as
-    integers at scale 2^-W, W = prec + 40, from the zeta(k) - 1 list of
-    lvalues._zeta_ints alone.
-
-    For 2r <= q take zeta(m, a) = a^-m + zeta(m, a + 1) and y = -r/q, else
-    y = (q - r)/q; so |y| <= 1/2, and with a' = 1 - y (DLMF 25.11.10)
-
-        zeta(m, a) = [a^-m] + a'^-m + sum_{n>=0} C(m+n-1, n) (zeta(m+n) - 1) y^n.
-
-    The sum is an integer Horner loop over coefficients c_n shared by the
-    row; it stops before the n = N that _hurwitz_terms returns, once per
-    |y| (r and q - r share it), and every c_n past the table is zero.
-    Bound, in units of 2^-W: the two powers are floored (< 2); each c_n
-    carries its table entry's error times C(m+n-1, n), < 1.01 (1 - |y|)^-m
-    in all; each Horner step floors once, and step n is damped by |y|^n
-    (< 2); the omitted terms n >= N, with zeta(k) - 1 <= 2^(1-k) for k >= 3,
-    are below 4 t_N < 1/4.  Since zeta(m, a) >= (1 - |y|)^-m >= 1, the
-    integer is zeta(m, a) (1 + delta) 2^W with |delta| < 6 * 2^-W."""
-    w = prec + 40
-    zeta = _zeta_ints(prec)[0]
-    coeffs = []
-    terms = {}
-    row = {}
-    for r in units(q):
-        u = -r if 2 * r <= q else q - r  # y = u/q
-        total = (q**m << w) // (q - u) ** m
-        if u < 0:
-            total += (q**m << w) // r**m
-        if (n_terms := terms.get(abs(u))) is None:
-            n_terms = terms[abs(u)] = max(0, min(_hurwitz_terms(m, abs(u), q, w), len(zeta) - m))
-        while (n := len(coeffs)) < n_terms:
-            coeffs.append(math.comb(m + n - 1, n) * zeta[m + n])
-        acc = 0
-        for c in reversed(coeffs[:n_terms]):
-            acc = c + acc * u // q
-        row[r] = total + acc
-    return row
-
-
 @lru_cache(maxsize=None)
 def _log_L(q: int, m: int, prec: int) -> dict:
     """label -> log L(m, chi) for every chi mod q and integer m >= 2
     (imprimitive L-series mod q), as Gaussian integers at scale 2^-w,
     w = prec + 40.  L(m, chi) = q^-m sum_r chi(r) zeta(m, r/q), from one
-    _char_sums of the Hurwitz row; its log is taken at prec + 8 bits and
-    floored to w bits, and conj chi takes the conjugate.  The principal
-    branch agrees with the Euler-sum branch since
+    _char_sums of the Hurwitz row _row(("hurwitz", m), q, prec); its log is
+    taken at prec + 8 bits and floored to w bits, and conj chi takes the
+    conjugate.  The principal branch agrees with the Euler-sum branch since
     sum_p |arg local factor| < sum_p p^-m / (1 - p^-m) < pi.
 
     Each entry is within 2^-(prec + 6) of its value: the sum is within
-    7.01 q^m zeta(2) + 1 units (_char_sums with the row's 6 * 2^-W relative
-    bound), so L(m, chi) after the floored division by q^m within 14 units,
-    and |L(m, chi)| >= zeta(4)/zeta(2) > 0.65; the rest is the rounding to
-    prec + 8 bits before and after the log."""
+    7.01 q^m zeta(2) + 1 units (_char_sums with the Hurwitz row's relative
+    bound 6 * 2^-w, _row), so L(m, chi) after the floored division by q^m
+    within 14 units, and |L(m, chi)| >= zeta(4)/zeta(2) > 0.65; the rest is
+    the rounding to prec + 8 bits before and after the log."""
     w = prec + 40
     qm = q**m
     logs = {}
     with mp.workprec(prec + 8):
-        for label, (re, im) in _char_sums(_hurwitz_row(q, m, prec), q, w).items():
+        for label, (re, im) in _char_sums(_row(("hurwitz", m), q, prec), q, w).items():
             if (conj := pow(label, -1, q) if q > 1 else label) in logs:
                 x, y = logs[conj]
                 logs[label] = (x, -y)

@@ -19,11 +19,12 @@ integers at scale 2^-w against every chi mod q at once, summed over the
 exponents of characters._log_table with roots floored to w bits, under a
 stated bound.  The kernel rows (psi, log Gamma, zeta''(0) at r/d, and r)
 are integers at w = prec + 40 bits, summed once per (kernel, d, prec), and
-computed with no mpmath special function: each is an integer Horner sum of
-the series about a = 1 (DLMF 5.7, 25.11), whose coefficients come from one
-integer table of zeta(k) - 1 and -zeta'(k) per precision (_zeta_ints), plus
-a shift for r/d <= 1/2 that takes at most one log.  constants reads the same
-table for its Hurwitz rows and sums them through the same seam.
+computed with no mpmath special function by one series-row kernel, _row: an
+integer Horner sum of the series about a = 1 (DLMF 5.7, 25.11), whose
+coefficients come from one integer table of zeta(k) - 1 and -zeta'(k) per
+precision (_zeta_ints), plus a shift for r/d <= 1/2 that takes at most one
+log.  The Hurwitz rows zeta(m, r/q) that constants sums through the same
+seam are one more family of that kernel, ("hurwitz", m).
 
 b(psi) is cached once per (psi, prec); L'/L(1, chi), F(chi) and the Laurent
 data at s = 0 all read it.  The Laurent data (structural_m0, laurent_at_zero)
@@ -223,7 +224,7 @@ def _zeta_ints(prec: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _coefficients(kernel: str, prec: int) -> tuple:
+def _series(kernel: str, prec: int) -> tuple:
     """c_n, n = 0 ... W + 4, at scale 2^-W, W = prec + 40, of the kernel's
     series about a = 1 in y = 1 - a (DLMF 5.7, and 25.11.10 for zeta2):
 
@@ -257,22 +258,64 @@ def _coefficients(kernel: str, prec: int) -> tuple:
     return tuple(c)
 
 
-def _row(kernel: str, d: int, prec: int) -> dict:
+def _coefficients(kernel: str | tuple, prec: int, count: int) -> tuple:
+    """c_n, n < count, at scale 2^-W, W = prec + 40, of the kernel's series
+    about a = 1 in y = 1 - a: _series for "psi", "loggamma" and "zeta2"; for
+    ("hurwitz", m), m >= 2, those of the sum in (DLMF 25.11.10)
+
+        zeta(m, 1 - y) = (1 - y)^-m + sum_{n>=0} C(m+n-1, n) (zeta(m+n) - 1) y^n,
+
+    C(m+n-1, n) times the zeta list of _zeta_ints, so within 1.01 C(m+n-1, n)
+    units, up to where the table ends (each later entry is 0 within its
+    units).  Built per row, uncached: _log_L caches the sums per (q, m, prec)."""
+    if isinstance(kernel, str):
+        return _series(kernel, prec)[:count]
+    m = kernel[1]
+    zeta = _zeta_ints(prec)[0]
+    c, binom = [], 1  # binom = C(m+n-1, n)
+    for n in range(min(count, len(zeta) - m)):
+        c.append(binom * zeta[m + n])
+        binom = binom * (m + n) // (n + 1)
+    return tuple(c)
+
+
+def _terms(kernel: str | tuple, s: int, d: int, w: int) -> int:
+    """N for _row's Horner sum at |y| = s/d, by the rule _row states."""
+    if not s:
+        return 1
+    if isinstance(kernel, str):
+        return math.ceil((w + 5) / math.log2(d / s))
+    m = kernel[1]
+    n, log_t, log_y = 0, -m, math.log2(s / (2 * d))  # log2 t_0, log2 |y|/2
+    while (m + n) * s > (n + 1) * d or log_t >= -(w + 5):
+        log_t += math.log2((m + n) / (n + 1)) + log_y
+        n += 1
+    return n
+
+
+def _row(kernel: str | tuple, d: int, prec: int) -> dict:
     """r -> the kernel at a = r/d over the units r mod d, as integers at
     scale 2^-w, w = prec + 40, each within B units of its value:
 
-        "psi"       psi(r/d)                                        B = 6
-        "loggamma"  log Gamma(r/d)                                  B = 5
-        "zeta2"     zeta''(0, r/d) - zeta''(0) + 2 gamma_1 y        B = 5
-        "r"         r                                               B = 0
+        "psi"          psi(r/d)                                     B = 6
+        "loggamma"     log Gamma(r/d)                               B = 5
+        "zeta2"        zeta''(0, r/d) - zeta''(0) + 2 gamma_1 y     B = 5
+        ("hurwitz", m) zeta(m, r/d), m >= 2                         B = 6 zeta(m, r/d)
+        "r"            r                                            B = 0
 
     For 2r <= d, a + 1 = 1 - y with y = -r/d, and psi(a) = psi(a + 1) - 1/a,
-    log Gamma(a) = log Gamma(a + 1) - log a and zeta''(0, a) = zeta''(0, a + 1)
-    + log^2 a; else y = (d - r)/d.  So |y| <= 1/2, and each value is the
-    integer Horner sum of _coefficients in y = u/d over n < ceil((w + 5) /
-    log2(1/|y|)), so that |y|^n < 2^-(w+4) at the cut, computed once per |u|
-    (r and d - r share it), plus the shift: one floor (psi) or one mp log
-    floored to w + 20 bits (log Gamma, zeta2).
+    log Gamma(a) = log Gamma(a + 1) - log a, zeta''(0, a) = zeta''(0, a + 1)
+    + log^2 a and zeta(m, a) = zeta(m, a + 1) + a^-m; else y = (d - r)/d.  So
+    |y| <= 1/2, and each value is the integer Horner sum of _coefficients in
+    y = u/d over n < N, plus the shift: one floor (psi, Hurwitz) or one mp
+    log floored to w + 20 bits (log Gamma, zeta2); the Hurwitz row adds the
+    closed part a'^-m = (d/(d - u))^m of its series, a' = 1 - y, floored.
+    N comes from a float bound on |c_n| |y|^n, once per |u| (_terms; r and
+    d - r share it): for psi, log Gamma and zeta2, N = ceil((w + 5) /
+    log2(1/|y|)), so |y|^N < 2^-(w+4); for Hurwitz, the first n with t_n =
+    C(m+n-1, n) 2^-(m+n) |y|^n below 2^-(w+5) and t_(n+1)/t_n = (m+n) |y| /
+    (2 (n+1)) <= 1/2, which then holds for every later n (log2 t_n is summed
+    in floats, whose error the one bit of margin covers).
 
     The zeta2 row drops zeta''(0) - 2 gamma_1 y, which sums to zero against
     every even nonprincipal psi mod d: the constant does, and y is -r/d +
@@ -280,30 +323,40 @@ def _row(kernel: str, d: int, prec: int) -> dict:
     splits sum psi(r) = 0 in equal halves.  Those are the only characters
     _b_primitive sums it against, so neither zeta''(0) nor gamma_1 is needed.
 
-    Bound: each Horner step floors once, damped by |y|^n (< 2 in all); the
-    coefficients' errors, damped likewise (< 2.02 psi, 1.26 log Gamma, 1.51
-    zeta2); the terms past the cut, < 1.65 |y|^n / (1 - |y|) (< 0.21); and
-    the shift's floor (< 1, and < 1.01 for the log, taken at w + 40 bits,
-    and for its square while log d < 4000)."""
+    Bound: each Horner step floors once, and step n is damped by |y|^n
+    (< 2 in all).  Each family adds its coefficients' errors, damped likewise,
+    the terms n >= N, and the floors of its shift and closed part:
+      psi, log Gamma, zeta2: < 2.02, 1.26 and 1.51; < 1.65 |y|^N / (1 - |y|)
+        < 0.21 (|c_n| < 1.65); < 1, and < 1.01 for the log, taken at w + 40
+        bits, and for its square while log d < 4000.
+      Hurwitz: < 1.01 (1 - |y|)^-m; < 2 sum t_n <= 4 t_N < 1/8, since
+        zeta(k) - 1 <= 2^(1-k) for k >= 3; < 2.  As zeta(m, a) >= a'^-m =
+        (1 - |y|)^-m >= 1 for y > 0 and zeta(m, a) >= a^-m >= 2^m for y < 0,
+        the integer is zeta(m, a) (1 + delta) 2^w with |delta| < 6 * 2^-w."""
     w = prec + 40
     if kernel == "r":
         return {r: r << w for r in units(d)}
-    coeffs = _coefficients(kernel, prec)
-    terms, row = {}, {}
+    family, m = (kernel, 0) if isinstance(kernel, str) else kernel
+    ys = {r: -r if 2 * r <= d else d - r for r in units(d)}  # y = u/d
+    terms = {s: _terms(kernel, s, d, w) for s in set(map(abs, ys.values()))}
+    coeffs = _coefficients(kernel, prec, max(terms.values()))
+    scale = d**m << w
+    row = {}
     with mp.workprec(w + 40):
-        for r in units(d):
-            u = -r if 2 * r <= d else d - r  # y = u/d
-            if (n := terms.get(abs(u))) is None:
-                n = terms[abs(u)] = math.ceil((w + 5) / math.log2(d / abs(u))) if u else 1
+        for r, u in ys.items():
             acc = 0
-            for c in reversed(coeffs[:n]):
+            for c in reversed(coeffs[: terms[abs(u)]]):
                 acc = c + acc * u // d
+            if family == "hurwitz":
+                acc += scale // (d - u) ** m
             if u < 0:
-                if kernel == "psi":
+                if family == "psi":
                     acc -= (d << w) // r
+                elif family == "hurwitz":
+                    acc += scale // r**m
                 else:
                     log_a = to_fixed(mp.log(mp.mpf(r) / d)._mpf_, w + 20)
-                    acc += -(log_a >> 20) if kernel == "loggamma" else (log_a * log_a) >> (w + 40)
+                    acc += -(log_a >> 20) if family == "loggamma" else (log_a * log_a) >> (w + 40)
             row[r] = acc
     return row
 

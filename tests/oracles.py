@@ -106,8 +106,8 @@ def char_sum(chi: DirichletCharacter, row, prec: int) -> mp.mpc:
 
 def hurwitz_row_mp(q: int, m: int, prec: int, rs=None) -> dict:
     """r -> zeta(m, r/q) over the units r mod q (or the units rs), one mpmath
-    Hurwitz zeta call per value at prec bits (the route constants._hurwitz_row
-    replaced)."""
+    Hurwitz zeta call per value at prec bits (the route the ("hurwitz", m)
+    family of lvalues._row replaced)."""
     with mp.workprec(prec):
         return {r: mp.zeta(m, mp.mpf(r) / q) for r in (units(q) if rs is None else rs)}
 

@@ -184,16 +184,16 @@ def test_partial_euler_sums_match_the_loop():
 
 def _half_ulp(v, prec):
     """Half a unit in the last place of v at prec bits, plus 2^-30 of one:
-    _hurwitz_row's bound before its rounding to prec bits is 6 * 2^-40 ulp,
+    the Hurwitz row's bound before its rounding to prec bits is 6 * 2^-40 ulp,
     and a reference at prec + 40 bits is off by a few 2^-40 ulp at most."""
     return mp.ldexp(1 + mp.ldexp(1, -29), mp.mag(v) - prec - 1)
 
 
 def _hurwitz_row(q, m, prec):
-    """constants._hurwitz_row, each integer at scale 2^-(prec + 40) rounded
-    to prec bits."""
+    """The Hurwitz row lvalues._row(("hurwitz", m), q, prec) that _log_L
+    sums, each integer at scale 2^-(prec + 40) rounded to prec bits."""
     with mp.workprec(prec):
-        return {r: mp.mpf((v, -(prec + 40))) for r, v in constants._hurwitz_row(q, m, prec).items()}
+        return {r: mp.mpf((v, -(prec + 40))) for r, v in lvalues._row(("hurwitz", m), q, prec).items()}
 
 
 def _correctly_rounded(row, q, m, prec, rs):
@@ -255,29 +255,38 @@ _CUT_CACHES = ("_mertens_cached", "_prime_zeta_sums")
 
 def _clear(*names):
     """Clear the named caches of constants, or with no names _CUT_CACHES, the
-    row caches, the half sums, the winding pass and the lvalues zeta table."""
-    for name in names or _CUT_CACHES + ("_log_L", "_hurwitz_row", "_abs_zero_sum_half", "_partial_euler_sums"):
+    log L rows, the half sums, the winding pass, and the lvalues zeta table
+    with the series coefficients read from it."""
+    for name in names or _CUT_CACHES + ("_log_L", "_abs_zero_sum_half", "_partial_euler_sums"):
         getattr(constants, name).cache_clear()
     if not names:
         lvalues._zeta_ints.cache_clear()
+        lvalues._series.cache_clear()
 
 
 def _module_caches():
     return [n for n, f in vars(constants).items() if hasattr(f, "cache_clear") and f.__module__ == constants.__name__]
 
 
-def test_per_character_sums_are_computed_once_per_key():
+def test_per_character_sums_are_computed_once_per_key(monkeypatch):
     """C(14, 1) reads P(k, chi) for every chi mod 14 from one table of
     integer Moebius sums, and G_q(14) asks eight times for an Euler-factor
     half sum, computed once per distinct key, exactly 2.  The Moebius sums
     read at most 48 rows of log L(m, chi), m = 2...49, each for every
     character at once, from at most 48 Hurwitz rows mod 14 and one integer
     zeta(k) table per precision (lvalues._zeta_ints)."""
+    rows = []
+
+    def row(kernel, d, prec):
+        rows.append((kernel, d))
+        return lvalues._row(kernel, d, prec)
+
     _clear()
+    monkeypatch.setattr(constants, "_row", row)
     mertens_C(14, 1)
     assert constants._prime_zeta_sums.cache_info().misses == 1
     assert constants._log_L.cache_info().misses <= 48
-    assert constants._hurwitz_row.cache_info().misses <= 48
+    assert 0 < len(rows) <= 48 and all(kernel[0] == "hurwitz" and d == 14 for kernel, d in rows)
     assert lvalues._zeta_ints.cache_info().misses == 1
     mertens_C(14, 1, 53)
     assert lvalues._zeta_ints.cache_info().misses == 2

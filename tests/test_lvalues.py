@@ -19,7 +19,7 @@ from totprog.lvalues import (
     m0_sum,
     structural_m0,
 )
-from oracles import Lprime_at_1, char_sum, digamma, kernel_row_mp, laurent_fit, stieltjes_gamma1, zeta_table_mp
+from oracles import Lprime_at_1, char_sum, digamma, hurwitz_row_mp, kernel_row_mp, laurent_fit, stieltjes_gamma1, zeta_table_mp
 
 
 def test_digamma_special_values(prec):
@@ -71,8 +71,8 @@ def test_gamma1_distribution_relation(prec):
 
 def _rows(q, prec):
     """The psi and log Gamma rows that _row_sums sums, and the Hurwitz rows
-    m = 2 and 49, as integers at scale 2^-(prec + 40)."""
-    return [lvalues._row(k, q, prec) for k in ("psi", "loggamma")] + [constants._hurwitz_row(q, m, prec) for m in (2, 49)]
+    m = 2 and 49 that _log_L sums, as integers at scale 2^-(prec + 40)."""
+    return [lvalues._row(k, q, prec) for k in ("psi", "loggamma", ("hurwitz", 2), ("hurwitz", 49))]
 
 
 @pytest.mark.parametrize("prec", [53, 192])
@@ -122,23 +122,27 @@ def test_bernoulli_ratios_from_tangent_numbers():
         assert Fraction(a, b) == Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j), j
 
 
-# the docstring bound B of lvalues._row, in units of 2^-(prec + 40)
+# the docstring bound B of lvalues._row, in units of 2^-(prec + 40); the
+# Hurwitz family's is 6 times the value
 ROW_BOUND = {"psi": 6, "loggamma": 5}
 ROW_MODULI = [range(1, 51), range(51, 101), range(101, 151), range(151, 201), [1009]]
 
 
 @pytest.mark.parametrize("moduli", ROW_MODULI, ids=lambda ds: f"{ds[0]}-{ds[-1]}")
-@pytest.mark.parametrize("kernel", ["psi", "loggamma"])
+@pytest.mark.parametrize(
+    "kernel", ["psi", "loggamma", ("hurwitz", 2), ("hurwitz", 25), ("hurwitz", 49)], ids=lambda k: "".join(map(str, k))
+)
 @pytest.mark.parametrize("prec", [53, 192])
 def test_psi_and_loggamma_rows_value_by_value(prec, kernel, moduli):
-    """Every value of the psi and log Gamma rows mod d, for every d <= 200
-    and d = 1009, is within its stated B of mpmath's value at 20 bits more."""
-    w = prec + 40
-    bound = ROW_BOUND[kernel]
+    """Every value of the psi, log Gamma and Hurwitz zeta(m, .) rows mod d,
+    for every d <= 200 and d = 1009, is within its stated B of mpmath's
+    value at 20 bits more."""
+    w, hurwitz = prec + 40, isinstance(kernel, tuple)
     for d in moduli:
-        want = kernel_row_mp(kernel, d, w + 20)
+        want = hurwitz_row_mp(d, kernel[1], w + 20) if hurwitz else kernel_row_mp(kernel, d, w + 20)
         with mp.workprec(w + 20):
             for r, v in lvalues._row(kernel, d, prec).items():
+                bound = 6 * want[r] if hurwitz else ROW_BOUND[kernel]
                 assert abs(v - mp.ldexp(want[r], w)) <= bound, (d, r)
 
 

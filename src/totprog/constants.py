@@ -16,8 +16,8 @@ Highlights:
   once: lvalues._char_sums of each row, one log per L(m, chi) (``_log_L``),
   and the Moebius sums P(k, chi), log K(chi) and their mean
   (``_prime_zeta_sums``) as integer sums, converted to mpf once per
-  character.  The winding number of log L(1, chi) comes from one pass over
-  the primes per (q, limit) for the whole group (``_partial_euler_sums``).
+  character.  The winding number of log L(1, chi) comes from one more
+  such row per (q, limit), of prime reciprocals (``_reciprocal_sums``).
 
 * ``F_q`` sums 1/(rho(1-rho)) over nontrivial zeros of the primitive
   L-functions via the closed form -log(d/pi) + gamma + 2 alpha log 2
@@ -31,18 +31,14 @@ Highlights:
 
 from __future__ import annotations
 
-import bisect
-import cmath
 import math
-from array import array
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .characters import DirichletCharacter, _log_table, build_group, factorint, residue, totient, units
+from .characters import DirichletCharacter, build_group, factorint, residue, totient, units
 from .lvalues import DEFAULT_PREC, Approx, L_at_1, Lprime_over_L_at_1, _char_sums, _mpc, _row, eps, laurent_at_zero
 from . import primes as primes_mod
 
@@ -199,24 +195,32 @@ def _mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-# The primes of the partial Euler sum in _branched_log_L1: up to the first
+# The primes of the winding estimate in _branched_log_L1: up to the first
 # limit, and up to each later one in turn while the estimate stays ambiguous.
 _BRANCH_LIMITS = (100_000, 1_000_000, 10_000_000)
 
 
-def _branched_log_L1(chi: DirichletCharacter, prec: int) -> mp.mpc:
+def _branched_log_L1(chi: DirichletCharacter, prec: int, tail: int) -> mp.mpc:
     """log L(1, chi) on the branch continued along the Euler product
-    (the branch entering P(1,chi) = sum_p chi(p)/p).  The partial Euler sum
-    in double precision pins the winding number: over the primes up to each
-    limit of _BRANCH_LIMITS in turn, until the estimate lies within 0.25 of
-    an integer, raising past the last.  The value itself comes from the
-    exact L(1,chi)."""
+    (the branch entering P(1,chi) = sum_p chi(p)/p).  Its winding number
+    comes from the estimate sum_{p <= X} chi(p)/p + sum_{k >= 2} P(k, chi^k)/k
+    of log L(1, chi): the first sum from _reciprocal_sums, and tail, the
+    imaginary part of the second, from h + log K (_prime_zeta_sums), at
+    scale 2^-w, w = prec + 40.  X is each limit of _BRANCH_LIMITS in turn,
+    until the estimate lies within 0.25 of an integer, raising past the
+    last.  The value itself comes from the exact L(1,chi).
+
+    The estimate differs from the partial Euler sum -sum_{p <= X} log(1 -
+    chi(p)/p) by the terms k >= 2 over p > X, below sum_{p > X} 1/(p (p -
+    1)) < 1/X, and by roundings below 2^(3 - _PZ_BITS): the row's floors
+    (fewer than pi(X) units of 2^-w), _char_sums', and h + log K's."""
+    w = prec + 40
     with mp.workprec(prec):
         principal = mp.log(L_at_1(chi, prec))
     for limit in _BRANCH_LIMITS:
-        s0 = _partial_euler_sums(chi.modulus, limit)[chi.label]
+        im = _reciprocal_sums(chi.modulus, limit, prec)[chi.label][1] + tail
         try:
-            k = _winding_number((s0.imag - float(mp.im(principal))) / (2 * math.pi))
+            k = _winding_number((im / (1 << w) - float(mp.im(principal))) / (2 * math.pi))
             break
         except ArithmeticError:
             if limit == _BRANCH_LIMITS[-1]:
@@ -225,53 +229,20 @@ def _branched_log_L1(chi: DirichletCharacter, prec: int) -> mp.mpc:
         return principal + 2j * mp.pi * k
 
 
-# The partial Euler sums take the primes up to _LOG_CUT one log at a time and
-# the rest through their class power sums up to p^-_POWERS.
-_LOG_CUT = 1000
-_POWERS = 4
-
-
 @lru_cache(maxsize=None)
-def _partial_euler_sums(q: int, limit: int) -> dict:
-    """label -> -sum log(1 - chi(p)/p) over the primes p <= limit in doubles,
-    for every chi mod q, from one pass over prime_table(limit) that sorts
-    the primes into one array per unit class r mod q (a prime dividing q
-    has chi(p) = 0 and adds nothing).  A prime p <= _LOG_CUT adds one
-    cmath.log per character.  The rest add, through S_k(r) = sum p^-k over
-    their class, sum_{k <= K} (1/k) sum_r chi(r)^k S_k(r) with K = _POWERS:
-    the series of -log(1 - z/p) cut after z^K/K.  The omitted terms come to
-    at most sum_{k > K} (1/k) sum_{n > 1000} n^-k < 1000^-K / (K (K + 1) (1 -
-    1/1000)) = 5.1e-14 in absolute value, below 10^-14 turns."""
-    logs, scaled, exps = _log_table(q)
-    n = len(exps)
-    classes = {r: array("I") for r in scaled}
+def _reciprocal_sums(q: int, limit: int, prec: int) -> dict:
+    """label -> sum_{p <= limit} chi(p)/p for every chi mod q, Gaussian
+    integers at scale 2^-w, w = prec + 40: _char_sums of the row r -> sum
+    floor(2^w/p) over the primes p = r mod q up to limit (one pass over
+    prime_table(limit); a p | q adds nothing).  The row's floors come to
+    fewer than pi(limit) units, so each component is within pi(limit) + 5
+    units (_char_sums' bound, with sum_p 1/p < 3.1 for limit <= 10^7)."""
+    one = 1 << (prec + 40)
+    row = {r % q: 0 for r in units(q)}  # keyed 0 for q = 1, as p % 1 is
     for p in primes_mod.prime_table(limit).primes:
-        if (bucket := classes.get(p % q)) is not None:
-            bucket.append(p)
-    roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
-    parts = []  # (scaled logs of r, primes p <= _LOG_CUT, S_1(r), ..., S_K(r))
-    for r, bucket in classes.items():
-        i = bisect.bisect_right(bucket, _LOG_CUT)
-        inv = [1.0 / p for p in bucket[i:]]
-        power, powers = inv, []
-        for _ in range(_POWERS):
-            powers.append(sum(power))
-            power = list(map(mul, power, inv))
-        parts.append((scaled[r], bucket[:i], powers))
-    sums = {}
-    for label in units(q):
-        a = logs[label % q]
-        s0 = 0j
-        for s, small, powers in parts:
-            z = roots[sum(map(mul, a, s)) % n]
-            for p in small:
-                s0 -= cmath.log(1 - z / p)
-            zk = z
-            for k, S in enumerate(powers, 1):
-                s0 += zk * S / k
-                zk *= z
-        sums[label] = s0
-    return sums
+        if (r := p % q) in row:
+            row[r] += one // p
+    return _char_sums(row, q, prec + 40)
 
 
 def _winding_number(turns: float) -> int:
@@ -302,7 +273,7 @@ def _mertens_cached(q: int, a: int, prec: int) -> MertensConstant:
             h, logK = sums[chi.label]
             mean_h += coef * _mpc(h, w)
             if not chi.is_principal:
-                acc += coef * (-_branched_log_L1(chi, prec) + _mpc(logK, w))
+                acc += coef * (-_branched_log_L1(chi, prec, h[1] + logK[1]) + _mpc(logK, w))
         log_C = mp.re(acc) / phi
         tail = mp.mpf(2) ** (2 - _PZ_BITS) * (phi + 1)  # see _PZ_BITS
         C = mp.e**log_C

@@ -33,6 +33,7 @@ _HURWITZ = [
     "tests/test_lvalues.py::test_psi_and_loggamma_rows_value_by_value[53-hurwitz2-1-50]",
 ]
 _PSI = ["tests/test_lvalues.py::test_psi_and_loggamma_rows_value_by_value[53-psi-1-50]"]
+_WINDING = ["tests/test_constants.py::test_partial_euler_sums_match_the_loop"]
 
 MUTANTS = [
     (
@@ -83,6 +84,58 @@ MUTANTS = [
         "acc = c + acc * u // d",
         "acc = c + acc * abs(u) // d",
         _PSI,
+    ),
+    (
+        "char-sums-sine-sign-flipped",
+        "totprog/lvalues.py",
+        "            im += v * sin[k]\n",
+        "            im -= v * sin[k]\n",
+        ["tests/test_lvalues.py::test_char_sums_against_one_character_at_a_time[5-53]"],
+    ),
+    (
+        "bernoulli-B4-sign-flipped",
+        "totprog/lvalues.py",
+        "(t[j - 1] if j % 2 else -t[j - 1],",
+        "(t[j - 1] if j % 2 or j == 2 else -t[j - 1],",
+        ["tests/test_lvalues.py::test_bernoulli_ratios_from_tangent_numbers"],
+    ),
+    (
+        "euler-factor-sign-flipped",
+        "totprog/lvalues.py",
+        "            ll += val * mp.log(p) / (p - val)\n",
+        "            ll -= val * mp.log(p) / (p - val)\n",
+        [f"tests/test_lvalues.py::test_LpL1_matches_stieltjes_oracle[{q}]" for q in (6, 12, 20)],
+    ),
+    (
+        "point-sums-partial-block-dropped",
+        "totprog/primes.py",
+        "self._block_sums(m, *self._products(m * BLOCK, k))",
+        "self._block_sums(m, *self._products(m * BLOCK, m * BLOCK))",
+        [
+            "tests/test_primes.py::test_point_sums_match_the_running_sums",
+            "tests/test_primes.py::test_point_bound_covers_a_finer_value_at_the_sieve_limit[qa1]",
+        ],
+    ),
+    (
+        "p_q-grid-column-2x-for-2(x-1)",
+        "totprog/criterion.py",
+        'array("d", (2 * (x - 1) for x in xs))',
+        'array("d", (2 * x for x in xs))',
+        ["tests/test_criterion.py::test_P_q_grid_evaluates_the_p_q_formula[7]"],
+    ),
+    (
+        "winding-tail-h-plus-log-K-dropped",
+        "totprog/constants.py",
+        "[chi.label][1] + tail\n",
+        "[chi.label][1]\n",
+        _WINDING,
+    ),
+    (
+        "winding-row-reciprocal-of-p-plus-1",
+        "totprog/constants.py",
+        "            row[r] += one // p\n",
+        "            row[r] += one // (p + 1)\n",
+        _WINDING,
     ),
     (
         "zeta2-harmonic-H_n-for-H_(n-1)",

@@ -352,6 +352,14 @@ def partial_euler_sum(chi: DirichletCharacter, limit: int) -> complex:
     return s0
 
 
+def reciprocal_sum(chi: DirichletCharacter, limit: int) -> complex:
+    """sum chi(p)/p over the primes p <= limit in doubles, one prime at a
+    time: the first part of the winding guard's estimate."""
+    q = chi.modulus
+    rot = {r: cmath.exp(2j * math.pi * float(t)) for r in range(q) if (t := chi.exponent(r)) is not None}
+    return sum(z / p for p in primes_mod.prime_table(limit).primes if (z := rot.get(p % q)) is not None)
+
+
 def abs_zero_sum_half_mp(p: int, theta_frac, kmax: int, prec: int) -> mp.mpf:
     """The Euler-factor half sum of constants._abs_zero_sum_half, term by
     term in mpf at prec bits (the route it replaced): f(t_k) for k <= kmax,

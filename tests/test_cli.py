@@ -37,6 +37,18 @@ def test_unknown_table_id(capsys):
     assert "unknown table id" in err
 
 
+def test_key_error_inside_a_known_table_keeps_its_message(capsys, monkeypatch):
+    """A KeyError raised while a known table is computed reaches main as
+    itself, not as an unknown table id."""
+
+    def bound_params(q, prec):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(criterion, "bound_params", bound_params)
+    code, out, err = run(["table", "T8"], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: 'planted'\n")
+
+
 @pytest.mark.parametrize("tid", ["T6", "T7"])
 def test_tables_without_bundled_data(tid, capsys):
     code, _, err = run(["table", tid], capsys)
@@ -187,9 +199,11 @@ def test_sweep_sieves_once_for_itself_and_the_winding_guard(capsys, monkeypatch,
     # compute C(7,1) afresh, so that the guard reads the primes too
     monkeypatch.setattr(constants, "_mertens_cached", functools.lru_cache(constants._mertens_cached.__wrapped__))
     read = []
-    real = constants._partial_euler_sums.__wrapped__
+    real = constants._reciprocal_sums.__wrapped__
     monkeypatch.setattr(
-        constants, "_partial_euler_sums", functools.lru_cache(lambda q, limit: read.append(limit) or real(q, limit))
+        constants,
+        "_reciprocal_sums",
+        functools.lru_cache(lambda q, limit, prec: read.append(limit) or real(q, limit, prec)),
     )
     code, out, _ = run(["sweep", "--q", "7"], capsys)
     assert (code, out) == (cli.EXIT_OK, (GOLDEN / "sweep_q7.json").read_text())

@@ -19,6 +19,7 @@ from oracles import (
     index_data_bruteforce,
     mertens_C_naive,
     partial_euler_sum,
+    reciprocal_sum,
 )
 from totprog import constants, lvalues, primes
 from totprog.characters import build_group, factorint, totient, units
@@ -139,8 +140,8 @@ def test_winding_number_clean_estimate(turns, k):
 
 
 def test_ambiguous_winding_estimate_retries_over_more_primes(monkeypatch):
-    """A first prime list whose partial Euler sum winds too far (2 six times:
-    0.41 turns off for the complex characters mod 5) is retried over the
+    """A first prime list whose winding estimate winds too far (2 six times:
+    0.436 turns off for the complex characters mod 5) is retried over the
     primes up to the next limit, asked for once for the group, and log C
     comes out unchanged."""
     real = primes.prime_table
@@ -150,33 +151,43 @@ def test_ambiguous_winding_estimate_retries_over_more_primes(monkeypatch):
         asked.append(limit)
         return SimpleNamespace(primes=[2] * 6) if limit == constants._BRANCH_LIMITS[0] else real(limit)
 
-    _clear("_mertens_cached", "_partial_euler_sums")
+    _clear("_mertens_cached", "_reciprocal_sums")
     want = mertens_C(5, 2).log_C
-    _clear("_mertens_cached", "_partial_euler_sums")
+    _clear("_mertens_cached", "_reciprocal_sums")
     monkeypatch.setattr(primes, "prime_table", prime_table)
     try:
         got = mertens_C(5, 2).log_C
     finally:
-        _clear("_mertens_cached", "_partial_euler_sums")
+        _clear("_mertens_cached", "_reciprocal_sums")
     first, second = constants._BRANCH_LIMITS[:2]
     assert asked.count(second) == 1 and set(asked) == {first, second}
     assert got._mpf_ == want._mpf_
 
 
-def test_partial_euler_sums_match_the_loop():
-    """The winding guard's group pass over the primes to 10^5 gives every
-    character mod q <= 30 and mod 101 the loop's winding number, and an
-    estimate within 10^-9 turns of the loop's."""
-    limit = constants._BRANCH_LIMITS[0]
+def test_partial_euler_sums_match_the_loop(monkeypatch):
+    """For every character mod q <= 30 and mod 101, over the primes to
+    X = 10^5: the winding guard's reciprocal sums are the loop's sum of
+    chi(p)/p; as C(q, 1) is computed, the estimate the guard hands
+    _winding_number (those sums plus h + log K) is within 1/X of the loop's
+    partial Euler sum (_branched_log_L1's bound; 10^-10 more covers the
+    loop's doubles); and the two give one winding number."""
+    limit, w = constants._BRANCH_LIMITS[0], DEFAULT_PREC + 40
+    turns = []
+    monkeypatch.setattr(constants, "_winding_number", lambda t: turns.append(t) or _winding_number(t))
     for q in [*range(1, 31), 101]:
-        got = constants._partial_euler_sums(q, limit)
+        got = constants._reciprocal_sums(q, limit, DEFAULT_PREC)
         for chi in build_group(q):
-            want = partial_euler_sum(chi, limit)
-            assert abs(got[chi.label] - want) / (2 * math.pi) < 1e-9, (q, chi.label)
-            if not chi.is_principal:
-                arg = float(mp.im(mp.log(lvalues.L_at_1(chi, 53))))
-                turns = [(s.imag - arg) / (2 * math.pi) for s in (got[chi.label], want)]
-                assert _winding_number(turns[0]) == _winding_number(turns[1]), (q, chi.label)
+            re, im = got[chi.label]
+            assert abs(complex(re / 2**w, im / 2**w) - reciprocal_sum(chi, limit)) < 1e-12, (q, chi.label)
+        turns.clear()
+        constants._mertens_cached.__wrapped__(q, 1, DEFAULT_PREC)
+        nonprincipal = build_group(q).nonprincipal()
+        assert len(turns) == len(nonprincipal), q  # one estimate each, at the first limit
+        for chi, got_turns in zip(nonprincipal, turns):
+            arg = float(mp.im(mp.log(lvalues.L_at_1(chi, 53))))
+            want = (partial_euler_sum(chi, limit).imag - arg) / (2 * math.pi)
+            assert abs(got_turns - want) < (1 / limit + 1e-10) / (2 * math.pi), (q, chi.label)
+            assert _winding_number(got_turns) == _winding_number(want), (q, chi.label)
 
 
 # -- Hurwitz rows zeta(m, r/q) -----------------------------------------------
@@ -255,9 +266,9 @@ _CUT_CACHES = ("_mertens_cached", "_prime_zeta_sums")
 
 def _clear(*names):
     """Clear the named caches of constants, or with no names _CUT_CACHES, the
-    log L rows, the half sums, the winding pass, and the lvalues zeta table
-    with the series coefficients read from it."""
-    for name in names or _CUT_CACHES + ("_log_L", "_abs_zero_sum_half", "_partial_euler_sums"):
+    log L rows, the half sums, the winding guard's reciprocal sums, and the
+    lvalues zeta table with the series coefficients read from it."""
+    for name in names or _CUT_CACHES + ("_log_L", "_abs_zero_sum_half", "_reciprocal_sums"):
         getattr(constants, name).cache_clear()
     if not names:
         lvalues._zeta_ints.cache_clear()
@@ -274,7 +285,8 @@ def test_per_character_sums_are_computed_once_per_key(monkeypatch):
     half sum, computed once per distinct key, exactly 2.  The Moebius sums
     read at most 48 rows of log L(m, chi), m = 2...49, each for every
     character at once, from at most 48 Hurwitz rows mod 14 and one integer
-    zeta(k) table per precision (lvalues._zeta_ints)."""
+    zeta(k) table per precision (lvalues._zeta_ints).  The winding guard
+    reads one row of reciprocal sums for the group."""
     rows = []
 
     def row(kernel, d, prec):
@@ -287,6 +299,7 @@ def test_per_character_sums_are_computed_once_per_key(monkeypatch):
     assert constants._prime_zeta_sums.cache_info().misses == 1
     assert constants._log_L.cache_info().misses <= 48
     assert 0 < len(rows) <= 48 and all(kernel[0] == "hurwitz" and d == 14 for kernel, d in rows)
+    assert constants._reciprocal_sums.cache_info().misses == 1
     assert lvalues._zeta_ints.cache_info().misses == 1
     mertens_C(14, 1, 53)
     assert lvalues._zeta_ints.cache_info().misses == 2

@@ -52,6 +52,18 @@ def test_every_public_name_is_read_in_src(module):
     assert [name for name in _public(MODULES[module]) if name not in READ] == []
 
 
+def test_only_the_character_sum_seam_reads_the_log_table_and_roots():
+    """characters._log_table and lvalues._roots are read, or imported, only
+    in characters and lvalues, so that every character sum goes through
+    lvalues._char_sums."""
+    readers = []
+    for module, tree in MODULES.items():
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        if {"_log_table", "_roots"} & (_reads(tree) | imported):
+            readers.append(module)
+    assert sorted(readers) == ["characters", "lvalues"]
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     """dataclasses pulls in inspect, ast, dis and tokenize, which every cold
     command would pay for; the records are NamedTuples instead."""

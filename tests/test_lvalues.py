@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -126,6 +127,17 @@ def test_bernoulli_ratios_from_tangent_numbers():
 # Hurwitz family's is 6 times the value
 ROW_BOUND = {"psi": 6, "loggamma": 5}
 ROW_MODULI = [range(1, 51), range(51, 101), range(101, 151), range(151, 201), [1009]]
+# the oracle rows' precision: w + 20 bits of the 192-bit case, at least that
+# of the 53-bit case, which shares them
+ROW_ORACLE_BITS = 192 + 40 + 20
+
+
+@lru_cache(maxsize=None)
+def _row_oracle(kernel, d):
+    """mpmath's row of the kernel mod d at ROW_ORACLE_BITS, once per (kernel, d)."""
+    if isinstance(kernel, tuple):
+        return hurwitz_row_mp(d, kernel[1], ROW_ORACLE_BITS)
+    return kernel_row_mp(kernel, d, ROW_ORACLE_BITS)
 
 
 @pytest.mark.parametrize("moduli", ROW_MODULI, ids=lambda ds: f"{ds[0]}-{ds[-1]}")
@@ -136,10 +148,10 @@ ROW_MODULI = [range(1, 51), range(51, 101), range(101, 151), range(151, 201), [1
 def test_psi_and_loggamma_rows_value_by_value(prec, kernel, moduli):
     """Every value of the psi, log Gamma and Hurwitz zeta(m, .) rows mod d,
     for every d <= 200 and d = 1009, is within its stated B of mpmath's
-    value at 20 bits more."""
+    value at 20 bits or more above w (_row_oracle)."""
     w, hurwitz = prec + 40, isinstance(kernel, tuple)
     for d in moduli:
-        want = hurwitz_row_mp(d, kernel[1], w + 20) if hurwitz else kernel_row_mp(kernel, d, w + 20)
+        want = _row_oracle(kernel, d)
         with mp.workprec(w + 20):
             for r, v in lvalues._row(kernel, d, prec).items():
                 bound = 6 * want[r] if hurwitz else ROW_BOUND[kernel]

@@ -162,11 +162,10 @@ class DirichletCharacter(NamedTuple):
         return 0 if self.exponent(self.modulus - 1) == 0 else 1
 
     def conjugate(self) -> "DirichletCharacter":
-        inv = pow(self.label, -1, self.modulus) if self.modulus > 1 else 1
-        return build_group(self.modulus).by_label(inv)
+        return build_group(self.modulus).by_label(pow(self.label, -1, self.modulus))
 
     def power(self, k: int) -> "DirichletCharacter":
-        return build_group(self.modulus).by_label(pow(self.label, k, self.modulus) if self.modulus > 1 else 1)
+        return build_group(self.modulus).by_label(pow(self.label, k, self.modulus))
 
     # --- conductor / induction -------------------------------------------
 

@@ -107,7 +107,6 @@ class MertensConstant(NamedTuple):
     log_C: mp.mpf
 
 
-@lru_cache(maxsize=None)
 def _log_L(q: int, m: int, prec: int) -> dict:
     """label -> log L(m, chi) for every chi mod q and integer m >= 2
     (imprimitive L-series mod q), as Gaussian integers at scale 2^-w,
@@ -127,7 +126,7 @@ def _log_L(q: int, m: int, prec: int) -> dict:
     logs = {}
     with mp.workprec(prec + 8):
         for label, (re, im) in _char_sums(_row(("hurwitz", m), q, prec), q, w).items():
-            if (conj := pow(label, -1, q) if q > 1 else label) in logs:
+            if (conj := residue(q, pow(label, -1, q))) in logs:
                 x, y = logs[conj]
                 logs[label] = (x, -y)
                 continue
@@ -160,16 +159,13 @@ def _prime_zeta_sums(q: int, prec: int) -> dict:
     sum 1/(jk) < 7.1 and log K by less than 14.1, and they add 123 and 199
     floors of one unit of 2^-w; so both are within 2^-(prec + 2)."""
     top = _PZ_BITS + 1
-
-    def label(l, j):  # the label of chi^j
-        return pow(l, j, q) if q > 1 else 1
-
+    logs = {m: _log_L(q, m, prec) for m in range(2, top + 1)}
     P = {}
     for k in range(2, top):
-        for l, (re, im) in _log_L(q, k, prec).items():
+        for l, (re, im) in logs[k].items():
             for j in range(2, top // k + 1):
                 if mu := _mobius(j):
-                    x, y = _log_L(q, j * k, prec)[label(l, j)]
+                    x, y = logs[j * k][residue(q, pow(l, j, q))]  # log L(jk, chi^j)
                     re += mu * (x // j)
                     im += mu * (y // j)
             P[k, l] = (re, im)
@@ -178,7 +174,7 @@ def _prime_zeta_sums(q: int, prec: int) -> dict:
         hr = hi = kr = ki = 0
         for k in range(2, top):
             re, im = P[k, l]
-            x, y = P[k, label(l, k)]
+            x, y = P[k, residue(q, pow(l, k, q))]  # P(k, chi^k)
             hr += re // k
             hi += im // k
             kr += (x - re) // k

@@ -18,10 +18,11 @@ bound per chunk that covers each of its points; and in mpmath at the few
 points that may hold the maximum.  Every mp value of theta and of the
 log(1 - 1/p) sum comes from ProgressionStats.point_sums, two logs at any
 point, with its stated bound: the sweep's mp tier calls it at single
-points, and log_f_series reads its values at every step point.  Both read
-the PrimeTable their caller sized.  The lemmas of the proof (g, F_s, the
-truncated K integral, the J-hat bounds, p_q(x) and the conditional bound)
-are checked numerically in tests/lemmas.py.
+points, and log_f_series reads its values at every step point through
+ProgressionStats.sums.  Both read the PrimeTable their caller sized.  The
+lemmas of the proof (g, F_s, the truncated K integral, the J-hat bounds,
+p_q(x) and the conditional bound) are checked numerically in
+tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -78,11 +79,10 @@ def log_f_series(q: int, a: int, xmax, prec: int, table) -> FEvaluation:
     mc = mertens_C(q, a, prec)
     rows = []
     with mp.workprec(prec):
-        for i in range(st._index(xmax)):
-            p = st.pbar[i]
-            if st.phi * st.theta_cum[i] <= 1:
+        for k, (theta, log1m) in enumerate(st.sums(0, st._count(xmax)), 1):
+            if st.phi * theta <= 1:
                 continue  # log f not yet defined (q = 1 at x = 2)
-            rows.append((i + 1, p, _log_f(st.phi, st.theta_cum[i], st.log1m_cum[i], mc.log_C)))
+            rows.append((k, st.pbar[k - 1], _log_f(st.phi, theta, log1m, mc.log_C)))
     return FEvaluation(q, st.a, mc.log_C, tuple(rows))
 
 
@@ -342,10 +342,10 @@ def sweep(q: int, a: int, prec: int, table, x_max) -> SweepReport:
     candidate.  Only the points whose upper bound reaches the floor, which
     include every point that can hold the maximum, and those where phi
     theta is too near 1 to bound, are evaluated at prec from
-    ProgressionStats.point_sums, so theta_cum and log1m_cum are never
-    extended.  The maximum (the first point on ties), its prime and the count
-    of points where log f is defined are those of log_f_series' rows, bit for
-    bit, since those read the same point_sums values."""
+    ProgressionStats.point_sums.  The maximum (the first point on ties), its
+    prime and the count of points where log f is defined are those of
+    log_f_series' rows, bit for bit, since those read the same point_sums
+    values."""
     if prec < MIN_PREC:
         raise ValueError(f"the sweep needs at least {MIN_PREC} bits, the precision of its float tier")
     st = primes_mod.stats(q, a, table, prec)

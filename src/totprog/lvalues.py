@@ -49,7 +49,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .characters import DirichletCharacter, _log_table, build_group, factorint, units
+from .characters import DirichletCharacter, _log_table, build_group, factorint, residue, units
 
 __all__ = [
     "DEFAULT_PREC",
@@ -108,7 +108,7 @@ def _char_sums(row: dict, q: int, w: int) -> dict:
     items = [(scaled[r % q], v) for r, v in row.items()]
     sums = {}
     for label in units(q):
-        if (conj := pow(label, -1, q) if q > 1 else label) in sums:
+        if (conj := residue(q, pow(label, -1, q))) in sums:
             re, im = sums[conj]  # the row is real, so Z(conj chi) = conj Z(chi)
             sums[label] = (re, -im)
             continue
@@ -267,7 +267,8 @@ def _coefficients(kernel: str | tuple, prec: int, count: int) -> tuple:
 
     C(m+n-1, n) times the zeta list of _zeta_ints, so within 1.01 C(m+n-1, n)
     units, up to where the table ends (each later entry is 0 within its
-    units).  Built per row, uncached: _log_L caches the sums per (q, m, prec)."""
+    units).  Built per row, uncached: _prime_zeta_sums, which reads every
+    Hurwitz row through _log_L, is cached per (q, prec)."""
     if isinstance(kernel, str):
         return _series(kernel, prec)[:count]
     m = kernel[1]

@@ -9,8 +9,8 @@ primes up to it and of the quotient of prod (pbar - 1) by that product.
 The products over whole blocks of BLOCK primes are kept as integer
 mantissas floored to a fixed width.  Readers of a single point (theta, the
 sweep's few candidates for the maximum) call it; walkers of every step
-point (log f series, primorials) read its values for each k from theta_cum
-and log1m_cum, which they fill as they walk.  The sweep screens every step
+point (log f series, primorials) call ProgressionStats.sums, its values
+over a run of points, which stores nothing.  The sweep screens every step
 point first in doubles, in chunks of up to 1024 points with one rounding
 bound each (about 1e-13 where the smallest margin is 2.2e-4), and reads
 point_sums only where that bound cannot rule out the maximum
@@ -126,9 +126,8 @@ class ProgressionStats:
     Cumulative sums are mpf at `prec` bits.  The prime-power sums are built
     with the object.  theta and log(1 - 1/pbar) sums come from point_sums
     alone: single-point readers (theta, log_one_minus, psi) call it, and the
-    walkers of every step point (primorials, criterion.log_f_series) read
-    theta_cum and log1m_cum, whose k-th entries are point_sums(k), grown on
-    demand to the furthest point walked.
+    walkers of every step point (primorials, criterion.log_f_series) call
+    sums, its values over a run of points.
     """
 
     def __init__(self, q: int, a: int, table: PrimeTable, prec: int = DEFAULT_PREC):
@@ -138,9 +137,9 @@ class ProgressionStats:
         self.phi = totient(q)
         # q = 1 keeps every prime, so its share is the table's own array
         self.pbar = table.primes if q == 1 else array("I", (p for p in table.primes if (p - self.a) % q == 0))
-        self.theta_cum = []  # point_sums(k)[0] at index k - 1, see _extend
-        self.log1m_cum = []  # point_sums(k)[1] at index k - 1
-        self._blocks = [(1, 0, 1, 0)]  # (Pm, Pe, Qm, Qe) of each whole BLOCK prefix, see _checkpoint
+        # filled by nothing: perfbench/tracer.py reads them when __init__ returns (ROADMAP.md, item 16)
+        self.theta_cum, self.log1m_cum = [], []
+        self._blocks = [(1, 0, 1, 0)]  # (Pm, Pe, Qm, Qe) of each whole BLOCK prefix, see _prefix
         with mp.workprec(prec):
             # prime powers p^k <= limit with p^k = a mod q (k >= 2)
             powers = []
@@ -160,31 +159,6 @@ class ProgressionStats:
                 acc += mp.log(p)
                 self.power_cum.append(acc)
 
-    def _extend(self, n: int) -> None:
-        """Append point_sums(k) to theta_cum and log1m_cum for every k up to n,
-        bit for bit.  The exact products over the current block are carried
-        from one prime to the next, so each k costs point_sums' two logs, and
-        point_bound(k) bounds its entries.  Appends in place: the lists may be
-        replaced by wrappers that track reads, and those must see the new
-        entries."""
-        done = len(self.theta_cum)
-        if n <= done:
-            return
-        j = done // BLOCK
-        self._prefix(j)
-        P, Q = self._products(j * BLOCK, done)
-        for i in range(done, n):
-            j, r = divmod(i, BLOCK)
-            if not r:
-                P = Q = 1
-            p = self.pbar[i]
-            P, Q = P * p, Q * (p - 1)
-            th, lm = self._rounded(self._block_sums(j, P, Q))
-            if r == BLOCK - 1 and len(self._blocks) == j + 1:
-                self._blocks.append(self._checkpoint(j, P, Q))
-            self.theta_cum.append(th)
-            self.log1m_cum.append(lm)
-
     def _block_sums(self, j: int, P: int, Q: int) -> tuple:
         """The sums over the first j whole blocks and then a run of progression
         primes whose exact products are P = prod pbar and Q = prod (pbar - 1),
@@ -197,21 +171,18 @@ class ProgressionStats:
         Pf = from_man_exp(Pm * P, Pe)
         return mpf_log(Pf, wp, _RND), mpf_log(mpf_div(from_man_exp(Qm * Q, Qe), Pf, wp, _RND), wp, _RND)
 
-    def _checkpoint(self, j: int, P: int, Q: int) -> tuple:
-        """_blocks[j + 1]: _blocks[j] times the exact products P and Q of block
-        j, each mantissa floored to prec + GUARD + _CARRY bits."""
-        Pm, Pe, Qm, Qe = self._blocks[j]
-        w = self.prec + GUARD + _CARRY
-        Pm, Qm = Pm * P, Qm * Q
-        ps, qs = max(Pm.bit_length() - w, 0), max(Qm.bit_length() - w, 0)
-        return Pm >> ps, Pe + ps, Qm >> qs, Qe + qs
-
     def _prefix(self, m: int) -> tuple:
         """_blocks[m], the products over the first m whole blocks, multiplying
-        in the blocks up to it."""
+        in the blocks up to it: _blocks[j + 1] is _blocks[j] times the exact
+        products of block j, each mantissa floored to prec + GUARD + _CARRY
+        bits."""
+        w = self.prec + GUARD + _CARRY
         while len(self._blocks) <= m:
             j = len(self._blocks) - 1
-            self._blocks.append(self._checkpoint(j, *self._products(j * BLOCK, (j + 1) * BLOCK)))
+            (Pm, Pe, Qm, Qe), (P, Q) = self._blocks[j], self._products(j * BLOCK, (j + 1) * BLOCK)
+            Pm, Qm = Pm * P, Qm * Q
+            ps, qs = max(Pm.bit_length() - w, 0), max(Qm.bit_length() - w, 0)
+            self._blocks.append((Pm >> ps, Pe + ps, Qm >> qs, Qe + qs))
         return self._blocks[m]
 
     def _products(self, lo: int, hi: int) -> tuple:
@@ -230,9 +201,8 @@ class ProgressionStats:
         w = prec + GUARD bits (_block_sums): of the products over the first
         m = floor(k/BLOCK) whole blocks (_blocks[m]) times the exact products
         over the rest.  The whole-block products are kept, so a repeated query
-        costs two logs and two products of fewer than BLOCK primes; theta_cum
-        and log1m_cum are not touched.  Their entries are these values
-        (_extend).
+        costs two logs and two products of fewer than BLOCK primes.  sums
+        gives these values over a run of points.
 
         Rounding bound, with u = 2^-prec, u_w = 2^-w and w' = w + _CARRY.
         Each of the m checkpoints floors its mantissas to w' bits, a relative
@@ -256,6 +226,28 @@ class ProgressionStats:
         self._prefix(m)
         return self._rounded(self._block_sums(m, *self._products(m * BLOCK, k)))
 
+    def sums(self, lo: int, hi: int) -> list:
+        """[point_sums(k) for k = lo + 1 ... hi], bit for bit: the exact
+        products over the current block are seeded at lo and carried from one
+        prime to the next, so each k costs point_sums' two logs.  A list, not
+        a generator, so that every sum is taken before the caller's own logs:
+        interleaving logs at prec + GUARD and at prec made log_f_series 13%
+        slower."""
+        m = lo // BLOCK
+        self._prefix(m)
+        P, Q = self._products(m * BLOCK, lo)
+        out = []
+        for k in range(lo + 1, hi + 1):
+            m, r = divmod(k, BLOCK)
+            if r:
+                p = self.pbar[k - 1]
+                P, Q = P * p, Q * (p - 1)
+            else:
+                self._prefix(m)
+                P = Q = 1
+            out.append(self._rounded(self._block_sums(m, P, Q)))
+        return out
+
     def point_bound(self, k: int) -> tuple:
         """Bounds on |theta - exact| and |log1m - exact| for point_sums(k),
         as its docstring states them."""
@@ -272,13 +264,6 @@ class ProgressionStats:
         if x > self.table.limit:
             raise ValueError(f"x={x} exceeds sieve limit {self.table.limit}")
         return bisect.bisect_right(self.pbar, int(x))
-
-    def _index(self, x) -> int:
-        """Number of progression primes <= x; theta_cum and log1m_cum are
-        extended to them."""
-        i = self._count(x)
-        self._extend(i)
-        return i
 
     def theta(self, x) -> mp.mpf:
         return self.point_sums(self._count(x))[0]
@@ -297,12 +282,8 @@ class ProgressionStats:
     def primorials(self, k_max: int) -> PrimorialSeq:
         if k_max > len(self.pbar):
             raise ValueError("sieve exhausted before k_max progression primes")
-        self._extend(k_max)
         with mp.workprec(self.prec):
-            entries = tuple(
-                (k + 1, self.pbar[k], self.theta_cum[k], self.theta_cum[k] + self.log1m_cum[k])
-                for k in range(k_max)
-            )
+            entries = tuple((k, self.pbar[k - 1], th, th + lm) for k, (th, lm) in enumerate(self.sums(0, k_max), 1))
         return PrimorialSeq(self.q, self.a, entries)
 
 

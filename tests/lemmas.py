@@ -39,12 +39,15 @@ def steps(st, lo, hi):
     """Yield (start, end, theta) for the intervals that tile [lo, hi] with
     theta flat on each: the cuts are the progression primes in (lo, hi),
     and theta is the value on [start, end).  Ends are mpf at the caller's
-    working precision."""
-    i, j = st._index(lo), st._index(hi)
+    working precision.  Only the points i ... j are walked, i and j the
+    counts of progression primes to lo and to hi."""
+    i0 = i = st._count(lo)
+    j = st._count(hi)
+    thetas = [st.point_sums(i)[0]] + [theta for theta, _ in st.sums(i, j)]
     start = mp.mpf(lo)
     while start < hi:
         end = mp.mpf(st.pbar[i]) if i < j else mp.mpf(hi)
-        yield start, end, st.theta_cum[i - 1] if i else mp.mpf(0)
+        yield start, end, thetas[i - i0]
         start = end
         i += 1
 

@@ -117,6 +117,48 @@ MUTANTS = [
         ],
     ),
     (
+        "sums-seed-products-dropped",
+        "totprog/primes.py",
+        "        P, Q = self._products(m * BLOCK, lo)\n",
+        "        P = Q = 1\n",
+        ["tests/test_primes.py::test_logged_sums_match_mpmath_at_any_precision[3]"],
+    ),
+    (
+        "sums-block-start-reset-dropped",
+        "totprog/primes.py",
+        "                self._prefix(m)\n                P = Q = 1\n",
+        "                self._prefix(m)\n",
+        ["tests/test_primes.py::test_logged_sums_match_mpmath_at_any_precision[3]"],
+    ),
+    (
+        "sweep-screen-bound-scaled-1e-6",
+        "totprog/criterion.py",
+        "yield k0, ps, fs, math.inf if err is None else err\n",
+        "yield k0, ps, fs, math.inf if err is None else err * 1e-6\n",
+        ["tests/test_criterion.py::test_float_screen_bounds_the_series[7-1-None]"],
+    ),
+    (
+        "sweep-libm-allowance-half-an-ulp",
+        "totprog/criterion.py",
+        "_LIBM = 4 * _U\n",
+        "_LIBM = _U / 2\n",
+        ["tests/test_criterion.py::test_libm_logs_within_the_allowance"],
+    ),
+    (
+        "sweep-budget-mp-rounding-dropped",
+        "totprog/criterion.py",
+        "budget += mp.inf if err is None else err\n",
+        "budget += mp.inf if err is None else 0\n",
+        ["tests/test_criterion.py::test_sweep_budget_covers_the_mp_rounding[7]"],
+    ),
+    (
+        "sweep-unbounded-points-not-counted",
+        "totprog/criterion.py",
+        "            checked += upper == math.inf  # the screen counted the bounded ones\n",
+        "",
+        ["tests/test_criterion.py::test_unbounded_points_go_to_the_mp_tier"],
+    ),
+    (
         "p_q-grid-column-2x-for-2(x-1)",
         "totprog/criterion.py",
         'array("d", (2 * (x - 1) for x in xs))',

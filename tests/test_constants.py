@@ -266,9 +266,9 @@ _CUT_CACHES = ("_mertens_cached", "_prime_zeta_sums")
 
 def _clear(*names):
     """Clear the named caches of constants, or with no names _CUT_CACHES, the
-    log L rows, the half sums, the winding guard's reciprocal sums, and the
-    lvalues zeta table with the series coefficients read from it."""
-    for name in names or _CUT_CACHES + ("_log_L", "_abs_zero_sum_half", "_reciprocal_sums"):
+    half sums, the winding guard's reciprocal sums, and the lvalues zeta
+    table with the series coefficients read from it."""
+    for name in names or _CUT_CACHES + ("_abs_zero_sum_half", "_reciprocal_sums"):
         getattr(constants, name).cache_clear()
     if not names:
         lvalues._zeta_ints.cache_clear()
@@ -283,21 +283,27 @@ def test_per_character_sums_are_computed_once_per_key(monkeypatch):
     """C(14, 1) reads P(k, chi) for every chi mod 14 from one table of
     integer Moebius sums, and G_q(14) asks eight times for an Euler-factor
     half sum, computed once per distinct key, exactly 2.  The Moebius sums
-    read at most 48 rows of log L(m, chi), m = 2...49, each for every
-    character at once, from at most 48 Hurwitz rows mod 14 and one integer
-    zeta(k) table per precision (lvalues._zeta_ints).  The winding guard
+    compute each row of log L(m, chi), m = 2...49, at most once and for
+    every character at once, from at most 48 Hurwitz rows mod 14 and one
+    integer zeta(k) table per precision (lvalues._zeta_ints).  The winding guard
     reads one row of reciprocal sums for the group."""
-    rows = []
+    rows, logs = [], []
+    log_L = constants._log_L
 
     def row(kernel, d, prec):
         rows.append((kernel, d))
         return lvalues._row(kernel, d, prec)
 
+    def counted_log_L(q, m, prec):
+        logs.append(m)
+        return log_L(q, m, prec)
+
     _clear()
     monkeypatch.setattr(constants, "_row", row)
+    monkeypatch.setattr(constants, "_log_L", counted_log_L)
     mertens_C(14, 1)
     assert constants._prime_zeta_sums.cache_info().misses == 1
-    assert constants._log_L.cache_info().misses <= 48
+    assert len(logs) <= 48 and len(set(logs)) == len(logs)
     assert 0 < len(rows) <= 48 and all(kernel[0] == "hurwitz" and d == 14 for kernel, d in rows)
     assert constants._reciprocal_sums.cache_info().misses == 1
     assert lvalues._zeta_ints.cache_info().misses == 1

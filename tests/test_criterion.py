@@ -195,12 +195,13 @@ def test_k_truncated_mertens_identity(prec, table):
 
 
 def test_k_truncated_tail_on_a_fresh_build(prec):
-    """The tail estimate reads theta at the sieve limit, not the last prime
-    logged so far, so a fresh lazily built table gives the full-build value."""
+    """The tail estimate reads theta at the sieve limit, so k_truncated gives
+    the same bits on a fresh object and after a walk over every progression
+    prime has stored every whole-block checkpoint."""
     small = PrimeTable(20_000)
     fresh = k_truncated(100, 1000, 3, 1, prec, small)
     st_ = stats(3, 1, small)
-    st_.primorials(len(st_.pbar))  # log every progression prime
+    st_.primorials(len(st_.pbar))  # walk every progression prime, keeping every whole block
     full = k_truncated(100, 1000, 3, 1, prec, small)
     assert fresh.value._mpf_ == full.value._mpf_
     assert fresh.tail_estimate._mpf_ == full.tail_estimate._mpf_

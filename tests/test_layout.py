@@ -64,6 +64,13 @@ def test_only_the_character_sum_seam_reads_the_log_table_and_roots():
     assert sorted(readers) == ["characters", "lvalues"]
 
 
+def test_no_module_reads_the_unfilled_running_sums():
+    """ProgressionStats.theta_cum and log1m_cum are kept empty, for the
+    benchmark's tracer alone: every walker of the step points reads
+    ProgressionStats.sums, so there is one route to the sums."""
+    assert [m for m, tree in MODULES.items() if {"theta_cum", "log1m_cum"} & _reads(tree)] == []
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     """dataclasses pulls in inspect, ast, dis and tokenize, which every cold
     command would pay for; the records are NamedTuples instead."""

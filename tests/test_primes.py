@@ -225,19 +225,15 @@ _QA = [(1, 1), (3, 1), (3, 2), (7, 1), (7, 3)]
 @settings(max_examples=100, deadline=None)
 def test_lazy_build_matches_an_eager_build(qa, prec, reads):
     """Reads in any order see point_sums' values on a fresh object, bit for
-    bit.  Single-point reads (theta, log_one_minus, psi, point_sums) log
-    nothing; the walkers (steps, primorials) log the progression primes up
-    to the furthest one walked, and theta_cum[k - 1] and log1m_cum[k - 1]
-    are point_sums(k).  Asking for more points than the sieve holds raises
-    and logs nothing."""
+    bit: the single-point reads (theta, log_one_minus, psi, point_sums) and
+    the walkers (steps, primorials) alike.  Asking for more points than the
+    sieve holds raises.  Nothing fills theta_cum or log1m_cum."""
     pbar, sums = _point_sums(*qa, prec)
     st_ = ProgressionStats(*qa, SMALL, prec)
-    assert st_.theta_cum == [] and st_.log1m_cum == []
 
     def at(x, part=0):
         return sums[bisect.bisect_right(pbar, x)][part]
 
-    needed = 0  # progression primes a walker so far has asked for
     for kind, arg in reads:
         if kind == "theta":
             got, want = [st_.theta(arg)], [at(arg)]
@@ -249,11 +245,9 @@ def test_lazy_build_matches_an_eager_build(qa, prec, reads):
         elif kind == "steps":
             pieces = list(steps(st_, *arg))
             got, want = [v for _, _, v in pieces], [at(int(start)) for start, _, _ in pieces]
-            needed = max(needed, bisect.bisect_right(pbar, arg[1]))
         elif arg > len(pbar):
             with pytest.raises(ValueError, match="sieve exhausted" if kind == "primorials" else "outside"):
                 getattr(st_, kind)(arg)
-            assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
             continue
         elif kind == "point_sums":
             got, want = st_.point_sums(arg), sums[arg]
@@ -262,11 +256,8 @@ def test_lazy_build_matches_an_eager_build(qa, prec, reads):
             assert [e[:2] for e in entries] == [(k + 1, pbar[k]) for k in range(arg)]
             got = [v for e in entries for v in e[2:]]
             want = [v for k in range(1, arg + 1) for v in (sums[k][0], _sum_at(prec, *sums[k]))]
-            needed = max(needed, arg)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
-        assert len(st_.theta_cum) == len(st_.log1m_cum) == needed
-    assert [v._mpf_ for v in st_.theta_cum] == [sums[k][0]._mpf_ for k in range(1, needed + 1)]
-    assert [v._mpf_ for v in st_.log1m_cum] == [sums[k][1]._mpf_ for k in range(1, needed + 1)]
+    assert st_.theta_cum == [] and st_.log1m_cum == []
 
 
 def _sum_at(prec, a, b):
@@ -348,25 +339,24 @@ def test_primorials_add_at_the_working_precision(table):
     not to the caller's precision."""
     st_ = stats(5, 1, table)
     for k, (_, _, th, lphi) in enumerate(st_.primorials(40).entries):
-        assert lphi._mpf_ == mpf_add(th._mpf_, st_.log1m_cum[k]._mpf_, st_.prec, round_nearest)
+        assert lphi._mpf_ == mpf_add(th._mpf_, st_.point_sums(k + 1)[1]._mpf_, st_.prec, round_nearest)
 
 
 @pytest.mark.parametrize("prec", [3, 53, 300])
 def test_logged_sums_match_mpmath_at_any_precision(prec):
     """Walking the progression primes after single-point reads, in pieces
-    that start and end inside blocks, stores point_sums(k) of a fresh object
+    that start and end inside blocks, gives point_sums(k) of a fresh object
     at any precision, bit for bit.  From 53 bits on, where point_bound
     holds, the values are within it (plus running_sums_bound) of the running
     sums of mp.log and mp.log1p."""
     pbar, sums = _point_sums(3, 2, prec)
     st_ = ProgressionStats(3, 2, SMALL, prec)
     st_.point_sums(2 * BLOCK + 5)
-    st_.primorials(BLOCK + 3)
+    walked = st_.sums(0, BLOCK + 3)
     st_.point_sums(9 * BLOCK)
-    st_.primorials(len(pbar))
-    assert [(th._mpf_, lm._mpf_) for th, lm in zip(st_.theta_cum, st_.log1m_cum)] == [
-        (th._mpf_, lm._mpf_) for th, lm in sums[1:]
-    ]
+    for lo, hi in [(BLOCK + 3, 3 * BLOCK - 7), (3 * BLOCK - 7, 3 * BLOCK), (3 * BLOCK, len(pbar))]:
+        walked += st_.sums(lo, hi)
+    assert [(th._mpf_, lm._mpf_) for th, lm in walked] == [(th._mpf_, lm._mpf_) for th, lm in sums[1:]]
     if prec < 53:
         return
     theta, log1m = _running_sums(3, 2, prec)

@@ -4,6 +4,10 @@
 Numbers are stored as decimal strings so that output formatting and table
 diffs never depend on binary float round-tripping.
 
+A cell that does not reproduce its print is listed with its true value in
+its table's own map (TABLE2_TRUNCATED, TABLE8_ERRATA), and the table diff
+holds it to that value at the cell's tolerance.
+
 Known errata in the published verification table (the computation disagrees
 with the print at stated tolerance; each discrepancy is fully explained and
 the headline conclusion -- every final column entry negative -- survives):
@@ -66,11 +70,10 @@ TABLE2 = {
 }
 TABLE2_TOL = "5e-6"
 
-# Cells whose printed value was truncated rather than rounded to 5 decimals,
-# so they sit just outside the 5e-6 rounding tolerance (by < 1e-6):
-# gamma_11 = 2.4154259..., F_13 = 6.4548456...
-TABLE2_TRUNCATED = {(11, "gamma"), (13, "F")}
-TABLE2_TRUNCATED_TOL = "1e-5"
+# (p, column) cells whose printed value was truncated rather than rounded to
+# 5 decimals, so they sit just outside the 5e-6 rounding tolerance (by
+# < 1e-6); the true value, which the diff holds them to instead.
+TABLE2_TRUNCATED = {(11, "gamma"): "2.4154259", (13, "F"): "6.4548456"}
 
 # ---------------------------------------------------------------------------
 # Tables T3-T5: per-character data for q = 4, 8, 12 (tolerance 1e-6)
@@ -121,8 +124,8 @@ TABLE8 = {
 TABLE8_TOL = "1e-5"
 TABLE8_TOL_P = "1e-4"
 
-# (q, column) cells that do not reproduce (see module docstring); the value
-# the computation gives instead, for the diff report.
+# (q, column) cells that do not reproduce (see module docstring); the
+# corrected value, which the diff holds them to instead.
 TABLE8_ERRATA = {
     (3, "P"): "0.2669524",
     (6, "G"): "0.2561251",

@@ -191,6 +191,47 @@ MUTANTS = [
             "tests/test_lvalues.py::test_zeta2_sums_match_the_mpmath_row[13-192]",
         ],
     ),
+    (
+        "row-log-guard-dropped",
+        "totprog/lvalues.py",
+        "    with mp.workprec(w + 40):\n",
+        "    with mp.workprec(prec):\n",
+        [
+            "tests/test_lvalues.py::test_psi_and_loggamma_rows_value_by_value[53-loggamma-1-50]",
+            "tests/test_lvalues.py::test_zeta2_sums_match_the_mpmath_row[5-53]",
+        ],
+    ),
+    (
+        "prime-zeta-mobius-j2-dropped",
+        "totprog/constants.py",
+        "            for j in range(2, top // k + 1):\n",
+        "            for j in range(3, top // k + 1):\n",
+        ["tests/test_constants.py::test_C_published_thresholds"],
+    ),
+    (
+        "conductor-sign-case-dropped",
+        "totprog/characters.py",
+        "        c = max(c, 2 * eps)\n",
+        "",
+        ["tests/test_characters.py::test_conductor_known_cases"],
+    ),
+    (
+        "sieve-starts-past-the-first-odd-multiple",
+        "totprog/primes.py",
+        "start += p  # the first odd multiple",
+        "start += 3 * p  # the first odd multiple",
+        ["tests/test_primes.py::test_segmented_matches_simple_sieve[197050]"],
+    ),
+    (
+        "table-exception-taken-without-its-diff",
+        "totprog/cli.py",
+        "'MISMATCH' if off[1] else note",
+        "'MISMATCH' if (key, col) not in bundled else note",
+        [
+            "tests/test_cli.py::test_erratum_cell_off_its_corrected_value_is_a_mismatch",
+            "tests/test_cli.py::test_truncated_cell_off_its_true_value_is_a_mismatch",
+        ],
+    ),
 ]
 
 

@@ -128,20 +128,31 @@ def Lprime_at_1(chi: DirichletCharacter, prec: int = DEFAULT_PREC) -> mp.mpc:
         return -mp.log(q) * L_at_1(chi, prec) + tail
 
 
+@lru_cache(maxsize=None)
+def _hurwitz_pair_rows(q: int, s: mp.mpf, prec: int) -> tuple:
+    """The rows r -> zeta(s, r/q) and r -> zeta'(s, r/q) over the units r mod
+    q, shared by every character mod q."""
+    with mp.workprec(prec):
+        return (
+            {r: mp.zeta(s, mp.mpf(r) / q) for r in units(q)},
+            {r: mp.zeta(s, mp.mpf(r) / q, 1) for r in units(q)},
+        )
+
+
 def _L_and_deriv(chi: DirichletCharacter, s, prec: int):
     """L(s,chi) and L'(s,chi) of the (possibly imprimitive) L-series mod q,
     via L(s) = q^{-s} sum_r chi(r) zeta(s, r/q)."""
     q = chi.modulus
     with mp.workprec(prec):
         s = mp.mpf(s)
-        zs = {r: mp.zeta(s, mp.mpf(r) / q) for r in units(q)}
-        zps = {r: mp.zeta(s, mp.mpf(r) / q, 1) for r in units(q)}
+        zs, zps = _hurwitz_pair_rows(q, s, prec)
         qs = mp.power(q, -s)
         L = qs * sum(chi.value(r, prec) * zs[r] for r in units(q))
         Lp = qs * sum(chi.value(r, prec) * zps[r] for r in units(q)) - mp.log(q) * L
         return L, Lp
 
 
+@lru_cache(maxsize=None)
 def laurent_fit(chi: DirichletCharacter, prec: int = DEFAULT_PREC, h: float = 1e-4):
     """Fit L'/L(s,chi) = m0/s + b + O(s^2-extrapolated) from samples at
     s = +-h, +-h/2.  Returns (m0_estimate: mpf, b_estimate: mpc)."""

@@ -4,6 +4,7 @@ import functools
 import json
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from totprog import cli, constants, criterion, primes
@@ -79,7 +80,45 @@ def test_table_mismatch_exit_code(capsys, monkeypatch):
     code, out, _ = run(["table", "T1"], capsys)
     assert code == cli.EXIT_MISMATCH
     rows = json.loads(out)
-    assert any(r["status"] == "MISMATCH" for r in rows)
+    assert [r["status"] for r in rows if r["status"] != "ok"] == ["F_q:MISMATCH"]
+
+
+def test_erratum_cell_off_its_corrected_value_is_a_mismatch(capsys, monkeypatch):
+    """A T8 cell listed in TABLE8_ERRATA passes as `erratum` only within tol
+    of its corrected value: with P of q = 14 raised by 2, the final column
+    turns positive, and both cells are mismatches."""
+    bound_params = criterion.bound_params
+
+    def raised(q, prec):
+        bp = bound_params(q, prec)
+        return bp._replace(P=bp.P + 2) if q == 14 else bp
+
+    monkeypatch.setattr(criterion, "bound_params", raised)
+    code, out, _ = run(["table", "T8"], capsys)
+    assert code == cli.EXIT_MISMATCH
+    status = {r["q"]: r["status"] for r in json.loads(out)}
+    assert status[14] == "P:MISMATCH;final:MISMATCH"
+    assert status[12] == "P:erratum;final:erratum"
+
+
+def test_truncated_cell_off_its_true_value_is_a_mismatch(capsys, monkeypatch):
+    """A T2 cell listed in TABLE2_TRUNCATED is held to its true value at the
+    table's own tol: gamma_11 1.4e-5 below it is a mismatch, though within
+    1e-5 of the truncated print."""
+    import totprog.reference_data as rd
+
+    gamma_p = cli.gamma_p
+
+    def lowered(p, prec):
+        value, err = gamma_p(p, prec)
+        return Approx(value - mp.mpf("1.4e-5"), err) if p == 11 else Approx(value, err)
+
+    monkeypatch.setattr(rd, "TABLE2", {p: rd.TABLE2[p] for p in (11, 13)})
+    monkeypatch.setattr(cli, "gamma_p", lowered)
+    code, out, _ = run(["table", "T2"], capsys)
+    assert code == cli.EXIT_MISMATCH
+    status = {r["p"]: r["status"] for r in json.loads(out)}
+    assert status == {11: "gamma:MISMATCH", 13: "F:truncated-in-print"}
 
 
 def test_constants_json(capsys):

@@ -4,12 +4,17 @@ The large figure outputs, F1-F8 at their defaults, are pinned by their
 sha256 digests in tests/golden/figures.sha256 instead of being stored.  The
 stdout digests in perfbench/expected.json, which the benchmark's correctness
 gate compares each run against, must match the golden of the same command.
+
+The precision ladder runs every stored command again at 128 and 256 bits: a
+kernel that loses bits at some precision changes a printed digit there.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from totprog import cli
@@ -85,6 +90,30 @@ def test_stdout_matches_golden_file(name, capsys):
 def test_stdout_matches_golden_digest(name, capsys):
     out = _stdout(DIGESTED[name], capsys)
     assert hashlib.sha256(out).hexdigest() == _digests()[name]
+
+
+# The value of a `C_err` or `error_budget` row: error bounds, which may fall
+# as the precision rises.
+_BOUND = re.compile(rb'("name": "(?:C_err|error_budget)",\s*"value": ")([^"]*)"')
+
+
+def _split_bounds(out: bytes) -> tuple:
+    """(out with the bound values blanked, the bound values)."""
+    return _BOUND.sub(rb'\1"', out), [mp.mpf(v.decode()) for _, v in _BOUND.findall(out)]
+
+
+@pytest.mark.parametrize("name", list(STORED))
+def test_stdout_does_not_depend_on_precision(name, capsys):
+    """At 128 and at 256 bits every stored command prints its golden, but for
+    the error bounds, and those do not grow as the precision rises."""
+
+    def rung(bits):
+        return _split_bounds(_stdout([*STORED[name], "--prec-bits", str(bits)], capsys))
+
+    golden = _split_bounds((GOLDEN / name).read_bytes())
+    (low, low_err), (mid, mid_err), (high, high_err) = rung(128), golden, rung(256)
+    assert low == mid == high
+    assert all(a >= b >= c for a, b, c in zip(low_err, mid_err, high_err)), (low_err, mid_err, high_err)
 
 
 def test_every_golden_file_is_checked():

@@ -10,7 +10,8 @@ is negative exactly when the primorial inequality
 holds on [pbar_k, pbar_{k+1}).  This module evaluates log f on progression
 primes (it is constant in between, so step points are exhaustive), the
 constants of the conditional bound (F_q, G_q, R, B, M and the estimate P_q
-of max p_q), the threshold x_q, and the sweep that checks log f < 0 up to
+of max p_q, whose grid argmax a branch and bound over p_q's five monotone
+terms finds), the threshold x_q, and the sweep that checks log f < 0 up to
 max(floor(x_q), ceil(e^10) = 22027) (default_x_max): in doubles at every
 step point, in chunks of up to 1024 points that map and accumulate passes
 evaluate bit for bit as a per-point loop would, with one stated rounding
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
@@ -118,50 +118,118 @@ def _p_q_values(xs, phi, F, G, R, B, M, m=mp):
     return _p_q_rows(((x, log(x), sqrt(x), 2 * (x - 1)) for x in xs), phi, F, G, R, B, M, m)
 
 
+def _p_q_numerators(phi, F, R, B, M, m):
+    """The two numerators of p_q that do not depend on x, 3 F + 1.2 R over
+    log x and 0.01 phi - B - M over sqrt x, in doubles when m is math."""
+    c12, c001 = (1.2, 0.01) if m is math else (mp.mpf("1.2"), mp.mpf("0.01"))
+    return 3 * F + c12 * R, c001 * phi - B - M
+
+
 def _p_q_rows(points, phi, F, G, R, B, M, m):
     """(x, p_q(x)) for each (x, log x, sqrt x, 2 (x - 1)) of points, the one
-    evaluation of the p_q formula.  The two numerators that do not depend on
-    x are computed once."""
-    c12, c001 = (1.2, 0.01) if m is math else (mp.mpf("1.2"), mp.mpf("0.01"))
-    num_log = 3 * F + c12 * R
-    num_sqrt = c001 * phi - B - M
+    evaluation of the p_q formula."""
+    num_log, num_sqrt = _p_q_numerators(phi, F, R, B, M, m)
     for x, lx, sx, twice in points:
         yield x, num_log / lx + (1 + 2 / lx) * G / sx + num_sqrt / sx - (M / x - phi / twice) * sx * lx
 
 
-_P_GRID = 10_000  # intervals of the coarse log-x grid in _P_q_from
+_P_GRID = 10_000  # intervals of the log-x grid that locates max p_q
 _P_LO = 10.0  # its first point, log e^10; its last is log 1e16
 _P_STEP = (math.log(1e16) - _P_LO) / _P_GRID
+_P_CELLS = 8  # cells of the coarse partition _p_q_search starts from
+_P_SLACK = 2.0**-47  # 64 u: a cell bound's rounding allowance per unit of sum |t_m| at its ends
 
 
-@lru_cache(maxsize=None)
-def _p_q_columns() -> tuple:
-    """x = e^(_P_LO + i _P_STEP), i = 0 ... _P_GRID, and log x, sqrt x and
-    2 (x - 1) at each, as array("d") columns: they do not depend on q."""
-    xs = array("d", (math.exp(_P_LO + i * _P_STEP) for i in range(_P_GRID + 1)))
-    return xs, array("d", map(math.log, xs)), array("d", map(math.sqrt, xs)), array("d", (2 * (x - 1) for x in xs))
+def _p_q_bound(ti, tj) -> float:
+    """Upper bound on p_q as computed at every grid point of the cell whose
+    ends have the five terms ti and tj (see _p_q_search)."""
+    return sum(map(max, ti, tj)) + _P_SLACK * (sum(map(abs, ti)) + sum(map(abs, tj)))
 
 
-def _p_q_grid(phi, F, G, R, B, M):
-    """(x, p_q(x)) in doubles at the points of _p_q_columns."""
-    return _p_q_rows(zip(*_p_q_columns()), phi, F, G, R, B, M, math)
+def _p_q_search(phi, F, G, R, B, M) -> dict:
+    """{i: (p_q(x_i), terms)} in doubles at the grid points x_i =
+    exp(_P_LO + i _P_STEP) it evaluates, i = 0 ... _P_GRID, among them every
+    i where the grid's largest value is taken; terms are p_q's five terms at
+    x_i, t_1 ... t_5 =
+
+        num_log/log x,  (1 + 2/log x) G/sqrt x,  num_sqrt/sqrt x,
+        -M log x/sqrt x,  phi sqrt x log x/(2 (x - 1)).
+
+    Branch and bound (Hansen and Walster, Global Optimization Using Interval
+    Analysis, 2004): it evaluates the ends of _P_CELLS coarse cells, then
+    splits the cell of largest _p_q_bound at its middle index while that
+    bound is at least the best value so far.  A cell is dropped only when
+    its bound is below that value, so each grid point it holds is too; the
+    indices evaluated, in order, are the ends of the cells left, each of
+    width 1 or dropped.  Each value is _p_q_rows', bit for bit.
+
+    Why the bound covers the computed values.  Each term is a constant
+    times 1/log x, (1 + 2/log x)/sqrt x, 1/sqrt x, log x/sqrt x or
+    sqrt x log x/(x - 1), each positive and falling for x > e^2: the first
+    three are products of positive falling factors; log x/sqrt x has
+    derivative (2 - log x)/(2 x^1.5); and sqrt x log x/(x - 1) has
+    logarithmic derivative 1/(2x) + 1/(x log x) - 1/(x - 1) < 1/x - 1/(x - 1)
+    once log x > 2.  So on [e^10, inf), from x_0 > e^9 on, each term t_m
+    (taken exactly, with the doubles num_log, G, num_sqrt, M and phi that
+    _p_q_rows uses) is monotone and keeps its sign, and between the ends
+    x_i <= x <= x_j of a cell t_m(x) <= max(t_m(x_i), t_m(x_j)) and
+    |t_m(x)| <= |t_m(x_i)| + |t_m(x_j)|.  The grid points rise with i
+    (tests/test_criterion.py checks all of them), so this holds at each x_k,
+    i <= k <= j.  Rounding, to first order, with u = 2^-53 for sqrt and
+    each operation and a = _LIBM = 4u for math.log: _p_q_rows computes
+    t_1, t_2 and t_3 within (a + u)|t_1|, (a + 5u)|t_2| and 2u |t_3|, its
+    last product within (a + 6u)(|t_4| + |t_5|) (3u from M/x - phi/twice,
+    2u from sqrt x, a + u from log x), and its three additions add 3u S,
+    so its value is within (a + 9u) S(x_k) of sum t_m(x_k), S = sum |t_m|.
+    Each computed term here is within (a + 6u)|t_m| and the sum of the five
+    maxima adds 4u (S_i + S_j).  So the computed value at x_k is at most the
+    computed sum of maxima plus (2a + 19u)(S_i + S_j) = 27u (S_i + S_j);
+    _P_SLACK, 64u, more than doubles that, which covers the higher orders,
+    the use of the computed sums of |t_m| and the last addition's rounding."""
+    num_log, num_sqrt = _p_q_numerators(phi, F, R, B, M, math)
+    points = {}
+
+    def point(i):
+        if i not in points:
+            x = math.exp(_P_LO + i * _P_STEP)
+            lx, sx, twice = math.log(x), math.sqrt(x), 2 * (x - 1)
+            ((_, value),) = _p_q_rows([(x, lx, sx, twice)], phi, F, G, R, B, M, math)
+            terms = num_log / lx, (1 + 2 / lx) * G / sx, num_sqrt / sx, -M / x * sx * lx, phi / twice * sx * lx
+            points[i] = value, terms
+        return points[i]
+
+    def cell(i, j):
+        return -_p_q_bound(point(i)[1], point(j)[1]), i, j
+
+    ends = [c * _P_GRID // _P_CELLS for c in range(_P_CELLS + 1)]
+    heap = [cell(i, j) for i, j in zip(ends, ends[1:])]
+    heapq.heapify(heap)
+    best = max(value for value, _ in points.values())
+    while heap and -heap[0][0] >= best:
+        _, i, j = heapq.heappop(heap)
+        mid = (i + j) // 2
+        best = max(best, point(mid)[0])
+        for lo, hi in ((i, mid), (mid, j)):
+            if hi - lo > 1 and -(c := cell(lo, hi))[0] >= best:
+                heapq.heappush(heap, c)
+    return points
 
 
 def _P_q_from(q, F, G, R, B, M, prec) -> mp.mpf:
-    """Estimate of max p_q over [e^10, inf), not a bound: a coarse
-    double-precision log grid on [e^10, 1e16] locates the argmax, a 60-step
-    trisection in doubles refines it within the two grid cells beside it,
-    and p_q in mpf at the refined point and at both ends gives the value;
-    the value at 1e16 stands for the tail.  That last step is not certified:
-    a term with a negative coefficient, such as (0.01 phi - B - M)/sqrt(x)
-    (that coefficient is -3.2 to -5.0 for the T8 moduli), rises toward 0
-    beyond 1e16 instead of staying below its value there."""
+    """Estimate of max p_q over [e^10, inf), not a bound: the largest value
+    of p_q in doubles on a 10,001-point log grid over [e^10, 1e16] (the
+    first on ties), located by _p_q_search without evaluating the whole
+    grid; a 60-step trisection in doubles refines it within the two grid
+    cells beside it, and p_q in mpf at the refined point and at both ends
+    gives the value; the value at 1e16 stands for the tail.  That last step
+    is not certified: a term with a negative coefficient, such as
+    (0.01 phi - B - M)/sqrt(x) (that coefficient is -3.2 to -5.0 for the T8
+    moduli), rises toward 0 beyond 1e16 instead of staying below its value
+    there."""
     phi = totient(q)
     floats = float(F), float(G), R, float(B), M
-    best_i, best = 0, -math.inf
-    for i, (_, value) in enumerate(_p_q_grid(phi, *floats)):
-        if value > best:
-            best_i, best = i, value
+    points = _p_q_search(phi, *floats)
+    best_i = max(sorted(points), key=lambda i: points[i][0])  # the first on ties
     a = _P_LO + max(best_i - 1, 0) * _P_STEP
     b = _P_LO + min(best_i + 1, _P_GRID) * _P_STEP
     for _ in range(60):  # golden-section style trisection in log x

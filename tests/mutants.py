@@ -161,9 +161,23 @@ MUTANTS = [
     (
         "p_q-grid-column-2x-for-2(x-1)",
         "totprog/criterion.py",
-        'array("d", (2 * (x - 1) for x in xs))',
-        'array("d", (2 * x for x in xs))',
+        "lx, sx, twice = math.log(x), math.sqrt(x), 2 * (x - 1)\n",
+        "lx, sx, twice = math.log(x), math.sqrt(x), 2 * x\n",
         ["tests/test_criterion.py::test_P_q_grid_evaluates_the_p_q_formula[7]"],
+    ),
+    (
+        "p_q-cell-bound-first-term-smaller-end",
+        "totprog/criterion.py",
+        "return sum(map(max, ti, tj)) + ",
+        "return min(ti[0], tj[0]) + sum(map(max, ti[1:], tj[1:])) + ",
+        ["tests/test_criterion.py::test_P_q_search_matches_the_full_scan[7]"],
+    ),
+    (
+        "p_q-cell-bound-allowance-dropped",
+        "totprog/criterion.py",
+        "return sum(map(max, ti, tj)) + _P_SLACK * (sum(map(abs, ti)) + sum(map(abs, tj)))\n",
+        "return sum(map(max, ti, tj))\n",
+        ["tests/test_criterion.py::test_P_q_search_matches_the_full_scan[7]"],
     ),
     (
         "winding-tail-h-plus-log-K-dropped",
@@ -214,6 +228,27 @@ MUTANTS = [
         "        c = max(c, 2 * eps)\n",
         "",
         ["tests/test_characters.py::test_conductor_known_cases"],
+    ),
+    (
+        "point-sums-guard-32-to-2",
+        "totprog/primes.py",
+        "GUARD = 32  # bits",
+        "GUARD = 2  # bits",
+        ["tests/test_primes.py::test_point_sums_keep_the_guard_accuracy[14-53]"],
+    ),
+    (
+        "half-sum-tail-second-term-sign-flipped",
+        "totprog/constants.py",
+        "        total -= v**4 / 2 * mp.zeta(4, shift)\n",
+        "        total += v**4 / 2 * mp.zeta(4, shift)\n",
+        ["tests/test_constants.py::test_abs_zero_sum_half_against_the_mp_loop[100-53]"],
+    ),
+    (
+        "G_q-theta0-closed-form-subtracted",
+        "totprog/constants.py",
+        "                total += _signed_zero_sum_theta0(L)\n",
+        "                total -= _signed_zero_sum_theta0(L)\n",
+        ["tests/test_constants.py::test_G_q_published[3]"],
     ),
     (
         "sieve-starts-past-the-first-odd-multiple",

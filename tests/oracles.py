@@ -17,8 +17,10 @@ zeta(k) - 1 by one mp.zeta(k) per entry.  The Hurwitz rows zeta(m, r/q)
 by one mpmath call per value, and the Euler-factor half sums of G_q by one
 mpf division and square root per term.  The literal sum of 1/|rho(1-rho)|
 over G_q's zeros, with no signed closed form at chi'(p) = 1.  p_q(x) term
-by term in mpf, and the trisection that refines max p_q in mpf.  The conductor and primitive
-part of a character by searching the divisors of q and the group mod d.
+by term in mpf, the full 10,001-point double-precision scan for the grid
+argmax of p_q, and the trisection that refines max p_q in mpf.  The
+conductor and primitive part of a character by searching the divisors of q
+and the group mod d.
 
 The sums of log p and log(1 - 1/p) over the first k progression primes by two
 routes independent of the block products of ProgressionStats.point_sums: one
@@ -416,14 +418,32 @@ def p_q_mp(x, phi, F, G, R, B, M) -> mp.mpf:
     )
 
 
+@lru_cache(maxsize=None)
+def p_q_grid(phi, F, G, R, B, M) -> tuple:
+    """p_q in doubles at every point x_i = exp(_P_LO + i _P_STEP), i = 0 ...
+    _P_GRID, of the grid criterion._p_q_search searches, each from math.log,
+    math.sqrt and 2 (x - 1) at x_i and criterion._p_q_rows: the full scan
+    that search replaced.  F, G and B are floats."""
+    lo, step = criterion._P_LO, criterion._P_STEP
+    xs = [math.exp(lo + i * step) for i in range(criterion._P_GRID + 1)]
+    points = ((x, math.log(x), math.sqrt(x), 2 * (x - 1)) for x in xs)
+    return tuple(value for _, value in criterion._p_q_rows(points, phi, F, G, R, B, M, math))
+
+
+def p_q_grid_argmax(phi, F, G, R, B, M) -> tuple:
+    """(i, value) of the largest value of p_q_grid, the first on ties."""
+    values = p_q_grid(phi, F, G, R, B, M)
+    best_i = max(range(len(values)), key=values.__getitem__)
+    return best_i, values[best_i]
+
+
 def P_q_trisection_mp(q: int, F, G, R, B, M, prec: int) -> mp.mpf:
     """max p_q as criterion._P_q_from estimates it, with the refinement it
-    replaced: from the same double-precision grid argmax, a 60-step
-    trisection in mpf, then the larger of p_q at its midpoint and at both
-    ends of the range."""
+    replaced: from the argmax of the full double-precision grid scan, a
+    60-step trisection in mpf, then the larger of p_q at its midpoint and at
+    both ends of the range."""
     phi = totient(q)
-    grid = criterion._p_q_grid(phi, float(F), float(G), R, float(B), M)
-    best_i = max(enumerate(v for _, v in grid), key=lambda iv: iv[1])[0]
+    best_i, _ = p_q_grid_argmax(phi, float(F), float(G), R, float(B), M)
     lo, step = criterion._P_LO, criterion._P_STEP
     with mp.workprec(prec):
         a = mp.mpf(lo + max(best_i - 1, 0) * step)

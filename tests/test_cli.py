@@ -1,6 +1,7 @@
 """Exit codes, determinism and output formats of the console entry point."""
 
 import functools
+import gc
 import json
 from pathlib import Path
 
@@ -30,6 +31,23 @@ def test_removed_flags_are_usage_errors(flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--q", "7", flag, "5"])
     assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(capsys):
+    """main() freezes nothing, since tests call it in process: only the
+    console script, run, calls gc.freeze()."""
+    before = gc.get_freeze_count()
+    assert run(["table", "T9"], capsys)[0] == cli.EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_heap_then_exits_with_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or cli.EXIT_MISMATCH)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert calls == ["freeze", "main"] and exc.value.code == cli.EXIT_MISMATCH
 
 
 def test_unknown_table_id(capsys):

@@ -6,6 +6,7 @@ import random
 
 import mpmath as mp
 import pytest
+from mpmath import iv
 
 from lemmas import (
     F_s,
@@ -20,10 +21,20 @@ from lemmas import (
     p_q_of_x,
     rs_bound,
 )
-from oracles import P_q_trisection_mp, float_screen_per_point, log_f, p_q_mp, running_sums, running_sums_bound
+from oracles import (
+    P_q_trisection_mp,
+    float_screen_per_point,
+    log_f,
+    p_q_grid,
+    p_q_grid_argmax,
+    p_q_mp,
+    running_sums,
+    running_sums_bound,
+)
 from totprog import criterion as cr
+from totprog import reference_data
 from totprog.characters import totient, units
-from totprog.constants import mertens_C
+from totprog.constants import F_q, mertens_C
 from totprog.lvalues import Approx, eps
 from totprog.primes import PrimeTable, ProgressionStats, stats
 
@@ -258,25 +269,58 @@ def test_P_q_attained_at_left_endpoint(prec):
 
 @pytest.mark.parametrize("q", [3, 7, 14])
 def test_P_q_grid_evaluates_the_p_q_formula(q, prec, monkeypatch):
-    """_P_q_from reads every point of the grid that locates max p_q, in
-    doubles; those values are the mp formula's to 1e-12, and the refined P
-    is at least their maximum."""
+    """_P_q_from reads p_q in doubles at the grid points _p_q_search
+    evaluates; those values are the mp formula's to 1e-12, P is bound_params'
+    bit for bit, and the refined P is at least their maximum."""
     bp = cr.bound_params(q, prec)
-    real, grid = cr._p_q_grid, []
-
-    def recorded(*args):
-        for point in real(*args):
-            grid.append(point)
-            yield point
-
-    monkeypatch.setattr(cr, "_p_q_grid", recorded)
+    real, searched = cr._p_q_search, []
+    monkeypatch.setattr(cr, "_p_q_search", lambda *args: searched.append(real(*args)) or searched[-1])
     P = cr._P_q_from(q, bp.F, bp.G, bp.R, bp.B_signed, bp.M, prec)
-    assert len(grid) == cr._P_GRID + 1 and all(isinstance(x, float) for x, _ in grid)
+    (points,) = searched
     assert P._mpf_ == bp.P._mpf_
     with mp.workprec(prec):
-        for x, v in grid[::250]:
+        for i, (v, _) in points.items():
+            x = math.exp(cr._P_LO + i * cr._P_STEP)
             assert abs(v - p_q_mp(mp.mpf(x), totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M)) < 1e-12
-        assert P >= max(v for _, v in grid) - 1e-12
+        assert P >= max(v for v, _ in points.values()) - 1e-12
+
+
+def _p_q_floats(q, prec):
+    bp = cr.bound_params(q, prec)
+    return totient(q), float(bp.F), float(bp.G), bp.R, float(bp.B_signed), bp.M
+
+
+def test_p_q_grid_points_rise():
+    """The grid points exp(_P_LO + i _P_STEP) rise with i, as _p_q_search's
+    bound needs: math.exp keeps their order."""
+    xs = [math.exp(cr._P_LO + i * cr._P_STEP) for i in range(cr._P_GRID + 1)]
+    assert all(a < b for a, b in zip(xs, xs[1:])) and xs[0] > math.exp(9)
+
+
+@pytest.mark.parametrize("q", [*range(1, 61), 101, 139, 149])
+def test_P_q_search_matches_the_full_scan(q, prec):
+    """Branch and bound returns the full scan's argmax (the first on ties)
+    and its value, bit for bit, from at most 500 evaluations; every value it
+    reads is the scan's; and each cell it leaves, between consecutive
+    evaluated indices, has a bound at least every scanned value in it and,
+    where it holds a grid point inside, below the maximum.  The bound at a
+    single point covers the value there, which needs the rounding
+    allowance."""
+    args = _p_q_floats(q, prec)
+    grid = p_q_grid(*args)
+    points = cr._p_q_search(*args)
+    best = max(v for v, _ in points.values())
+    assert (min(i for i, (v, _) in points.items() if v == best), best) == p_q_grid_argmax(*args)
+    assert len(points) <= 500
+    assert all(v == grid[i] for i, (v, _) in points.items())
+    ends = sorted(points)
+    assert ends[0] == 0 and ends[-1] == cr._P_GRID
+    for i, j in zip(ends, ends[1:]):
+        bound = cr._p_q_bound(points[i][1], points[j][1])
+        assert max(grid[i : j + 1]) <= bound
+        assert j - i == 1 or bound < best
+    for v, terms in points.values():
+        assert v <= cr._p_q_bound(terms, terms)
 
 
 def test_P_q_against_the_mp_trisection(prec):
@@ -301,6 +345,68 @@ def test_final_column_negative(prec):
     for q in P_EXPECTED:
         bp = cr.bound_params(q, prec)
         assert bp.F - mp.mpf("1.2") * bp.R + bp.P < 0
+
+
+def _p_q_term_uppers(X, phi, F, G, R, B, M) -> list:
+    """Upper ends of outward-rounded enclosures of p_q's five terms, with
+    the mp constants F, G and B, on the interval X (mpmath iv)."""
+    F, G, B = iv.mpf(F), iv.mpf(G), iv.mpf(B)
+    lx, sx = iv.log(X), iv.sqrt(X)
+    n_log, n_sqrt = 3 * F + iv.mpf("1.2") * R, iv.mpf("0.01") * phi - B - M
+    terms = n_log / lx, (1 + 2 / lx) * G / sx, n_sqrt / sx, -M * lx / sx, phi * sx * lx / (2 * (X - 1))
+    return [t.b for t in terms]
+
+
+def _p_q_certified_upper(q, prec) -> mp.mpf:
+    """An upper bound on p_q over [e^10, inf), for the exact p_q with
+    bound_params' F, G and B: over each cell _p_q_search leaves, the sum of
+    each term's larger end (the terms are monotone there), each end an
+    outward-rounded enclosure at iv's 53 bits, the first end hulled with
+    e^10; and beyond 1e16 <= x_(_P_GRID), the positive parts of the five
+    terms at 1e16, since each term is monotone and tends to 0."""
+    bp = cr.bound_params(q, prec)
+    args = totient(q), bp.F, bp.G, bp.R, bp.B_signed, bp.M
+    ends = sorted(cr._p_q_search(*_p_q_floats(q, prec)))
+    e10 = iv.exp(10)
+    xs = [iv.mpf(math.exp(cr._P_LO + i * cr._P_STEP)) for i in ends]
+    xs[0] = iv.mpf([min(e10.a, xs[0].a), max(e10.b, xs[0].b)])
+    uppers = [_p_q_term_uppers(X, *args) for X in xs]
+    cells = [sum((iv.mpf(max(a, b)) for a, b in zip(ui, uj)), iv.mpf(0)).b for ui, uj in zip(uppers, uppers[1:])]
+    tail = sum((iv.mpf(max(t, 0)) for t in _p_q_term_uppers(iv.mpf(10) ** 16, *args)), iv.mpf(0)).b
+    return mp.mpf(max(*cells, tail))
+
+
+@pytest.mark.parametrize("q", list(P_EXPECTED))
+def test_P_q_certified_upper_bound(q, prec):
+    """The outward-rounded cell bounds over _p_q_search's final cells, with
+    the tail beyond 1e16, bound p_q: they are at least a dense mp evaluation
+    of p_q and the printed P; each of p_q's five terms is monotone on a
+    20,000-cell log grid of [e^10, 1e16]; and F + F.err - 1.2 R plus the
+    bound is negative, as every published final value is."""
+    bp = cr.bound_params(q, prec)
+    phi = totient(q)
+    upper = _p_q_certified_upper(q, prec)
+    with mp.workprec(prec):
+        dense = (mp.e ** (10 + k * (16 * mp.log(10) - 10) / 2000) for k in range(2001))
+        assert upper >= max(p_q_mp(x, phi, bp.F, bp.G, bp.R, bp.B_signed, bp.M) for x in dense)
+        assert upper >= bp.P
+    _, F, G, R, B, M = _p_q_floats(q, prec)
+    n_log, n_sqrt = 3 * F + 1.2 * R, 0.01 * phi - B - M
+    step = (math.log(1e16) - 10) / 20_000
+    xs = [math.exp(10 + i * step) for i in range(20_001)]
+    columns = [
+        [n_log / math.log(x) for x in xs],
+        [(1 + 2 / math.log(x)) * G / math.sqrt(x) for x in xs],
+        [n_sqrt / math.sqrt(x) for x in xs],
+        [-M * math.log(x) / math.sqrt(x) for x in xs],
+        [phi * math.sqrt(x) * math.log(x) / (2 * (x - 1)) for x in xs],
+    ]
+    for column in columns:
+        steps = [b - a for a, b in zip(column, column[1:])]
+        assert all(d <= 0 for d in steps) or all(d >= 0 for d in steps)
+    assert mp.mpf(reference_data.TABLE8[q][-1]) < 0
+    Fq = F_q(q, prec)
+    assert (iv.mpf(Fq.value) + iv.mpf(Fq.err) - iv.mpf("1.2") * bp.R + iv.mpf(upper)).b < 0
 
 
 def test_grh_bound_negative_beyond_threshold(prec):

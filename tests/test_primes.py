@@ -394,6 +394,20 @@ def test_point_sums_match_the_running_sums(qa, prec, data):
     assert st_.theta_cum == [] and st_.log1m_cum == []
 
 
+@pytest.mark.parametrize("prec", [53, 192])
+@pytest.mark.parametrize("q", [1, 7, 14])
+def test_point_sums_keep_the_guard_accuracy(q, prec):
+    """point_sums(k) is within (1 + 2^-16) 2^-prec |value| of 600-bit
+    running sums, at every k below 200 and every 97th beyond: the accuracy
+    GUARD buys, about the rounding to prec alone (point_bound allows more)."""
+    st_ = ProgressionStats(q, 1, SMALL, prec)
+    theta, log1m = _running_sums(q, 1, 600)
+    with mp.workprec(700):
+        for k in [*range(1, 200), *range(200, len(st_.pbar) + 1, 97)]:
+            for got, want in zip(st_.point_sums(k), (theta[k - 1], log1m[k - 1])):
+                assert abs(got - want) <= (1 + mp.ldexp(1, -16)) * mp.ldexp(abs(got), -prec), (k, got, want)
+
+
 def _covers_finer(st_, ks):
     """point_sums(k) is within point_bound(k) of the exact sums, taken at 64
     more bits from one log of each exact product (plus that value's error)."""
